@@ -8,17 +8,18 @@ Subcommands:
 * ``check-single-valued`` matched-mixedness spread across couplings
 * ``verify``              run the full invariant suite
 
-Exit codes: 0 success, 1 usage error, 2 numerical/invariant failure,
-3 I/O failure.
+Exit codes: 0 success, 1 usage error (including an argument outside the
+model's domain), 2 numerical/invariant failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
-from .errors import QurelError, UsageError
-from .model import ModelParams, closed_form_mixedness
+from .errors import QurelError, UsageError, ValidationError
+from .model import ModelParams, T_MIN, closed_form_mixedness
 from .relations import xz_control_setup
 from .sweep import (
     CSV_HEADER,
@@ -31,7 +32,6 @@ from .sweep import (
     match_mixedness,
     run_sweep,
 )
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,6 +44,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+@contextmanager
+def _arguments():
+    """Turns a ValidationError raised while building inputs from the
+    command line into a usage error."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float, int]:
@@ -101,11 +111,12 @@ def _cmd_sweep(args) -> int:
     else:
         if not (args.d and args.j and args.t):
             raise UsageError("either --preset or all of --d/--j/--t are required")
-        grid = SweepGrid(d_range=_parse_range(args.d, "d"),
-                         j_range=_parse_range(args.j, "j"),
-                         t_range=_parse_range(args.t, "t"),
-                         theta=args.theta)
-        setup = xz_control_setup(theta=args.theta)
+        with _arguments():
+            grid = SweepGrid(d_range=_parse_range(args.d, "d"),
+                             j_range=_parse_range(args.j, "j"),
+                             t_range=_parse_range(args.t, "t"),
+                             theta=args.theta)
+            setup = xz_control_setup(theta=args.theta)
     records = run_sweep(grid, setup)
     try:
         emit_csv(records, args.out)
@@ -119,15 +130,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_point(args) -> int:
-    setup = xz_control_setup(theta=args.theta)
-    record = evaluate_point(ModelParams(args.d, args.j, args.t), setup)
+    with _arguments():
+        params = ModelParams(args.d, args.j, args.t)
+        setup = xz_control_setup(theta=args.theta)
+    record = evaluate_point(params, setup)
     for col in CSV_HEADER:
         print(f"{col}={format_value(getattr(record, col))}")
     return EXIT_OK
 
 
 def _cmd_match_gamma(args) -> int:
-    t = match_mixedness(args.d, args.j, args.target)
+    # match_mixedness raises ValidationError only for its arguments
+    with _arguments():
+        t = match_mixedness(args.d, args.j, args.target)
     gamma = closed_form_mixedness(ModelParams(args.d, args.j, t))
     print(f"t={format_value(t)}")
     print(f"gamma={format_value(gamma)}")
@@ -144,6 +159,8 @@ def _cmd_check_single_valued(args) -> int:
     signs = {s > 0 for s in samples}
     if len(signs) != 1 or any(s == 0 for s in samples):
         raise UsageError("couplings must be nonzero and share one sign")
+    with _arguments():
+        ModelParams(args.d, samples[0], T_MIN)  # d lies in the model's domain
     result = check_single_valued(args.d, samples, xz_control_setup(), n_targets=args.targets)
     print(f"w_spread={format_value(result.w_spread)}")
     print(f"u_spread={format_value(result.u_spread)}")
@@ -164,7 +181,8 @@ def main(argv=None) -> int:
         if args.command == "check-single-valued":
             return _cmd_check_single_valued(args)
         if args.command == "verify":
-            return verify_mod.run_all()
+            from . import verify  # the suite is large; only this command needs it
+            return verify.run_all()
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

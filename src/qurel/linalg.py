@@ -1,10 +1,13 @@
 """Dense complex-matrix primitives for few-qubit states (dimension <= 16).
 
 Everything operates on plain square ``numpy`` arrays of ``complex128`` in
-row-major order. All functions are pure; nothing mutates its inputs.
+row-major order; the batch kernels take stacks ``(N, d, d)`` whose leading
+axis runs over points. All functions are pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,10 +31,66 @@ def as_square(m) -> np.ndarray:
     return m
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def hermitian_residual(m: np.ndarray) -> np.ndarray:
+    """max |m[i,j] - conj(m[j,i])| of every matrix in a stack (NaN if any
+    entry is not finite)."""
+    diff = np.abs(m - dagger(m))
+    return diff.reshape(diff.shape[:-2] + (-1,)).max(axis=-1)
+
+
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     """max |m[i,j] - conj(m[j,i])| <= tol."""
-    m = as_square(m)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return bool(hermitian_residual(as_square(m)) <= tol)
+
+
+class Checks:
+    """Failure flags over a batch of points, one per point.
+
+    A lenient batch (a sweep chunk) flags the points that fail a check and
+    carries on; a strict batch (the batch of one behind every single-state
+    function) raises the error of its first failing point instead, so its
+    message is the one that function has always raised. A comparison with
+    NaN is false, so a NaN value fails its check.
+    """
+
+    def __init__(self, n: int, strict: bool):
+        self.failed = np.zeros(n, dtype=bool)
+        self.strict = strict
+
+    def require(self, ok, error) -> None:
+        """Flags every point where ``ok`` is false; ``error(i)`` builds the
+        exception of point ``i``."""
+        if ok.all():
+            return
+        if self.strict:
+            raise error(int(np.argmin(ok)))
+        self.failed |= ~ok
+
+    def clean(self, stack: np.ndarray, fill) -> np.ndarray:
+        """The stack with every failed point replaced by ``fill``, so that a
+        non-finite entry of a failed point cannot break a LAPACK call that
+        covers the whole batch."""
+        if not self.failed.any():
+            return stack
+        return np.where(self.failed.reshape((-1,) + (1,) * (stack.ndim - 1)), fill, stack)
+
+
+def eigh_batch(m: np.ndarray, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a stack of Hermitian matrices, no Hermiticity
+    check and no canonicalization. A strict batch reports a solver failure
+    as ConvergenceError; a lenient one lets LinAlgError through, so the
+    caller can re-run the batch point by point."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        if checks.strict:
+            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+        raise
 
 
 def kron(a, b) -> np.ndarray:
@@ -60,14 +119,17 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     ``dims`` lists the subsystem dimensions whose product must equal the
     matrix dimension; ``keep`` is a nonempty collection of subsystem
     indices. Kept subsystems stay in their original relative order and
-    the total trace is preserved.
+    the total trace is preserved. A stack ``(N, d, d)`` is reduced matrix
+    by matrix.
     """
-    m = as_square(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if int(np.prod(dims)) != m.shape[0]:
+    if math.prod(dims) != m.shape[-1]:
         raise DimensionError(
-            f"subsystem dims {dims} do not multiply to matrix dim {m.shape[0]}")
+            f"subsystem dims {dims} do not multiply to matrix dim {m.shape[-1]}")
     if isinstance(keep, (int, np.integer)):
         keep = (int(keep),)
     keep = sorted(set(int(k) for k in keep))
@@ -76,14 +138,15 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     if keep[0] < 0 or keep[-1] >= n:
         raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
 
-    tensor = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    tensor = m.reshape(lead + dims + dims)
     traced = [s for s in range(n) if s not in keep]
     # trace highest-index subsystems first so remaining axis numbers stay valid
     for s in sorted(traced, reverse=True):
-        k = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=s, axis2=s + k)
-    d_kept = int(np.prod([dims[s] for s in keep]))
-    return tensor.reshape(d_kept, d_kept)
+        k = (tensor.ndim - len(lead)) // 2
+        tensor = np.trace(tensor, axis1=len(lead) + s, axis2=len(lead) + s + k)
+    d_kept = math.prod(dims[s] for s in keep)
+    return tensor.reshape(lead + (d_kept, d_kept))
 
 
 def _canonicalize_phases(v: np.ndarray) -> np.ndarray:
@@ -153,3 +216,9 @@ def exp_hermitian_scaled(m, s: float) -> np.ndarray:
 def trace_product(a, b) -> complex:
     """Tr(a @ b) without forming the product matrix."""
     return complex(np.sum(a * b.T))
+
+
+def trace_products(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Tr(rho[n] @ ops[k]) for a stack of states (N, d, d) against a stack
+    of operators (K, d, d), as an (N, K) table."""
+    return np.einsum("nij,kji->nk", rho, ops)

@@ -11,19 +11,30 @@ sequential decomposition
 
 which this module computes term by term from the joint outcome table.
 Measurements on disjoint subsystems commute, so that table is
-well-defined.
+well-defined. The table's operators are embedded once (``chain_plan``)
+and traced against a whole stack of states at a time (``chain_terms``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError, NullBranch, SubsystemError, ValidationError
-from .linalg import as_square, eig_hermitian, is_hermitian, kron_all, partial_trace, trace_product
+from .linalg import (
+    as_square,
+    eig_hermitian,
+    is_hermitian,
+    kron,
+    partial_trace,
+    trace_product,
+    trace_products,
+)
 from .states import DensityOperator
 
 #: branches below this probability are skipped (their conditional state
@@ -70,6 +81,20 @@ class SequentialDecomposition:
     nested: tuple[float, ...]  # terms n = 2..N of the chain
 
 
+class ChainPlan(NamedTuple):
+    """The operators of one chained decomposition, embedded once.
+
+    For every outcome tuple, in lexicographic order of ascending
+    eigenvalues per control, ``ops`` holds the joint projector P, then
+    q P, then q^2 P: their traces against a state are the tuple's
+    probability and its first and second moments of q. ``shape`` is the
+    number of outcomes of each control.
+    """
+
+    ops: np.ndarray  # (3 * prod(shape), D, D)
+    shape: tuple[int, ...]
+
+
 def projective_decomposition(obs: Observable) -> ProjectiveDecomposition:
     """Eigenvalues and eigenprojectors of an observable.
 
@@ -108,9 +133,13 @@ def embed(op, dims, subsystem: int) -> np.ndarray:
     if op.shape[0] != dims[subsystem]:
         raise DimensionError(
             f"operator dim {op.shape[0]} != subsystem dim {dims[subsystem]}")
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[subsystem] = op
-    return kron_all(*factors)
+    # identity entries are exact, so grouping the padding changes no digit
+    left, right = math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
+    if left > 1:
+        op = kron(np.eye(left, dtype=complex), op)
+    if right > 1:
+        op = kron(op, np.eye(right, dtype=complex))
+    return op
 
 
 def expectation(rho: DensityOperator, obs: Observable) -> float:
@@ -171,6 +200,75 @@ def conditional_stats(rho: DensityOperator, q: Observable, o: Observable) -> Con
     return ConditionalStats(e_of_v=e_of_v, v_of_e=mean_sq - mean * mean)
 
 
+def chain_plan(dims, q: Observable, controls) -> ChainPlan:
+    """Embedded table operators of a chained decomposition of q over an
+    ordered list of controls on distinct subsystems of a state with
+    subsystem dimensions ``dims``."""
+    dims = tuple(int(d) for d in dims)
+    controls = list(controls)
+    if not controls:
+        raise SubsystemError("at least one control is required")
+    subsystems = [o.subsystem for o in controls]
+    if len(set(subsystems)) != len(subsystems) or q.subsystem in subsystems:
+        raise SubsystemError("control subsystems must be distinct and differ from q's")
+    span = set(range(len(dims)))
+    if q.subsystem not in span or not set(subsystems) <= span:
+        raise SubsystemError(f"subsystems out of range for dims {dims}")
+
+    q_full = embed(q.matrix, dims, q.subsystem)
+    # per control: embedded projectors in ascending-eigenvalue order
+    proj_sets = [
+        [embed(proj, dims, o.subsystem) for _, proj in projective_decomposition(o).outcomes]
+        for o in controls
+    ]
+    joints = []
+    for combo in itertools.product(*[range(len(ps)) for ps in proj_sets]):
+        joint = proj_sets[0][combo[0]]
+        for k in range(1, len(controls)):
+            joint = joint @ proj_sets[k][combo[k]]
+        joints.append(joint)
+    # Projectors on disjoint subsystems commute with each other and with
+    # q_full, so the moments reduce to plain traces against the state.
+    joints = np.array(joints)
+    q_joints = q_full @ joints
+    ops = np.concatenate([joints, q_joints, q_full @ q_joints])
+    ops.flags.writeable = False
+    return ChainPlan(ops=ops, shape=tuple(len(ps) for ps in proj_sets))
+
+
+def chain_terms(rho: np.ndarray, plan: ChainPlan):
+    """Residual, first term and nested terms (N, len(shape) - 1) of the
+    chained decomposition of every state in a stack (N, D, D).
+
+    The outcome table is traced in one go and reshaped to
+    (N, n1, n2, ...); null branches (probability below P_MIN) are
+    skipped, and summing a prefix's trailing axes gives its marginals.
+    """
+    n_ctrl = len(plan.shape)
+    table = trace_products(rho, plan.ops).real.reshape((len(rho), 3) + plan.shape)
+    live = table[:, 0] >= P_MIN
+    p, s1, s2 = np.where(live, np.moveaxis(table, 1, 0), 0.0)
+    outcome_axes = tuple(range(1, n_ctrl + 1))
+
+    def explained(p_sum, s1_sum):
+        # p * E[Q|prefix]^2 = s1^2 / p per prefix; zero for a null prefix
+        ok = p_sum >= P_MIN
+        return np.where(ok, s1_sum * s1_sum / np.where(ok, p_sum, 1.0), 0.0)
+
+    full = explained(p, s1)
+    residual = np.sum(s2 - full, axis=outcome_axes)
+    # prefix sums S_n = sum over outcome prefixes c_1..c_n of p * E[Q|prefix]^2
+    levels = []
+    for n in range(1, n_ctrl):
+        trailing = tuple(range(n + 1, n_ctrl + 1))
+        level = explained(p.sum(axis=trailing), s1.sum(axis=trailing))
+        levels.append(level.sum(axis=tuple(range(1, n + 1))))
+    levels.append(full.sum(axis=outcome_axes))
+    total_mean = s1.sum(axis=outcome_axes)
+    first_term = levels[0] - total_mean * total_mean
+    return residual, first_term, np.diff(np.stack(levels, axis=1), axis=1)
+
+
 def sequential_decomposition(
     rho: DensityOperator, q: Observable, controls
 ) -> SequentialDecomposition:
@@ -183,52 +281,8 @@ def sequential_decomposition(
     marginals give the nested terms. The components sum to the
     unconditional variance of q.
     """
-    controls = list(controls)
-    if not controls:
-        raise SubsystemError("at least one control is required")
-    subsystems = [o.subsystem for o in controls]
-    if len(set(subsystems)) != len(subsystems) or q.subsystem in subsystems:
-        raise SubsystemError("control subsystems must be distinct and differ from q's")
-    span = set(range(len(rho.dims)))
-    if q.subsystem not in span or not set(subsystems) <= span:
-        raise SubsystemError(f"subsystems out of range for dims {rho.dims}")
-
-    q_full = embed(q.matrix, rho.dims, q.subsystem)
-    q2_full = q_full @ q_full
-    # per control: embedded projectors in ascending-eigenvalue order
-    proj_sets = [
-        [embed(proj, rho.dims, o.subsystem) for _, proj in projective_decomposition(o).outcomes]
-        for o in controls
-    ]
-
-    n_controls = len(controls)
-    # full-tuple table: (p, p*E[Q|c], p*E[Q^2|c]); null branches skipped.
-    # Projectors on disjoint subsystems commute with each other and with
-    # q_full, so the moments reduce to plain traces against rho.
-    table = {}
-    for combo in itertools.product(*[range(len(ps)) for ps in proj_sets]):
-        joint = proj_sets[0][combo[0]]
-        for k in range(1, n_controls):
-            joint = joint @ proj_sets[k][combo[k]]
-        p = trace_product(rho.matrix, joint).real
-        if p < P_MIN:
-            continue
-        s1 = trace_product(rho.matrix, q_full @ joint).real
-        s2 = trace_product(rho.matrix, q2_full @ joint).real
-        table[combo] = (p, s1, s2)
-
-    # prefix sums S_n = sum over outcome prefixes of p * E[Q|prefix]^2
-    s_levels = []
-    for n in range(1, n_controls + 1):
-        acc = {}
-        for combo, (p, s1, _) in table.items():
-            key = combo[:n]
-            ap, as1 = acc.get(key, (0.0, 0.0))
-            acc[key] = (ap + p, as1 + s1)
-        s_levels.append(sum(s1 * s1 / p for p, s1 in acc.values() if p >= P_MIN))
-
-    total_mean = sum(s1 for _, s1, _ in table.values())
-    residual = sum(s2 - s1 * s1 / p for p, s1, s2 in table.values())
-    first_term = s_levels[0] - total_mean * total_mean
-    nested = tuple(s_levels[n] - s_levels[n - 1] for n in range(1, n_controls))
-    return SequentialDecomposition(residual=residual, first_term=first_term, nested=nested)
+    residual, first_term, nested = chain_terms(rho.matrix[None],
+                                               chain_plan(rho.dims, q, controls))
+    return SequentialDecomposition(residual=float(residual[0]),
+                                   first_term=float(first_term[0]),
+                                   nested=tuple(nested[0].tolist()))

@@ -19,8 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, ValidationError
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, eig_hermitian, kron
+from .errors import HermiticityError, QurelError, RangeError, ValidationError
+from .linalg import (
+    HERMITICITY_TOL,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Checks,
+    dagger,
+    eigh_batch,
+    hermitian_residual,
+    kron,
+)
 from .states import DensityOperator
 
 #: coldest supported temperature; beta <= 1000 keeps the shifted
@@ -43,12 +53,13 @@ class ModelParams:
     t: float
 
     def __post_init__(self):
-        if not (self.d >= 0.0):
-            raise ValidationError(f"d must be >= 0, got {self.d}")
+        # in_domain below is the same rule over arrays of points
+        if not (math.isfinite(self.d) and self.d >= 0.0):
+            raise ValidationError(f"d must be finite and >= 0, got {self.d}")
         if self.j == 0.0 or not math.isfinite(self.j):
             raise ValidationError(f"j must be nonzero and finite, got {self.j}")
-        if not (self.t >= T_MIN):
-            raise ValidationError(f"t must be >= {T_MIN}, got {self.t}")
+        if not (math.isfinite(self.t) and self.t >= T_MIN):
+            raise ValidationError(f"t must be finite and >= {T_MIN}, got {self.t}")
 
     @property
     def beta(self) -> float:
@@ -65,30 +76,70 @@ class ModelParams:
         return math.atan(self.d)
 
 
+def in_domain(d: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """ModelParams' validation rule as a mask over arrays of points."""
+    return (np.isfinite(d) & (d >= 0.0) & np.isfinite(j) & (j != 0.0)
+            & np.isfinite(t) & (t >= T_MIN))
+
+
+def _domain_error(d: float, j: float, t: float) -> QurelError:
+    """The error ModelParams raises for a point outside the domain."""
+    try:
+        ModelParams(d, j, t)
+    except ValidationError as exc:
+        return exc
+    return ValidationError(f"({d}, {j}, {t}) lies outside the model domain")
+
+
 def hamiltonian(p: ModelParams) -> np.ndarray:
     """4x4 Hermitian matrix of the model.
 
     Eigenvalues are {J/2, J/2, -J/2 + delta/2, -J/2 - delta/2} and the
     inner matrix element <01|H|10> equals J(1 + iD).
     """
-    return (p.j / 2.0) * (_XX + _YY + _ZZ + p.d * _DM)
+    return hamiltonians(np.array([p.d], dtype=float), np.array([p.j], dtype=float))[0]
+
+
+def hamiltonians(d: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The model's Hamiltonians at arrays of (d, j), as an (N, 4, 4) stack."""
+    return (j / 2.0)[:, None, None] * (_XX + _YY + _ZZ + d[:, None, None] * _DM)
 
 
 def thermal_state(p: ModelParams) -> DensityOperator:
-    """Gibbs state exp(-H/T) / Z as a validated two-qubit density operator.
+    """Gibbs state exp(-H/T) / Z as a validated two-qubit density operator:
+    ``gibbs_states`` as a batch of one."""
+    rho = gibbs_states(np.array([p.d], dtype=float), np.array([p.j], dtype=float),
+                       np.array([p.t], dtype=float), Checks(1, strict=True))
+    return DensityOperator(rho[0], (2, 2))
 
-    The spectral exponent is shifted by its maximum before
-    exponentiation; the shift cancels against the partition function, so
-    arbitrarily large beta*|J| cannot overflow.
+
+def gibbs_states(d: np.ndarray, j: np.ndarray, t: np.ndarray, checks: Checks) -> np.ndarray:
+    """Gibbs states exp(-H/T) / Z of a batch of model points, as an
+    (N, 4, 4) stack from one batched eigendecomposition.
+
+    The checks are thermal_state's: the ModelParams domain, a Hermitian
+    Hamiltonian, a converged eigensolver and finite entries. The spectral
+    exponent is shifted by its maximum before exponentiation; the shift
+    cancels against the partition function, so arbitrarily large beta*|J|
+    cannot overflow. Failed points of a lenient batch come back as I/4.
     """
-    w, v = eig_hermitian(hamiltonian(p))
-    x = -p.beta * w
-    weights = np.exp(x - np.max(x))
-    z = float(weights.sum())
-    rho = (v * (weights / z)) @ v.conj().T
-    if not np.all(np.isfinite(rho.view(float))):
-        raise RangeError(f"thermal state overflowed at {p}")
-    return DensityOperator(rho, (2, 2))
+    checks.require(in_domain(d, j, t), lambda i: _domain_error(d[i], j[i], t[i]))
+    d = checks.clean(d, 0.0)
+    j = checks.clean(j, 1.0)
+    t = checks.clean(t, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hamiltonians(d, j)
+        checks.require(hermitian_residual(h) <= HERMITICITY_TOL,
+                       lambda i: HermiticityError("matrix is not Hermitian to 1e-10"))
+        w, v = eigh_batch(checks.clean(h, 0.0), checks)
+        x = -(1.0 / t)[:, None] * w
+        weights = np.exp(x - np.max(x, axis=1, keepdims=True))
+        z = weights.sum(axis=1, keepdims=True)
+        rho = (v * (weights / z)[:, None, :]) @ dagger(v)
+    checks.require(np.isfinite(rho.view(float)).all(axis=(1, 2)),
+                   lambda i: RangeError(f"thermal state overflowed at "
+                                        f"{ModelParams(float(d[i]), float(j[i]), float(t[i]))}"))
+    return checks.clean(rho, np.eye(4) / 4.0)
 
 
 def _shifted_weights(p: ModelParams) -> tuple[float, float, float]:

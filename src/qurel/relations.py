@@ -14,24 +14,32 @@ plus the memory-assisted entropic bound for comparison. Ratios of a left
 side to its bound ("tightness", closer to 1 is tighter) are reported as
 None when the bound's magnitude falls below 1e-9; negative bounds are
 reported unclamped.
+
+Each evaluator on a DensityOperator is a batch of one of a kernel over a
+stack of states (N, d, d) (``qc_vur_batch``, ``l_tra_batch``,
+``qm_eur_batch``), whose setup-dependent operators are embedded once
+(``vur_plan``, ``eur_plan``); the sweeps call the same kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateOperator, DegeneracyError, DimensionError, SubsystemError, ValidationError
-from .linalg import SIGMA_X, SIGMA_Z, as_square, partial_trace, trace_product
+from .linalg import SIGMA_X, SIGMA_Z, Checks, as_square, partial_trace, trace_product, trace_products
 from .measurements import (
+    ChainPlan,
     Observable,
+    chain_plan,
+    chain_terms,
     embed,
     projective_decomposition,
-    sequential_decomposition,
     variance,
 )
-from .states import DensityOperator, spectrum_entropy, von_neumann_entropy
+from .states import DensityOperator, check_density, spectrum_entropies
 
 #: denominators smaller than this leave a tightness ratio undefined
 RATIO_MIN = 1e-9
@@ -53,6 +61,9 @@ class MeasurementSetup:
     pairs: tuple
     ltra_operator: np.ndarray
     theta: float
+    #: embedded chain plans by state dimensions, built on first use by
+    #: vur_plan; the setup is immutable, so they stay valid for its lifetime
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = tuple((q, tuple(controls)) for q, controls in self.pairs)
@@ -93,10 +104,15 @@ class QmEurResult:
     u_eur: float | None   # (h_rb + h_sb) / rhs when |rhs| >= RATIO_MIN
 
 
-def _real(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise ValidationError(f"{what} has imaginary residue {value.imag:.3e}")
-    return value.real
+def ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where |den| >= RATIO_MIN, NaN (undefined) elsewhere."""
+    ok = np.abs(den) >= RATIO_MIN
+    return np.where(ok, num / np.where(ok, den, 1.0), np.nan)
+
+
+def optional(x: float) -> float | None:
+    """None for an undefined (NaN) ratio."""
+    return None if x != x else x
 
 
 def schrodinger_bound(rho_a: DensityOperator, a: Observable, b: Observable):
@@ -140,37 +156,86 @@ def maximal_overlap_c(r: Observable, s: Observable) -> float:
                              r.matrix.shape[0])
 
 
-def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
-    """Memory-assisted entropic bound on a two-qubit state.
+class EurPlan(NamedTuple):
+    """The entropic bound's operators for a pair of observables on qubit 0
+    of a two-qubit state: each observable's embedded projectors, and the
+    overlap term log2(1/c)."""
 
-    The measured system is qubit 0, the memory qubit 1. Post-measurement
-    states keep the memory intact while the measured side is dephased in
-    the observable's eigenbasis; they are valid states by construction,
-    so their entropies come straight from the spectrum.
-    """
-    if rho.dims != (2, 2):
-        raise DimensionError(f"expected a two-qubit state, got dims {rho.dims}")
+    dephasers: np.ndarray  # (observable, outcome, 4, 4)
+    overlap_bound: float
+
+
+def eur_plan(dims, r: Observable, s: Observable) -> EurPlan:
+    """qm_eur's operators for observables r and s on qubit 0 of a state
+    with subsystem dimensions ``dims`` (which must be (2, 2))."""
+    if tuple(dims) != (2, 2):
+        raise DimensionError(f"expected a two-qubit state, got dims {tuple(dims)}")
     if r.subsystem != 0 or s.subsystem != 0:
         raise SubsystemError("both observables must act on the measured qubit 0")
     dec_r = projective_decomposition(r)
     dec_s = projective_decomposition(s)
+    # both spectra are nondegenerate here: two outcomes each
     overlap_bound = float(np.log2(1.0 / _overlap_constant(dec_r, dec_s, 2)))
-    h_b = spectrum_entropy(np.linalg.eigvalsh(partial_trace(rho.matrix, rho.dims, (1,))))
+    dephasers = np.array([[embed(proj, dims, 0) for _, proj in dec.outcomes]
+                          for dec in (dec_r, dec_s)])
+    return EurPlan(dephasers=dephasers, overlap_bound=overlap_bound)
 
-    def measured_entropy(dec) -> float:
-        post = np.zeros_like(rho.matrix)
-        for _, proj in dec.outcomes:
-            full = embed(proj, rho.dims, 0)
-            post += full @ rho.matrix @ full
-        return spectrum_entropy(np.linalg.eigvalsh(post))
 
-    h_rb = measured_entropy(dec_r) - h_b
-    h_sb = measured_entropy(dec_s) - h_b
-    h_ab = von_neumann_entropy(rho) - h_b
-    rhs = overlap_bound + h_ab
-    u_eur = (h_rb + h_sb) / rhs if abs(rhs) >= RATIO_MIN else None
-    return QmEurResult(h_rb=h_rb, h_sb=h_sb, h_ab=h_ab,
-                       overlap_bound=overlap_bound, rhs=rhs, u_eur=u_eur)
+def qm_eur_batch(rho: np.ndarray, plan: EurPlan) -> dict:
+    """The entropic bound's columns (h_rb, h_sb, h_ab, rhs, u_eur; u_eur
+    NaN where undefined) for a stack of two-qubit states (N, 4, 4).
+
+    Post-measurement states keep the memory intact while the measured
+    side is dephased in the observable's eigenbasis; they are valid
+    states by construction, so their entropies come straight from the
+    spectrum, one batched call for both dephased stacks and the state.
+    """
+    h_b = spectrum_entropies(np.linalg.eigvalsh(partial_trace(rho, (2, 2), (1,))))
+    full = plan.dephasers[:, :, None]
+    sandwiched = full @ rho @ full  # (observable, outcome, N, 4, 4)
+    posts = sandwiched[:, 0] + sandwiched[:, 1]
+    h_r, h_s, h = spectrum_entropies(np.linalg.eigvalsh(np.concatenate([posts, rho[None]])))
+    h_rb = h_r - h_b
+    h_sb = h_s - h_b
+    h_ab = h - h_b
+    rhs = plan.overlap_bound + h_ab
+    return dict(h_rb=h_rb, h_sb=h_sb, h_ab=h_ab, rhs=rhs, u_eur=ratios(h_rb + h_sb, rhs))
+
+
+def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
+    """Memory-assisted entropic bound on a two-qubit state.
+
+    The measured system is qubit 0, the memory qubit 1.
+    """
+    plan = eur_plan(rho.dims, r, s)
+    cols = {k: float(v[0]) for k, v in qm_eur_batch(rho.matrix[None], plan).items()}
+    return QmEurResult(h_rb=cols["h_rb"], h_sb=cols["h_sb"], h_ab=cols["h_ab"],
+                       overlap_bound=plan.overlap_bound, rhs=cols["rhs"],
+                       u_eur=optional(cols["u_eur"]))
+
+
+def l_tra_batch(rho: np.ndarray, a: Observable, b: Observable, o, theta: float,
+                checks: Checks) -> np.ndarray:
+    """The operator-weighted additive bound on a stack of single-subsystem
+    states (N, d, d); see ``l_tra``."""
+    om = as_square(o)
+    if om.shape[0] != rho.shape[-1] or a.matrix.shape[0] != rho.shape[-1] \
+            or b.matrix.shape[0] != rho.shape[-1]:
+        raise DimensionError("operator dimensions do not match the state")
+    od = om.conj().T
+    denom, ea, eb = trace_products(rho, np.array([od @ om, a.matrix, b.matrix])).real.T
+    checks.require(denom >= OPERATOR_MIN,
+                   lambda i: DegenerateOperator(f"<O†O> = {denom[i]:.3e} is numerically zero"))
+    eye = np.eye(rho.shape[-1])
+    ac = a.matrix - ea[:, None, None] * eye
+    bc = b.matrix - eb[:, None, None] * eye
+    phase = np.exp(1j * theta)
+    num = np.abs(np.einsum("nij,nji->n", rho, od @ (ac + phase * bc))) ** 2
+    cross = np.einsum("nij,nji->n", rho, ac @ (phase * bc) + np.conj(phase) * bc @ ac)
+    checks.require(np.abs(cross.imag) <= IMAG_TOL,
+                   lambda i: ValidationError(f"anticommutator cross term has imaginary "
+                                             f"residue {cross.imag[i]:.3e}"))
+    return num / np.where(denom >= OPERATOR_MIN, denom, 1.0) - cross.real
 
 
 def l_tra(rho_a: DensityOperator, a: Observable, b: Observable, o, theta: float) -> float:
@@ -182,21 +247,38 @@ def l_tra(rho_a: DensityOperator, a: Observable, b: Observable, o, theta: float)
     """
     if len(rho_a.dims) != 1:
         raise DimensionError("expected a single-subsystem state")
-    rho = rho_a.matrix
-    om = as_square(o)
-    if om.shape[0] != rho.shape[0] or a.matrix.shape[0] != rho.shape[0] \
-            or b.matrix.shape[0] != rho.shape[0]:
-        raise DimensionError("operator dimensions do not match the state")
-    denom = trace_product(rho, om.conj().T @ om).real
-    if denom < OPERATOR_MIN:
-        raise DegenerateOperator(f"<O†O> = {denom:.3e} is numerically zero")
-    eye = np.eye(rho.shape[0])
-    ac = a.matrix - trace_product(rho, a.matrix).real * eye
-    bc = b.matrix - trace_product(rho, b.matrix).real * eye
-    phase = np.exp(1j * theta)
-    num = abs(trace_product(rho, om.conj().T @ (ac + phase * bc))) ** 2
-    cross = trace_product(rho, ac @ (phase * bc) + np.conj(phase) * bc @ ac)
-    return num / denom - _real(cross, "anticommutator cross term")
+    return float(l_tra_batch(rho_a.matrix[None], a, b, o, theta, Checks(1, strict=True))[0])
+
+
+def vur_plan(setup: MeasurementSetup, dims) -> tuple[ChainPlan, ...]:
+    """The chained decompositions of every (measured, controls) pair of a
+    setup, embedded for states with subsystem dimensions ``dims``; built
+    once per setup and dimensions."""
+    dims = tuple(int(d) for d in dims)
+    plan = setup._plans.get(dims)
+    if plan is None:
+        plan = tuple(chain_plan(dims, q, controls) for q, controls in setup.pairs)
+        setup._plans[dims] = plan
+    return plan
+
+
+def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup,
+                 plan: tuple[ChainPlan, ...], checks: Checks) -> dict:
+    """The assisted bound's columns (lhs, l_tra, subtracted, w, u; u NaN
+    where undefined) for a stack of validated states (N, D, D); the reduced
+    measured states are validated as DensityOperator validates them."""
+    lhs = 0.0
+    subtracted = 0.0
+    for chain in plan:
+        residual, first_term, nested = chain_terms(rho, chain)
+        lhs = lhs + residual
+        subtracted = subtracted + (first_term + nested.sum(axis=1))
+    rho_a = partial_trace(rho, dims, (setup.measured_subsystem,))
+    check_density(rho_a, checks)
+    bound = l_tra_batch(rho_a, setup.pairs[0][0], setup.pairs[1][0],
+                        setup.ltra_operator, setup.theta, checks)
+    w = bound - subtracted
+    return dict(lhs=lhs, l_tra=bound, subtracted=subtracted, w=w, u=ratios(lhs, w))
 
 
 def qc_vur(rho: DensityOperator, setup: MeasurementSetup) -> QcVurResult:
@@ -208,18 +290,11 @@ def qc_vur(rho: DensityOperator, setup: MeasurementSetup) -> QcVurResult:
     always, and lhs + subtracted recombines to the summed unconditional
     variances.
     """
-    lhs = 0.0
-    subtracted = 0.0
-    for q, controls in setup.pairs:
-        seq = sequential_decomposition(rho, q, controls)
-        lhs += seq.residual
-        subtracted += seq.first_term + sum(seq.nested)
-    rho_a = rho.reduced(setup.measured_subsystem)
-    bound = l_tra(rho_a, setup.pairs[0][0], setup.pairs[1][0],
-                  setup.ltra_operator, setup.theta)
-    w = bound - subtracted
-    u = lhs / w if abs(w) >= RATIO_MIN else None
-    return QcVurResult(lhs=lhs, l_tra=bound, subtracted=subtracted, w=w, u=u)
+    cols = qc_vur_batch(rho.matrix[None], rho.dims, setup, vur_plan(setup, rho.dims),
+                        Checks(1, strict=True))
+    cols = {k: float(v[0]) for k, v in cols.items()}
+    return QcVurResult(lhs=cols["lhs"], l_tra=cols["l_tra"], subtracted=cols["subtracted"],
+                       w=cols["w"], u=optional(cols["u"]))
 
 
 def xz_control_setup(theta: float = 0.5, measured: int = 0, controls=(1,)) -> MeasurementSetup:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import (
+    HERMITICITY_TOL,
     SIGMA_Y,
+    Checks,
     as_square,
-    eig_hermitian,
-    is_hermitian,
+    dagger,
+    eigh_batch,
+    hermitian_residual,
     kron,
     partial_trace,
 )
@@ -29,8 +33,9 @@ class DensityOperator:
     """A quantum state over a declared list of subsystem dimensions.
 
     Construction validates Hermiticity, unit trace and positive
-    semidefiniteness eagerly; a corrupted state would silently poison
-    every quantity computed downstream.
+    semidefiniteness eagerly (through ``check_density``, as a batch of
+    one); a corrupted state would silently poison every quantity computed
+    downstream.
     """
 
     matrix: np.ndarray
@@ -41,16 +46,10 @@ class DensityOperator:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 2 for d in dims):
             raise ValidationError(f"subsystem dims must be >= 2, got {dims}")
-        if int(np.prod(dims)) != m.shape[0]:
+        if math.prod(dims) != m.shape[0]:
             raise DimensionError(
                 f"dims {dims} do not multiply to matrix dim {m.shape[0]}")
-        if not is_hermitian(m):
-            raise ValidationError("density matrix is not Hermitian to 1e-10")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace is {tr}, not 1")
-        if float(np.min(np.linalg.eigvalsh(m))) < -PSD_TOL:
-            raise ValidationError("density matrix has a negative eigenvalue")
+        check_density(m[None], Checks(1, strict=True))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -68,19 +67,43 @@ class DensityOperator:
         return DensityOperator(sub, tuple(self.dims[k] for k in keep))
 
 
+def check_density(m: np.ndarray, checks: Checks) -> np.ndarray:
+    """DensityOperator's validation of a stack (N, d, d): Hermitian to
+    1e-10, unit trace to 1e-10, eigenvalues >= -1e-10. Returns the
+    ascending eigenvalues (N, d)."""
+    checks.require(hermitian_residual(m) <= HERMITICITY_TOL,
+                   lambda i: ValidationError("density matrix is not Hermitian to 1e-10"))
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    checks.require(np.abs(tr - 1.0) <= TRACE_TOL,
+                   lambda i: ValidationError(f"trace is {tr[i]}, not 1"))
+    w = np.linalg.eigvalsh(m)
+    checks.require(w[:, 0] >= -PSD_TOL,
+                   lambda i: ValidationError("density matrix has a negative eigenvalue"))
+    return w
+
+
+def mixedness_batch(m: np.ndarray) -> np.ndarray:
+    """1 - Tr(rho^2) of every state in a stack (N, d, d)."""
+    # Tr(rho^2) equals the squared Frobenius norm for Hermitian rho
+    return 1.0 - np.sum(np.abs(m) ** 2, axis=(-2, -1))
+
+
 def mixedness(rho: DensityOperator) -> float:
     """1 - Tr(rho^2); zero for pure states, 1 - 1/dim when maximally mixed."""
-    # Tr(rho^2) equals the squared Frobenius norm for Hermitian rho
-    purity = float(np.sum(np.abs(rho.matrix) ** 2))
-    return 1.0 - purity
+    return float(mixedness_batch(rho.matrix[None])[0])
+
+
+def spectrum_entropies(w: np.ndarray) -> np.ndarray:
+    """Base-2 entropies of probability spectra along the last axis;
+    0*log(0) = 0, values below EIG_ZERO count as exactly zero."""
+    # log2(1) = 0, so a value set to 1 adds exactly nothing
+    safe = np.where(w > EIG_ZERO, w, 1.0)
+    return -np.sum(safe * np.log2(safe), axis=-1)
 
 
 def spectrum_entropy(eigenvalues) -> float:
-    """Base-2 entropy of a probability spectrum; 0*log(0) = 0, values
-    below EIG_ZERO count as exactly zero."""
-    w = np.asarray(eigenvalues, dtype=float)
-    w = w[w > EIG_ZERO]
-    return float(-(w * np.log2(w)).sum())
+    """Base-2 entropy of one probability spectrum."""
+    return float(spectrum_entropies(np.asarray(eigenvalues, dtype=float)))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -102,8 +125,13 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"concurrence needs dims (2, 2), got {rho.dims}")
-    w, v = eig_hermitian(rho.matrix)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    flip_core = root @ _YY @ root.T
+    return float(concurrence_batch(rho.matrix[None], Checks(1, strict=True))[0])
+
+
+def concurrence_batch(m: np.ndarray, checks: Checks) -> np.ndarray:
+    """Concurrence of every validated two-qubit state in a stack (N, 4, 4)."""
+    w, v = eigh_batch(m, checks)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ dagger(v)
+    flip_core = root @ _YY @ np.swapaxes(root, -1, -2)
     s = np.linalg.svd(flip_core, compute_uv=False)
-    return float(max(0.0, s[0] - s[1] - s[2] - s[3]))
+    return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])

@@ -6,20 +6,43 @@ the memory-assisted entropic bound with its tightness, and emits one CSV
 row per point. Matching points of equal mixedness across different
 couplings makes the "bound is a function of mixedness" claim a numeric
 statement instead of a visual one.
+
+Points are evaluated in chunks, each as one (N, 4, 4) batch through the
+array kernels of the lower modules; ``evaluate_point`` is a batch of one.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import QurelError, RangeError, UsageError, ValidationError
-from .model import ModelParams, T_MIN, closed_form_mixedness, thermal_state
-from .relations import MeasurementSetup, qc_vur, qm_eur, xz_control_setup
-from .measurements import Observable
-from .linalg import SIGMA_X, SIGMA_Z
-from .states import concurrence_two_qubit, mixedness
+from .linalg import SIGMA_X, SIGMA_Z, Checks
+from .measurements import ChainPlan, Observable
+from .model import (
+    ModelParams,
+    T_MIN,
+    closed_form_mixedness,
+    gibbs_states,
+    thermal_state,
+)
+from .relations import (
+    EurPlan,
+    MeasurementSetup,
+    eur_plan,
+    optional,
+    qc_vur,
+    qc_vur_batch,
+    qm_eur_batch,
+    vur_plan,
+    xz_control_setup,
+)
+from .states import check_density, concurrence_batch, mixedness_batch
 
 CSV_HEADER = ("d", "j", "t", "theta", "gamma", "concurrence", "l_tra", "lhs",
               "w", "u", "h_rb", "h_sb", "h_ab", "eur_rhs", "u_eur")
@@ -28,6 +51,13 @@ CSV_HEADER = ("d", "j", "t", "theta", "gamma", "concurrence", "l_tra", "lhs",
 SCAN_T_MAX = 1e4
 SCAN_POINTS = 200
 GAMMA_TOL = 1e-10
+
+#: grid points evaluated together as one batch: a chunk's working arrays
+#: take a few hundred kilobytes, whatever the size of the grid
+CHUNK_POINTS = 512
+
+#: the entropic bound always compares sigma_x and sigma_z on qubit 0
+_EUR_PAIR = (Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
 
 
 @dataclass(frozen=True)
@@ -44,6 +74,9 @@ class SweepGrid:
             start, stop, steps = rng
             if steps < 1:
                 raise ValidationError(f"{name}_range needs steps >= 1, got {steps}")
+            if steps == 1 and start != stop:
+                raise ValidationError(
+                    f"{name}_range has one step but start {start} != stop {stop}")
             if start > stop:
                 raise ValidationError(f"{name}_range has start {start} > stop {stop}")
         if self.t_range[0] < T_MIN:
@@ -100,37 +133,105 @@ class SweepRecord:
         return [f"({self.d}, {self.j}, {self.t}): {msg}" for msg in bad]
 
 
+class _SweepPlan(NamedTuple):
+    """A setup's operators for two-qubit thermal states, embedded once."""
+
+    setup: MeasurementSetup
+    vur: tuple[ChainPlan, ...]
+    eur: EurPlan
+
+
+def _plan(setup: MeasurementSetup) -> _SweepPlan:
+    return _SweepPlan(setup, vur_plan(setup, (2, 2)), eur_plan((2, 2), *_EUR_PAIR))
+
+
+def _states(d, j, t, checks: Checks) -> np.ndarray:
+    """Validated Gibbs states (N, 4, 4) of a batch of model points."""
+    rho = gibbs_states(d, j, t, checks)
+    check_density(rho, checks)
+    return rho
+
+
+def _columns(rho, plan: _SweepPlan, checks: Checks) -> dict:
+    """Record columns (CSV names, NaN for an undefined ratio) of a batch of
+    validated thermal states."""
+    vur = qc_vur_batch(rho, (2, 2), plan.setup, plan.vur, checks)
+    eur = qm_eur_batch(rho, plan.eur)
+    return dict(gamma=mixedness_batch(rho), concurrence=concurrence_batch(rho, checks),
+                l_tra=vur["l_tra"], lhs=vur["lhs"], w=vur["w"], u=vur["u"],
+                h_rb=eur["h_rb"], h_sb=eur["h_sb"], h_ab=eur["h_ab"],
+                eur_rhs=eur["rhs"], u_eur=eur["u_eur"])
+
+
+def _records(d, j, t, theta: float, cols: dict) -> list:
+    columns = [cols[name].tolist() for name in CSV_HEADER[4:]]
+    for name in ("u", "u_eur"):
+        k = CSV_HEADER.index(name) - 4
+        columns[k] = [optional(x) for x in columns[k]]
+    return [SweepRecord(*row)
+            for row in zip(d.tolist(), j.tolist(), t.tolist(), repeat(theta), *columns)]
+
+
 def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
-    """Full record for one model point."""
-    rho = thermal_state(params)
-    vur = qc_vur(rho, setup)
-    eur = qm_eur(rho, Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
-    return SweepRecord(
-        d=params.d, j=params.j, t=params.t, theta=setup.theta,
-        gamma=mixedness(rho),
-        concurrence=concurrence_two_qubit(rho),
-        l_tra=vur.l_tra, lhs=vur.lhs, w=vur.w, u=vur.u,
-        h_rb=eur.h_rb, h_sb=eur.h_sb, h_ab=eur.h_ab,
-        eur_rhs=eur.rhs, u_eur=eur.u_eur,
-    )
+    """Full record for one model point: the sweep's evaluation as a batch
+    of one, which raises the first failing check's error."""
+    d, j, t = (np.array([x], dtype=float) for x in (params.d, params.j, params.t))
+    checks = Checks(1, strict=True)
+    rho = _states(d, j, t, checks)
+    return _records(d, j, t, setup.theta, _columns(rho, _plan(setup), checks))[0]
+
+
+def _point_record(d: float, j: float, t: float, theta: float,
+                  setup: MeasurementSetup) -> SweepRecord:
+    try:
+        return evaluate_point(ModelParams(d, j, t), setup)
+    except QurelError as exc:
+        return SweepRecord(d=d, j=j, t=t, theta=theta, error=str(exc))
+
+
+def _chunk_records(d, j, t, theta: float, setup: MeasurementSetup, plan) -> list:
+    """Records of one chunk of points. Every point the batch flags, and
+    every point of a batch whose solver failed, is evaluated again as a
+    batch of one, which records its own error message."""
+    failed = np.ones(len(d), dtype=bool)
+    records = [None] * len(d)
+    if plan is not None:
+        checks = Checks(len(d), strict=False)
+        try:
+            cols = _columns(_states(d, j, t, checks), plan, checks)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            records = _records(d, j, t, setup.theta, cols)
+            failed = checks.failed
+    for i in np.flatnonzero(failed):
+        records[i] = _point_record(float(d[i]), float(j[i]), float(t[i]), theta, setup)
+    return records
 
 
 def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
     """One record per grid point, in row-major (d, j, t) order.
 
-    A failing point is flagged on its record instead of aborting the
-    sweep, so edge points cannot take down a long run.
+    The grid is evaluated in chunks of CHUNK_POINTS points, each one batch
+    of (N, 4, 4) arrays, with the setup's operators embedded once for the
+    whole sweep; working memory beyond the records is bounded by the chunk
+    size, not the grid size. A failing point is flagged on its record
+    instead of aborting the sweep, so edge points cannot take down a long
+    run: it is evaluated again through ``evaluate_point``, and its record
+    carries the error that raises.
     """
+    axes = (grid.d_values(), grid.j_values(), grid.t_values())
+    shape = tuple(len(a) for a in axes)
+    try:
+        plan = _plan(setup)
+    except QurelError:
+        plan = None  # a setup every point rejects: each point records the error
     records = []
-    for d in grid.d_values():
-        for j in grid.j_values():
-            for t in grid.t_values():
-                try:
-                    rec = evaluate_point(ModelParams(float(d), float(j), float(t)), setup)
-                except QurelError as exc:
-                    rec = SweepRecord(d=float(d), j=float(j), t=float(t),
-                                      theta=grid.theta, error=str(exc))
-                records.append(rec)
+    n = math.prod(shape)
+    for start in range(0, n, CHUNK_POINTS):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, n)), shape)
+        d, j, t = (a[i] for a, i in zip(axes, index))
+        records += _chunk_records(d, j, t, grid.theta, setup, plan)
     return records
 
 
@@ -138,14 +239,29 @@ def format_value(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
+#: a row with no undefined field; "%.17g" formats a value as format_value does
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER))
+_csv_fields = operator.attrgetter(*CSV_HEADER)
+
+
+def _csv_row(rec) -> str:
+    values = _csv_fields(rec)
+    if None in values:
+        return ",".join(format_value(x) for x in values)
+    return _CSV_ROW % values
+
+
 def emit_csv(records, destination) -> None:
     """Write records as CSV: fixed header, 17-significant-digit floats,
-    LF line endings, empty fields for undefined ratios."""
-    lines = [",".join(CSV_HEADER)]
-    for rec in records:
-        lines.append(",".join(format_value(getattr(rec, col)) for col in CSV_HEADER))
+    LF line endings, empty fields for undefined ratios. Rows are written
+    CHUNK_POINTS at a time, so the text of the whole file is never held
+    in memory at once."""
+    rows = map(_csv_row, records)
     with open(destination, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(CSV_HEADER) + "\n")
+        while block := list(islice(rows, CHUNK_POINTS)):
+            block.append("")
+            fh.write("\n".join(block))
 
 
 def match_mixedness(d: float, j: float, target_gamma: float) -> float:
@@ -155,6 +271,9 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     [T_MIN, 1e4] and refined by bisection to |gamma - target| <= 1e-10;
     with several brackets the one at the smallest temperature wins.
     """
+    if not math.isfinite(target_gamma):
+        raise ValidationError(f"target mixedness must be finite, got {target_gamma}")
+
     def gamma_at(t: float) -> float:
         return closed_form_mixedness(ModelParams(d, j, t))
 

@@ -32,6 +32,33 @@ class TestPointCommand:
         assert float(values["u"]) == 0.0  # defined: w is negative, lhs zero
 
 
+class TestArgumentDomain:
+    """Arguments outside the model's or the setup's domain are usage errors."""
+
+    def test_theta_out_of_range_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, "point", "--d", "1", "--j", "1", "--t", "1",
+                               "--theta", "7")
+        assert code == 1
+        assert "usage error" in err and "theta" in err
+
+    def test_zero_step_range_exits_one(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--d", "0:1:0", "--j", "1", "--t", "1",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "usage error" in err and "d_range" in err
+
+    def test_nan_target_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, "match-gamma", "--d", "1", "--j", "1",
+                               "--target", "nan")
+        assert code == 1
+        assert "usage error" in err and "finite" in err
+
+    def test_infinite_d_exits_one(self, capsys):
+        code, _, err = run_cli(capsys, "point", "--d", "inf", "--j", "1", "--t", "1")
+        assert code == 1
+        assert "d must be finite" in err
+
+
 class TestSweepCommand:
     def test_explicit_ranges(self, tmp_path, capsys):
         out_path = tmp_path / "grid.csv"

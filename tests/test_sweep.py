@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from qurel.errors import RangeError, UsageError, ValidationError
+from qurel.errors import QurelError, RangeError, UsageError, ValidationError
 from qurel.model import ModelParams, T_MIN, closed_form_mixedness
 from qurel.relations import xz_control_setup
 from qurel.sweep import (
+    CHUNK_POINTS,
     CSV_HEADER,
     SweepGrid,
     SweepRecord,
@@ -35,6 +40,10 @@ class TestSweepGrid:
     def test_rejects_reversed_range(self):
         with pytest.raises(ValidationError):
             SweepGrid(d_range=(1.0, 0.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
+
+    def test_rejects_one_step_that_drops_stop(self):
+        with pytest.raises(ValidationError, match="^t_range"):
+            SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(0.5, 2.0, 1))
 
 
 class TestRunSweep:
@@ -75,6 +84,95 @@ class TestRunSweep:
         assert all(-1e-9 <= g <= 0.75 + 1e-9 for gs in by_j.values() for g in gs)
         # ferromagnetic side freezes into the triplet manifold instead
         assert max(by_j[js[0]]) < 0.70
+
+
+def _point_or_error(rec, setup):
+    """What the batch of one gives for a record's point: its record, or
+    the text of the error it raises."""
+    try:
+        return evaluate_point(ModelParams(rec.d, rec.j, rec.t), setup)
+    except QurelError as exc:
+        return str(exc)
+
+
+class TestBatchedSweep:
+    """run_sweep evaluates chunks of points as one batch; every record must
+    equal what evaluate_point, the batch of one, gives for its point."""
+
+    def test_grid_across_chunk_boundaries(self):
+        grid = SweepGrid(d_range=(0.0, 3.0, 3), j_range=(-2.0, 2.5, 300),
+                         t_range=(0.4, 0.4, 1))
+        assert 900 > CHUNK_POINTS
+        setup = xz_control_setup()
+        records = run_sweep(grid, setup)
+        assert len(records) == 900
+        for rec in records:
+            assert rec.error is None
+            assert rec == _point_or_error(rec, setup)
+
+    def test_failed_point_is_flagged_alone(self):
+        grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
+                         t_range=(1.0, 1.0, 1))
+        setup = xz_control_setup()
+        good, bad = run_sweep(grid, setup)
+        assert good.error is None and good == _point_or_error(good, setup)
+        assert bad.error is not None
+        assert bad.error == _point_or_error(bad, setup)
+        assert bad.gamma is None and bad.u is None
+
+    def test_solver_failure_reruns_the_chunk_point_by_point(self, monkeypatch):
+        grid = SweepGrid(d_range=(0.0, 2.0, 3), j_range=(-1.0, 1.5, 4),
+                         t_range=(0.5, 0.5, 1))
+        setup = xz_control_setup()
+        expected = run_sweep(grid, setup)
+        eigh = np.linalg.eigh
+
+        def fails_on_batches(m, *args, **kwargs):
+            if np.ndim(m) == 3 and len(m) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", fails_on_batches)
+        assert run_sweep(grid, setup) == expected
+
+    def test_setup_every_point_rejects(self):
+        grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
+        setup = xz_control_setup(controls=(2,))  # no third qubit in the model
+        records = run_sweep(grid, setup)
+        assert [rec.error for rec in records] == [_point_or_error(rec, setup)
+                                                  for rec in records]
+        assert all("out of range" in rec.error for rec in records)
+
+
+_couplings = st.builds(lambda m, sign: sign * m, st.floats(1e-9, 1e3),
+                       st.sampled_from((-1.0, 1.0)))
+
+
+def _axis(values):
+    values = sorted(values)
+    return (values[0], values[-1], len(values))
+
+
+@st.composite
+def _grids(draw):
+    """Grids of up to 2 x 2 x 2 points with d in [0, 1e6], 1e-9 <= |j| <= 1e3,
+    t in [T_MIN, 1e3] and beta |j| <= 1e3 at every point."""
+    d = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=2, unique=True))
+    j = draw(st.lists(_couplings, min_size=1, max_size=2, unique=True))
+    t_low = max(T_MIN, max(abs(x) for x in j) / 1e3)
+    t = draw(st.lists(st.floats(t_low, 1e3), min_size=1, max_size=2, unique=True))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    return SweepGrid(d_range=_axis(d), j_range=_axis(j), t_range=_axis(t), theta=theta)
+
+
+@seed(20231018)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_grids())
+def test_batched_records_equal_batch_of_one(grid):
+    setup = xz_control_setup(theta=grid.theta)
+    for rec in run_sweep(grid, setup):
+        expected = _point_or_error(rec, setup)
+        assert (rec.error if rec.error is not None else rec) == expected
 
 
 class TestEmitCsv:
@@ -143,6 +241,11 @@ class TestMatchMixedness:
     def test_unachievable_target(self):
         with pytest.raises(RangeError):
             match_mixedness(1.0, 1.0, 0.9)  # above the 0.75 ceiling
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ValidationError, match="finite"):
+            match_mixedness(1.0, 1.0, target)
 
     def test_matched_gamma_tolerance(self):
         target = 0.42
