@@ -14,7 +14,6 @@ from .errors import (
     DegeneracyError,
     DimensionError,
     HermiticityError,
-    NullBranch,
     QurelError,
     RangeError,
     SubsystemError,
@@ -26,11 +25,8 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    eig_hermitian,
-    exp_hermitian_scaled,
     is_hermitian,
     kron,
-    kron_all,
     partial_trace,
 )
 from .measurements import (
@@ -38,7 +34,6 @@ from .measurements import (
     Observable,
     ProjectiveDecomposition,
     SequentialDecomposition,
-    condition_on_outcome,
     conditional_stats,
     embed,
     expectation,

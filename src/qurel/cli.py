@@ -159,6 +159,8 @@ def _cmd_check_single_valued(args) -> int:
     signs = {s > 0 for s in samples}
     if len(signs) != 1 or any(s == 0 for s in samples):
         raise UsageError("couplings must be nonzero and share one sign")
+    if args.targets < 1:
+        raise UsageError(f"--targets must be >= 1, got {args.targets}")
     with _arguments():
         ModelParams(args.d, samples[0], T_MIN)  # d lies in the model's domain
     result = check_single_valued(args.d, samples, xz_control_setup(), n_targets=args.targets)

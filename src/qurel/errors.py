@@ -25,14 +25,6 @@ class RangeError(QurelError):
     """A numerical result left the representable/achievable range."""
 
 
-class NullBranch(QurelError):
-    """A measurement branch has (numerically) zero probability.
-
-    Callers skip such branches; they contribute zero weight to all
-    outcome-averaged sums.
-    """
-
-
 class SubsystemError(QurelError):
     """Subsystem indices are invalid, duplicated, or clash."""
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, HermiticityError, RangeError
+from .errors import ConvergenceError, DimensionError
 
 HERMITICITY_TOL = 1e-10
 
@@ -81,10 +81,10 @@ class Checks:
 
 
 def eigh_batch(m: np.ndarray, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a stack of Hermitian matrices, no Hermiticity
-    check and no canonicalization. A strict batch reports a solver failure
-    as ConvergenceError; a lenient one lets LinAlgError through, so the
-    caller can re-run the batch point by point."""
+    """Eigendecomposition of a stack of Hermitian matrices, eigenvalues
+    ascending; the caller checks Hermiticity. A strict batch reports a
+    solver failure as ConvergenceError; a lenient one lets LinAlgError
+    through, so the caller can re-run the batch point by point."""
     try:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -103,14 +103,6 @@ def kron(a, b) -> np.ndarray:
     b = as_square(b)
     da, db = a.shape[0], b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(da * db, da * db)
-
-
-def kron_all(*mats) -> np.ndarray:
-    """Kronecker product of a sequence of square matrices, left to right."""
-    out = as_square(mats[0])
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -147,70 +139,6 @@ def partial_trace(m, dims, keep) -> np.ndarray:
         tensor = np.trace(tensor, axis1=len(lead) + s, axis2=len(lead) + s + k)
     d_kept = math.prod(dims[s] for s in keep)
     return tensor.reshape(lead + (d_kept, d_kept))
-
-
-def _canonicalize_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is real positive."""
-    mag = np.abs(v)
-    pivot_rows = (mag > 1e-12).argmax(axis=0)
-    pivots = v[pivot_rows, np.arange(v.shape[1])]
-    scale = np.abs(pivots)
-    phases = np.where(scale > 0.0, np.conj(pivots) / np.where(scale > 0.0, scale, 1.0), 1.0)
-    return v * phases
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
-    ``v`` holding the eigenvectors as columns. Column phases are
-    canonicalized and ties between (near-)equal eigenvalues are broken by
-    the lexicographic order of the canonicalized real parts, so repeated
-    calls on the same input give identical output.
-    """
-    m = as_square(m)
-    if not is_hermitian(m):
-        raise HermiticityError("matrix is not Hermitian to 1e-10")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    v = _canonicalize_phases(v)
-    if not (np.diff(w) < 1e-12).any():
-        return w, v
-    # deterministic ordering inside degenerate clusters
-    order = list(range(len(w)))
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j] - w[i] < 1e-12:
-            j += 1
-        if j - i > 1:
-            order[i:j] = sorted(order[i:j], key=lambda c: tuple(np.real(v[:, c])))
-        i = j
-    return w[order].copy(), v[:, order].copy()
-
-
-def exp_hermitian_scaled(m, s: float) -> np.ndarray:
-    """exp(s*m) for Hermitian m, via the spectral decomposition.
-
-    The largest exponent is shifted out before exponentiation and
-    restored afterwards, so intermediate overflow cannot occur for
-    |s*eigenvalue| up to roughly 700. If the restored result itself is
-    not representable, RangeError is raised.
-    """
-    w, v = eig_hermitian(m)
-    x = float(s) * w
-    shift = float(np.max(x))
-    core = (v * np.exp(x - shift)) @ v.conj().T
-    with np.errstate(over="raise"):
-        try:
-            out = core * np.exp(shift)
-        except FloatingPointError as exc:
-            raise RangeError(f"exp({shift:.3g}) overflows a float") from exc
-    if not np.all(np.isfinite(out.view(float))):
-        raise RangeError("matrix exponential overflowed")
-    return out
 
 
 def trace_product(a, b) -> complex:

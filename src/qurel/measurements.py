@@ -25,13 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, NullBranch, SubsystemError, ValidationError
+from .errors import DimensionError, SubsystemError, ValidationError
 from .linalg import (
+    Checks,
     as_square,
-    eig_hermitian,
+    eigh_batch,
     is_hermitian,
     kron,
-    partial_trace,
     trace_product,
     trace_products,
 )
@@ -109,7 +109,9 @@ def projective_decomposition(obs: Observable) -> ProjectiveDecomposition:
 @lru_cache(maxsize=256)
 def _decompose(matrix_bytes: bytes, dim: int) -> ProjectiveDecomposition:
     m = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim)
-    w, v = eig_hermitian(m)
+    # Observable has checked Hermiticity; each cluster becomes one
+    # projector, so eigenvector phases and the order within it do not matter
+    (w,), (v,) = eigh_batch(m[None], Checks(1, strict=True))
     outcomes = []
     i = 0
     while i < len(w):
@@ -154,50 +156,6 @@ def variance(rho: DensityOperator, obs: Observable) -> float:
     m1 = trace_product(rho.matrix, full).real
     m2 = trace_product(rho.matrix, full @ full).real
     return m2 - m1 * m1
-
-
-def condition_on_outcome(rho: DensityOperator, projector, subsystem: int):
-    """Probability and post-measurement conditional state for one outcome.
-
-    Returns ``(prob, conditional)`` where the conditional is a validated
-    density operator over the remaining subsystems (the measured control
-    is traced out). Raises NullBranch when the branch probability falls
-    below P_MIN.
-    """
-    proj_full = embed(projector, rho.dims, subsystem)
-    prob = trace_product(proj_full, rho.matrix).real
-    if prob < P_MIN:
-        raise NullBranch(f"branch probability {prob:.3e} below {P_MIN}")
-    sandwiched = proj_full @ rho.matrix @ proj_full
-    keep = [s for s in range(len(rho.dims)) if s != subsystem]
-    reduced = partial_trace(sandwiched, rho.dims, keep) / prob
-    conditional = DensityOperator(reduced, tuple(rho.dims[s] for s in keep))
-    return prob, conditional
-
-
-def conditional_stats(rho: DensityOperator, q: Observable, o: Observable) -> ConditionalStats:
-    """Mean conditional variance and variance of conditional means of q,
-    after measuring o on a different subsystem.
-
-    The two components always recombine to the unconditional variance
-    (law of total variance). Null branches are skipped.
-    """
-    if q.subsystem == o.subsystem:
-        raise SubsystemError("q and o must act on different subsystems")
-    q_after = Observable(q.matrix, q.subsystem - (1 if o.subsystem < q.subsystem else 0))
-    e_of_v = 0.0
-    mean = 0.0
-    mean_sq = 0.0
-    for _, proj in projective_decomposition(o).outcomes:
-        try:
-            prob, cond = condition_on_outcome(rho, proj, o.subsystem)
-        except NullBranch:
-            continue
-        e_of_v += prob * variance(cond, q_after)
-        e_cond = expectation(cond, q_after)
-        mean += prob * e_cond
-        mean_sq += prob * e_cond * e_cond
-    return ConditionalStats(e_of_v=e_of_v, v_of_e=mean_sq - mean * mean)
 
 
 def chain_plan(dims, q: Observable, controls) -> ChainPlan:
@@ -286,3 +244,15 @@ def sequential_decomposition(
     return SequentialDecomposition(residual=float(residual[0]),
                                    first_term=float(first_term[0]),
                                    nested=tuple(nested[0].tolist()))
+
+
+def conditional_stats(rho: DensityOperator, q: Observable, o: Observable) -> ConditionalStats:
+    """Mean conditional variance and variance of conditional means of q,
+    after measuring o on a different subsystem: the single-control case of
+    the chained decomposition.
+
+    The two components always recombine to the unconditional variance
+    (law of total variance). Null branches are skipped.
+    """
+    seq = sequential_decomposition(rho, q, [o])
+    return ConditionalStats(e_of_v=seq.residual, v_of_e=seq.first_term)

@@ -37,7 +37,6 @@ from .measurements import (
     chain_terms,
     embed,
     projective_decomposition,
-    variance,
 )
 from .states import DensityOperator, check_density, spectrum_entropies
 

@@ -101,14 +101,9 @@ def spectrum_entropies(w: np.ndarray) -> np.ndarray:
     return -np.sum(safe * np.log2(safe), axis=-1)
 
 
-def spectrum_entropy(eigenvalues) -> float:
-    """Base-2 entropy of one probability spectrum."""
-    return float(spectrum_entropies(np.asarray(eigenvalues, dtype=float)))
-
-
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Base-2 von Neumann entropy, with the 0*log(0) = 0 convention."""
-    return spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
+    return float(spectrum_entropies(np.linalg.eigvalsh(rho.matrix)))
 
 
 def concurrence_two_qubit(rho: DensityOperator) -> float:

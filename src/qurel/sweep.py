@@ -74,6 +74,9 @@ class SweepGrid:
             start, stop, steps = rng
             if steps < 1:
                 raise ValidationError(f"{name}_range needs steps >= 1, got {steps}")
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ValidationError(
+                    f"{name}_range needs a finite start and stop, got {start} and {stop}")
             if steps == 1 and start != stop:
                 raise ValidationError(
                     f"{name}_range has one step but start {start} != stop {stop}")
@@ -320,6 +323,8 @@ def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
     assisted bound re-evaluated there. A spread at rounding level means
     the bound depends on (j/t, d) only.
     """
+    if n_targets < 1:
+        raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
     j_samples = [float(j) for j in j_samples]
     if len(j_samples) < 2:
         return SingleValuedResult(0.0, 0.0, 0)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from qurel.cli import main
 from qurel.sweep import CSV_HEADER
@@ -52,6 +53,16 @@ class TestArgumentDomain:
                                "--target", "nan")
         assert code == 1
         assert "usage error" in err and "finite" in err
+
+    @pytest.mark.parametrize("axis,text", [("d", "0:inf:2"), ("d", "nan"), ("t", "1:-inf:3")])
+    def test_non_finite_range_exits_one(self, tmp_path, capsys, axis, text):
+        ranges = {"d": "0:1:2", "j": "1", "t": "1"}
+        ranges[axis] = text
+        argv = [x for name, value in ranges.items() for x in (f"--{name}", value)]
+        code, _, err = run_cli(capsys, "sweep", *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert f"usage error: {axis}_range needs a finite start and stop" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_infinite_d_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "point", "--d", "inf", "--j", "1", "--t", "1")
@@ -132,6 +143,14 @@ class TestCheckSingleValuedCommand:
     def test_single_sample_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("targets", ["0", "-2"])
+    def test_targets_below_one_exit_one(self, capsys, targets):
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1",
+                                 "--j", "0.5,1", "--targets", targets)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: --targets must be >= 1, got {targets}" in err
 
 
 def test_unknown_command_exits_one(capsys):

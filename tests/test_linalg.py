@@ -1,22 +1,10 @@
 import numpy as np
 import pytest
 
-from qurel.errors import ConvergenceError, DimensionError, HermiticityError, RangeError
-from qurel.linalg import (
-    I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    eig_hermitian,
-    exp_hermitian_scaled,
-    is_hermitian,
-    kron,
-    kron_all,
-    partial_trace,
-    trace_product,
-)
+from qurel.errors import DimensionError
+from qurel.linalg import I2, SIGMA_Z, is_hermitian, kron, partial_trace, trace_product
 
-from helpers import GRID, random_hermitian, thermal_matrix
+from helpers import random_hermitian, thermal_matrix
 
 
 def kron_oracle(a, b):
@@ -89,7 +77,8 @@ class TestPartialTrace:
 
     def test_sequential_reduction_preserves_scalar_trace(self):
         rng = np.random.default_rng(22)
-        m = kron_all(*(random_hermitian(rng, 2) for _ in range(3)))
+        a, b, c = (random_hermitian(rng, 2) for _ in range(3))
+        m = kron(kron(a, b), c)
         step = partial_trace(m, (2, 2, 2), (0, 2))
         step = partial_trace(step, (2, 2), (0,))
         assert np.allclose(np.trace(step), np.trace(m))
@@ -105,88 +94,6 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2, 3), (0,))
         with pytest.raises(DimensionError):
             partial_trace(np.eye(4), (2, 2), ())
-
-
-class TestEigHermitian:
-    def test_pauli_x_spectrum(self):
-        w, v = eig_hermitian(SIGMA_X)
-        assert np.allclose(w, [-1.0, 1.0])
-        # eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2) up to phase
-        for col, expected in zip(v.T, ([1, -1], [1, 1])):
-            expected = np.array(expected) / np.sqrt(2)
-            overlap = abs(np.vdot(expected, col))
-            assert np.isclose(overlap, 1.0, atol=1e-12)
-
-    def test_sorts_diagonal_input(self):
-        w, v = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-        perm = np.abs(v)
-        assert np.allclose(perm, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(31)
-        m = random_hermitian(rng, 8)
-        w, v = eig_hermitian(m)
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-10
-
-    def test_eigenvalue_sum_is_trace(self):
-        rng = np.random.default_rng(32)
-        m = random_hermitian(rng, 6)
-        w, _ = eig_hermitian(m)
-        assert abs(w.sum() - np.trace(m).real) <= 1e-10
-
-    def test_deterministic_on_repeat(self):
-        rng = np.random.default_rng(33)
-        m = random_hermitian(rng, 5)
-        w1, v1 = eig_hermitian(m)
-        w2, v2 = eig_hermitian(m.copy())
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(v1, v2)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestExpHermitianScaled:
-    def test_zero_scale_gives_identity(self):
-        rng = np.random.default_rng(41)
-        m = random_hermitian(rng, 4)
-        assert np.allclose(exp_hermitian_scaled(m, 0.0), np.eye(4))
-
-    def test_diagonal_case(self):
-        out = exp_hermitian_scaled(SIGMA_Z, -1.0)
-        assert np.allclose(out, np.diag([np.exp(-1.0), np.exp(1.0)]))
-
-    def test_unnormalized_thermal_elements(self):
-        """exp(-H) entries at d = j = 1 against the analytic elements."""
-        from qurel.model import ModelParams, hamiltonian
-        h = hamiltonian(ModelParams(1.0, 1.0, 1.0))
-        out = exp_hermitian_scaled(h, -1.0)
-        root2 = np.sqrt(2.0)
-        assert np.isclose(out[0, 0], np.exp(-0.5), atol=1e-10)
-        assert np.isclose(out[3, 3], np.exp(-0.5), atol=1e-10)
-        assert np.isclose(out[1, 1], np.exp(0.5) * np.cosh(root2), atol=1e-10)
-        assert np.isclose(abs(out[1, 2]), np.exp(0.5) * np.sinh(root2), atol=1e-10)
-
-    def test_inverse_product(self):
-        rng = np.random.default_rng(42)
-        m = random_hermitian(rng, 4)
-        prod = exp_hermitian_scaled(m, 1.3) @ exp_hermitian_scaled(m, -1.3)
-        assert np.max(np.abs(prod - np.eye(4))) <= 1e-10
-
-    def test_moderate_shift_is_safe(self):
-        out = exp_hermitian_scaled(np.diag([-600.0, 650.0]), 1.0)
-        assert np.isfinite(out.view(float)).all()
-
-    def test_overflow_raises(self):
-        with pytest.raises(RangeError):
-            exp_hermitian_scaled(np.diag([0.0, 800.0]), 1.0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            exp_hermitian_scaled(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 def test_is_hermitian_tolerance():

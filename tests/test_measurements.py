@@ -3,11 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from qurel.errors import NullBranch, SubsystemError, ValidationError
+from qurel.errors import SubsystemError, ValidationError
 from qurel.linalg import I2, SIGMA_X, SIGMA_Z, kron
 from qurel.measurements import (
     Observable,
-    condition_on_outcome,
     conditional_stats,
     embed,
     expectation,
@@ -69,42 +68,6 @@ class TestProjectiveDecomposition:
                 assert np.max(np.abs(pi @ pj)) <= 1e-10
             for _, p in dec.outcomes:
                 assert np.max(np.abs(p @ p - p)) <= 1e-10
-
-
-class TestConditionOnOutcome:
-    def test_product_state_is_unchanged(self):
-        rng = np.random.default_rng(72)
-        rho_a = random_density(rng, (2,))
-        rho_c = random_density(rng, (2,))
-        joint = DensityOperator(kron(rho_a.matrix, rho_c.matrix), (2, 2))
-        dec = projective_decomposition(Observable(random_hermitian(rng, 2), 1))
-        for _, proj in dec.outcomes:
-            prob, cond = condition_on_outcome(joint, proj, 1)
-            assert np.isclose(prob, np.trace(proj @ rho_c.matrix).real)
-            assert np.max(np.abs(cond.matrix - rho_a.matrix)) <= 1e-12
-
-    def test_bell_state_collapses_perfectly(self):
-        dec = projective_decomposition(Observable(SIGMA_Z, 1))
-        # +1 outcome of sigma_z on the partner projects onto |0>
-        _, proj_plus = dec.outcomes[1]
-        prob, cond = condition_on_outcome(bell_state(), proj_plus, 1)
-        assert np.isclose(prob, 0.5)
-        assert np.allclose(cond.matrix, np.diag([1.0, 0.0]))
-
-    def test_thermal_branches_are_even(self):
-        """The thermal marginal is I/2, so either outcome of any
-        single-qubit measurement on qubit 1 has probability 1/2."""
-        rho = thermal_state(ModelParams(1.0, 1.0, 1.0))
-        dec = projective_decomposition(Observable(SIGMA_X, 1))
-        for _, proj in dec.outcomes:
-            prob, _ = condition_on_outcome(rho, proj, 1)
-            assert abs(prob - 0.5) <= 1e-12
-
-    def test_null_branch_raises(self):
-        ket0 = pure_state(np.kron([1, 0], [1, 0]), (2, 2))
-        proj_one = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(NullBranch):
-            condition_on_outcome(ket0, proj_one, 1)
 
 
 class TestVariance:
@@ -268,9 +231,11 @@ class TestSequentialDecomposition:
         o = Observable(random_hermitian(rng, 2), 1)
         seq = sequential_decomposition(rho, q, [o])
         stats = conditional_stats(rho, q, o)
-        assert seq.nested == ()
-        assert abs(seq.residual - stats.e_of_v) <= 1e-12
-        assert abs(seq.first_term - stats.v_of_e) <= 1e-12
+        residual, first, nested = chain_oracle(rho, q, [o])
+        assert seq.nested == () and nested == []
+        assert (stats.e_of_v, stats.v_of_e) == (seq.residual, seq.first_term)
+        assert abs(seq.residual - residual) <= 1e-12
+        assert abs(seq.first_term - first) <= 1e-12
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(77)
@@ -329,25 +294,6 @@ class TestSequentialDecomposition:
             sequential_decomposition(rho, q, [Observable(SIGMA_Z, 0)])
         with pytest.raises(SubsystemError):
             sequential_decomposition(rho, q, [])
-
-
-def test_marginal_consistency():
-    rng = np.random.default_rng(79)
-    for _ in range(50):
-        rho = random_density(rng, (2, 2))
-        q = Observable(random_hermitian(rng, 2), 0)
-        o = Observable(random_hermitian(rng, 2), 1)
-        total_p = 0.0
-        total_e = 0.0
-        for _, proj in projective_decomposition(o).outcomes:
-            try:
-                prob, cond = condition_on_outcome(rho, proj, 1)
-            except NullBranch:
-                continue
-            total_p += prob
-            total_e += prob * expectation(cond, Observable(q.matrix, 0))
-        assert abs(total_p - 1.0) <= 1e-12
-        assert abs(total_e - expectation(rho, q)) <= 1e-12
 
 
 def test_observable_rejects_non_hermitian():

@@ -41,6 +41,12 @@ class TestSweepGrid:
         with pytest.raises(ValidationError):
             SweepGrid(d_range=(1.0, 0.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
 
+    @pytest.mark.parametrize("t_range", [(1.0, math.inf, 2), (math.nan, math.nan, 1),
+                                         (math.nan, 2.0, 3)])
+    def test_rejects_non_finite_bounds(self, t_range):
+        with pytest.raises(ValidationError, match="^t_range needs a finite start and stop"):
+            SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=t_range)
+
     def test_rejects_one_step_that_drops_stop(self):
         with pytest.raises(ValidationError, match="^t_range"):
             SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(0.5, 2.0, 1))
@@ -267,6 +273,11 @@ class TestCheckSingleValued:
     def test_mixed_signs_rejected(self):
         with pytest.raises(ValidationError):
             check_single_valued(1.0, [-1.0, 1.0], xz_control_setup())
+
+    @pytest.mark.parametrize("n_targets", [0, -2])
+    def test_rejects_fewer_than_one_target(self, n_targets):
+        with pytest.raises(ValidationError, match="^n_targets must be >= 1"):
+            check_single_valued(1.0, [0.5, 1.0], xz_control_setup(), n_targets=n_targets)
 
 
 class TestFigurePresets:
