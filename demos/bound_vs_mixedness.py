@@ -5,8 +5,6 @@ then demonstrates the stronger statement: at matched mixedness the bound
 does not care about the coupling magnitude at all (only its sign).
 Run:  python demos/bound_vs_mixedness.py
 """
-import numpy as np
-
 from qurel import (
     ModelParams,
     SweepGrid,

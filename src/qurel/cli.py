@@ -76,9 +76,9 @@ def _build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid and write CSV")
     p_sweep.add_argument("--preset", help="figure preset name (fig1a, fig2, ...)")
-    p_sweep.add_argument("--d", help="d range start:stop:steps")
-    p_sweep.add_argument("--j", help="j range start:stop:steps")
-    p_sweep.add_argument("--t", help="t range start:stop:steps")
+    for axis in ("d", "j", "t"):
+        p_sweep.add_argument(f"--{axis}", help=f"{axis} range start:stop:steps or one value; "
+                             f"a negative start needs the = form, --{axis}=START:STOP:STEPS")
     p_sweep.add_argument("--theta", type=float, default=0.5)
     p_sweep.add_argument("--out", required=True, help="CSV destination path")
 

@@ -1,8 +1,6 @@
-import math
-
-import numpy as np
 import pytest
 
+from qurel import verify
 from qurel.cli import main
 from qurel.sweep import CSV_HEADER
 
@@ -80,6 +78,16 @@ class TestSweepCommand:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 2 * 1 * 3
 
+    def test_negative_range_start_in_equals_form(self, tmp_path, capsys):
+        # after a space, argparse reads "-1.5:1.5:4" as an option
+        out_path = tmp_path / "grid.csv"
+        code, _, err = run_cli(capsys, "sweep", "--d", "0", "--j=-1.5:1.5:4", "--t", "1",
+                               "--out", str(out_path))
+        assert code == 0, err
+        rows = [line.split(",") for line in out_path.read_text().strip().split("\n")[1:]]
+        j_values = [float(row[CSV_HEADER.index("j")]) for row in rows]
+        assert j_values == pytest.approx([-1.5, -0.5, 0.5, 1.5], abs=1e-15)
+
     def test_preset_and_ranges_conflict(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--preset", "fig2", "--d", "1",
                                "--out", str(tmp_path / "x.csv"))
@@ -151,6 +159,20 @@ class TestCheckSingleValuedCommand:
         assert code == 1
         assert out == ""
         assert f"usage error: --targets must be >= 1, got {targets}" in err
+
+
+class TestVerifyCommand:
+    def test_failing_check_exits_two(self, monkeypatch, capsys):
+        failing = verify.Check("forced failure", False, "stub detail")
+        monkeypatch.setattr(verify, "check_tightness_trend", lambda: [failing])
+        lines = []
+        assert verify.run_all(lines.append) == 2
+        assert "  [FAIL] forced failure  (stub detail)" in lines
+        assert lines[-1].startswith("FAILURES detected")
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 2
+        assert "[FAIL] forced failure" in out
+        assert "FAILURES detected" in out
 
 
 def test_unknown_command_exits_one(capsys):
