@@ -25,12 +25,11 @@ from .sweep import (
     CSV_HEADER,
     SweepGrid,
     check_single_valued,
-    emit_csv,
     evaluate_point,
     figure_preset,
     format_value,
     match_mixedness,
-    run_sweep,
+    sweep_csv,
 )
 
 EXIT_OK = 0
@@ -42,7 +41,15 @@ EXIT_IO = 3
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so we control exit codes."""
 
+    #: options taking a 'start:stop:steps' range, whose negative start
+    #: argparse reads as an option unless it follows an '='
+    ranges = ()
+
     def error(self, message):
+        for name in self.ranges:
+            if message == f"argument --{name}: expected one argument":
+                message += (f" (a range with a negative start needs the = form, "
+                            f"--{name}=START:STOP:STEPS)")
         raise UsageError(message)
 
 
@@ -75,6 +82,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid and write CSV")
+    p_sweep.ranges = ("d", "j", "t")
     p_sweep.add_argument("--preset", help="figure preset name (fig1a, fig2, ...)")
     for axis in ("d", "j", "t"):
         p_sweep.add_argument(f"--{axis}", help=f"{axis} range start:stop:steps or one value; "
@@ -117,13 +125,11 @@ def _cmd_sweep(args) -> int:
                              t_range=_parse_range(args.t, "t"),
                              theta=args.theta)
             setup = xz_control_setup(theta=args.theta)
-    records = run_sweep(grid, setup)
     try:
-        emit_csv(records, args.out)
+        problems = sweep_csv(grid, setup, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    problems = [msg for rec in records for msg in rec.invariant_violations()]
     for msg in problems:
         print(f"warning: {msg}", file=sys.stderr)
     return EXIT_NUMERICAL if problems else EXIT_OK

@@ -93,6 +93,16 @@ def eigh_batch(m: np.ndarray, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
         raise
 
 
+def eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., 2) of a stack (..., 2, 2) of Hermitian
+    matrices, in closed form: mean -/+ hypot(half the diagonal gap, |m01|).
+    Reads the diagonal and the upper off-diagonal entry only."""
+    a, b = m[..., 0, 0].real, m[..., 1, 1].real
+    mean = 0.5 * (a + b)
+    radius = np.hypot(0.5 * (a - b), np.abs(m[..., 0, 1]))
+    return np.stack([mean - radius, mean + radius], axis=-1)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two square matrices.
 

@@ -17,7 +17,7 @@ reported unclamped.
 
 Each evaluator on a DensityOperator is a batch of one of a kernel over a
 stack of states (N, d, d) (``qc_vur_batch``, ``l_tra_batch``,
-``qm_eur_batch``), whose setup-dependent operators are embedded once
+``qm_eur_batch``), whose setup-dependent operators are built once
 (``vur_plan``, ``eur_plan``); the sweeps call the same kernels.
 """
 
@@ -29,13 +29,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateOperator, DegeneracyError, DimensionError, SubsystemError, ValidationError
-from .linalg import SIGMA_X, SIGMA_Z, Checks, as_square, partial_trace, trace_product, trace_products
+from .linalg import (
+    SIGMA_X,
+    SIGMA_Z,
+    Checks,
+    as_square,
+    eigvalsh_2x2,
+    partial_trace,
+    trace_product,
+    trace_products,
+)
 from .measurements import (
     ChainPlan,
     Observable,
     chain_plan,
     chain_terms,
-    embed,
     projective_decomposition,
 )
 from .states import DensityOperator, check_density, spectrum_entropies
@@ -157,10 +165,10 @@ def maximal_overlap_c(r: Observable, s: Observable) -> float:
 
 class EurPlan(NamedTuple):
     """The entropic bound's operators for a pair of observables on qubit 0
-    of a two-qubit state: each observable's embedded projectors, and the
-    overlap term log2(1/c)."""
+    of a two-qubit state: each observable's rank-one eigenprojectors on
+    qubit 0, and the overlap term log2(1/c)."""
 
-    dephasers: np.ndarray  # (observable, outcome, 4, 4)
+    projectors: np.ndarray  # (observable, outcome, 2, 2)
     overlap_bound: float
 
 
@@ -175,28 +183,33 @@ def eur_plan(dims, r: Observable, s: Observable) -> EurPlan:
     dec_s = projective_decomposition(s)
     # both spectra are nondegenerate here: two outcomes each
     overlap_bound = float(np.log2(1.0 / _overlap_constant(dec_r, dec_s, 2)))
-    dephasers = np.array([[embed(proj, dims, 0) for _, proj in dec.outcomes]
-                          for dec in (dec_r, dec_s)])
-    return EurPlan(dephasers=dephasers, overlap_bound=overlap_bound)
+    projectors = np.array([[proj for _, proj in dec.outcomes] for dec in (dec_r, dec_s)])
+    return EurPlan(projectors=projectors, overlap_bound=overlap_bound)
 
 
-def qm_eur_batch(rho: np.ndarray, plan: EurPlan) -> dict:
+def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
     """The entropic bound's columns (h_rb, h_sb, h_ab, rhs, u_eur; u_eur
-    NaN where undefined) for a stack of two-qubit states (N, 4, 4).
+    NaN where undefined) for a stack of two-qubit states (N, 4, 4) with
+    ascending eigenvalues w (N, 4).
 
-    Post-measurement states keep the memory intact while the measured
-    side is dephased in the observable's eigenbasis; they are valid
-    states by construction, so their entropies come straight from the
-    spectrum, one batched call for both dephased stacks and the state.
+    Measuring qubit 0 in the observable's eigenbasis {|k>} leaves the
+    block-diagonal state sum_k |k><k| (x) M_k, whose spectrum is the union
+    of the 2 x 2 spectra of the memory blocks M_k = Tr_A[(P_k (x) I) rho],
+    taken in closed form. With rho's 2 x 2 blocks rho_xy[b, c] =
+    rho[(x, b), (y, c)], M_k = sum_xy P_k[y, x] rho_xy: one matmul traces
+    every block of both observables from rho against the un-embedded
+    rank-one projectors P_k. S(AB) comes from w, and S(B) from one batched
+    call on the memory's reduced states.
     """
     h_b = spectrum_entropies(np.linalg.eigvalsh(partial_trace(rho, (2, 2), (1,))))
-    full = plan.dephasers[:, :, None]
-    sandwiched = full @ rho @ full  # (observable, outcome, N, 4, 4)
-    posts = sandwiched[:, 0] + sandwiched[:, 1]
-    h_r, h_s, h = spectrum_entropies(np.linalg.eigvalsh(np.concatenate([posts, rho[None]])))
+    coeffs = np.swapaxes(plan.projectors, -1, -2).reshape(4, 4)  # [(o, k), (x, y)]
+    regrouped = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    blocks = (coeffs @ regrouped).reshape(-1, 2, 2, 2, 2)  # [n, o, k, b, c]
+    spectra = eigvalsh_2x2(blocks).reshape(-1, 2, 4)  # [n, o, eigenvalue]
+    h_r, h_s = spectrum_entropies(spectra).T
     h_rb = h_r - h_b
     h_sb = h_s - h_b
-    h_ab = h - h_b
+    h_ab = spectrum_entropies(w) - h_b
     rhs = plan.overlap_bound + h_ab
     return dict(h_rb=h_rb, h_sb=h_sb, h_ab=h_ab, rhs=rhs, u_eur=ratios(h_rb + h_sb, rhs))
 
@@ -207,7 +220,8 @@ def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
     The measured system is qubit 0, the memory qubit 1.
     """
     plan = eur_plan(rho.dims, r, s)
-    cols = {k: float(v[0]) for k, v in qm_eur_batch(rho.matrix[None], plan).items()}
+    m = rho.matrix[None]
+    cols = {k: float(v[0]) for k, v in qm_eur_batch(m, np.linalg.eigvalsh(m), plan).items()}
     return QmEurResult(h_rb=cols["h_rb"], h_sb=cols["h_sb"], h_ab=cols["h_ab"],
                        overlap_bound=plan.overlap_bound, rhs=cols["rhs"],
                        u_eur=optional(cols["u_eur"]))
@@ -273,7 +287,7 @@ def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup,
         lhs = lhs + residual
         subtracted = subtracted + (first_term + nested.sum(axis=1))
     rho_a = partial_trace(rho, dims, (setup.measured_subsystem,))
-    check_density(rho_a, checks)
+    check_density(rho_a, np.linalg.eigvalsh(rho_a), checks)
     bound = l_tra_batch(rho_a, setup.pairs[0][0], setup.pairs[1][0],
                         setup.ltra_operator, setup.theta, checks)
     w = bound - subtracted

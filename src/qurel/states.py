@@ -49,7 +49,10 @@ class DensityOperator:
         if math.prod(dims) != m.shape[0]:
             raise DimensionError(
                 f"dims {dims} do not multiply to matrix dim {m.shape[0]}")
-        check_density(m[None], Checks(1, strict=True))
+        # a non-finite entry fails the Hermiticity check, which runs before
+        # the spectrum is read, so the solver only ever sees finite entries
+        w = np.linalg.eigvalsh(np.where(np.isfinite(m), m, 0.0)[None])
+        check_density(m[None], w, Checks(1, strict=True))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -67,19 +70,17 @@ class DensityOperator:
         return DensityOperator(sub, tuple(self.dims[k] for k in keep))
 
 
-def check_density(m: np.ndarray, checks: Checks) -> np.ndarray:
-    """DensityOperator's validation of a stack (N, d, d): Hermitian to
-    1e-10, unit trace to 1e-10, eigenvalues >= -1e-10. Returns the
-    ascending eigenvalues (N, d)."""
+def check_density(m: np.ndarray, w: np.ndarray, checks: Checks) -> None:
+    """DensityOperator's validation of a stack (N, d, d) whose ascending
+    eigenvalues (N, d) are ``w``: Hermitian to 1e-10, unit trace to 1e-10,
+    eigenvalues >= -1e-10."""
     checks.require(hermitian_residual(m) <= HERMITICITY_TOL,
                    lambda i: ValidationError("density matrix is not Hermitian to 1e-10"))
     tr = np.trace(m, axis1=-2, axis2=-1)
     checks.require(np.abs(tr - 1.0) <= TRACE_TOL,
                    lambda i: ValidationError(f"trace is {tr[i]}, not 1"))
-    w = np.linalg.eigvalsh(m)
     checks.require(w[:, 0] >= -PSD_TOL,
                    lambda i: ValidationError("density matrix has a negative eigenvalue"))
-    return w
 
 
 def mixedness_batch(m: np.ndarray) -> np.ndarray:
@@ -120,12 +121,14 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"concurrence needs dims (2, 2), got {rho.dims}")
-    return float(concurrence_batch(rho.matrix[None], Checks(1, strict=True))[0])
+    w, v = eigh_batch(rho.matrix[None], Checks(1, strict=True))
+    return float(concurrence_batch(w, v)[0])
 
 
-def concurrence_batch(m: np.ndarray, checks: Checks) -> np.ndarray:
-    """Concurrence of every validated two-qubit state in a stack (N, 4, 4)."""
-    w, v = eigh_batch(m, checks)
+def concurrence_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Concurrence of every validated two-qubit state in a stack, from the
+    states' eigendecompositions: ascending eigenvalues w (N, 4) and
+    eigenvectors v (N, 4, 4), as ``eigh_batch`` returns them."""
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ dagger(v)
     flip_core = root @ _YY @ np.swapaxes(root, -1, -2)
     s = np.linalg.svd(flip_core, compute_uv=False)

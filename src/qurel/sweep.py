@@ -8,7 +8,11 @@ couplings makes the "bound is a function of mixedness" claim a numeric
 statement instead of a visual one.
 
 Points are evaluated in chunks, each as one (N, 4, 4) batch through the
-array kernels of the lower modules; ``evaluate_point`` is a batch of one.
+array kernels of the lower modules, with one eigendecomposition per state;
+``evaluate_point`` is a batch of one. ``run_sweep`` collects the chunks as
+records, while ``sweep_csv`` (behind ``qurel sweep``) writes each chunk's
+rows straight from its column arrays as soon as it is evaluated, so a
+sweep of any size holds one chunk at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .errors import QurelError, RangeError, UsageError, ValidationError
-from .linalg import SIGMA_X, SIGMA_Z, Checks
+from .linalg import SIGMA_X, SIGMA_Z, Checks, eigh_batch
 from .measurements import ChainPlan, Observable
 from .model import (
     ModelParams,
@@ -120,24 +124,45 @@ class SweepRecord:
     error: str | None = None
 
     def invariant_violations(self) -> list[str]:
-        """Human-readable list of violated row invariants (empty if fine)."""
-        bad = []
+        """Human-readable list of violated row invariants (empty if fine):
+        ``_violations`` as a batch of one."""
         if self.error is not None:
-            bad.append(f"point ({self.d}, {self.j}, {self.t}) failed: {self.error}")
-            return bad
-        if not -1e-9 <= self.gamma <= 0.75 + 1e-9:
-            bad.append(f"gamma {self.gamma} outside [0, 0.75]")
-        if not -1e-9 <= self.concurrence <= 1.0 + 1e-9:
-            bad.append(f"concurrence {self.concurrence} outside [0, 1]")
-        if self.lhs < self.w - 1e-9:
-            bad.append(f"lhs {self.lhs} below bound w {self.w}")
-        if self.h_rb + self.h_sb < self.eur_rhs - 1e-9:
-            bad.append(f"entropic sum {self.h_rb + self.h_sb} below bound {self.eur_rhs}")
-        return [f"({self.d}, {self.j}, {self.t}): {msg}" for msg in bad]
+            return [f"point ({self.d}, {self.j}, {self.t}) failed: {self.error}"]
+        values = np.array(_invariant_fields(self), dtype=float)[:, None]
+        return [msg for _, msg in _violations(values)]
+
+
+#: the record fields the row invariants read
+_INVARIANT_FIELDS = ("d", "j", "t", "gamma", "concurrence", "lhs", "w", "h_rb", "h_sb",
+                     "eur_rhs")
+_invariant_fields = operator.attrgetter(*_INVARIANT_FIELDS)
+
+
+def _violations(values: np.ndarray) -> list[tuple[int, str]]:
+    """(row, message) of every violated row invariant of a batch of rows
+    whose fields ``_INVARIANT_FIELDS`` are the rows of ``values`` (10, N),
+    in row order and, within a row, in check order. A NaN value violates a
+    range check and no inequality, as on a record."""
+    d, j, t, gamma, conc, lhs, w, h_rb, h_sb, rhs = values
+    entropic = h_rb + h_sb
+    bad = (~((gamma >= -1e-9) & (gamma <= 0.75 + 1e-9)),
+           ~((conc >= -1e-9) & (conc <= 1.0 + 1e-9)),
+           lhs < w - 1e-9,
+           entropic < rhs - 1e-9)
+    if not (bad[0] | bad[1] | bad[2] | bad[3]).any():
+        return []
+    d, j, t, gamma, conc, lhs, w, entropic, rhs = (
+        x.tolist() for x in (d, j, t, gamma, conc, lhs, w, entropic, rhs))
+    messages = (lambda i: f"gamma {gamma[i]} outside [0, 0.75]",
+                lambda i: f"concurrence {conc[i]} outside [0, 1]",
+                lambda i: f"lhs {lhs[i]} below bound w {w[i]}",
+                lambda i: f"entropic sum {entropic[i]} below bound {rhs[i]}")
+    found = sorted((i, k) for k, rows in enumerate(bad) for i in np.flatnonzero(rows).tolist())
+    return [(i, f"({d[i]}, {j[i]}, {t[i]}): {messages[k](i)}") for i, k in found]
 
 
 class _SweepPlan(NamedTuple):
-    """A setup's operators for two-qubit thermal states, embedded once."""
+    """A setup's operators for two-qubit thermal states, built once."""
 
     setup: MeasurementSetup
     vur: tuple[ChainPlan, ...]
@@ -148,31 +173,37 @@ def _plan(setup: MeasurementSetup) -> _SweepPlan:
     return _SweepPlan(setup, vur_plan(setup, (2, 2)), eur_plan((2, 2), *_EUR_PAIR))
 
 
-def _states(d, j, t, checks: Checks) -> np.ndarray:
-    """Validated Gibbs states (N, 4, 4) of a batch of model points."""
+def _states(d, j, t, checks: Checks):
+    """Validated Gibbs states (N, 4, 4) of a batch of model points, with
+    their one eigendecomposition: ascending eigenvalues (N, 4) and
+    eigenvectors (N, 4, 4)."""
     rho = gibbs_states(d, j, t, checks)
-    check_density(rho, checks)
-    return rho
+    w, v = eigh_batch(rho, checks)
+    check_density(rho, w, checks)
+    return rho, w, v
 
 
-def _columns(rho, plan: _SweepPlan, checks: Checks) -> dict:
-    """Record columns (CSV names, NaN for an undefined ratio) of a batch of
-    validated thermal states."""
+def _columns(rho, w, v, plan: _SweepPlan, checks: Checks) -> dict:
+    """Value columns (CSV names, NaN for an undefined ratio) of a batch of
+    validated thermal states and their eigendecompositions."""
     vur = qc_vur_batch(rho, (2, 2), plan.setup, plan.vur, checks)
-    eur = qm_eur_batch(rho, plan.eur)
-    return dict(gamma=mixedness_batch(rho), concurrence=concurrence_batch(rho, checks),
+    eur = qm_eur_batch(rho, w, plan.eur)
+    return dict(gamma=mixedness_batch(rho), concurrence=concurrence_batch(w, v),
                 l_tra=vur["l_tra"], lhs=vur["lhs"], w=vur["w"], u=vur["u"],
                 h_rb=eur["h_rb"], h_sb=eur["h_sb"], h_ab=eur["h_ab"],
                 eur_rhs=eur["rhs"], u_eur=eur["u_eur"])
 
 
-def _records(d, j, t, theta: float, cols: dict) -> list:
-    columns = [cols[name].tolist() for name in CSV_HEADER[4:]]
-    for name in ("u", "u_eur"):
-        k = CSV_HEADER.index(name) - 4
+#: positions in CSV_HEADER of the ratios, which may be undefined
+_RATIOS = tuple(CSV_HEADER.index(name) for name in ("u", "u_eur"))
+
+
+def _records(theta: float, cols: dict) -> list:
+    columns = [repeat(theta) if name == "theta" else cols[name].tolist()
+               for name in CSV_HEADER]
+    for k in _RATIOS:
         columns[k] = [optional(x) for x in columns[k]]
-    return [SweepRecord(*row)
-            for row in zip(d.tolist(), j.tolist(), t.tolist(), repeat(theta), *columns)]
+    return [SweepRecord(*row) for row in zip(*columns)]
 
 
 def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
@@ -180,8 +211,9 @@ def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
     of one, which raises the first failing check's error."""
     d, j, t = (np.array([x], dtype=float) for x in (params.d, params.j, params.t))
     checks = Checks(1, strict=True)
-    rho = _states(d, j, t, checks)
-    return _records(d, j, t, setup.theta, _columns(rho, _plan(setup), checks))[0]
+    state = _states(d, j, t, checks)
+    cols = dict(d=d, j=j, t=t, **_columns(*state, _plan(setup), checks))
+    return _records(setup.theta, cols)[0]
 
 
 def _point_record(d: float, j: float, t: float, theta: float,
@@ -192,36 +224,17 @@ def _point_record(d: float, j: float, t: float, theta: float,
         return SweepRecord(d=d, j=j, t=t, theta=theta, error=str(exc))
 
 
-def _chunk_records(d, j, t, theta: float, setup: MeasurementSetup, plan) -> list:
-    """Records of one chunk of points. Every point the batch flags, and
-    every point of a batch whose solver failed, is evaluated again as a
-    batch of one, which records its own error message."""
-    failed = np.ones(len(d), dtype=bool)
-    records = [None] * len(d)
-    if plan is not None:
-        checks = Checks(len(d), strict=False)
-        try:
-            cols = _columns(_states(d, j, t, checks), plan, checks)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            records = _records(d, j, t, setup.theta, cols)
-            failed = checks.failed
-    for i in np.flatnonzero(failed):
-        records[i] = _point_record(float(d[i]), float(j[i]), float(t[i]), theta, setup)
-    return records
+def _chunks(grid: SweepGrid, setup: MeasurementSetup):
+    """Evaluates the grid in row-major (d, j, t) order, CHUNK_POINTS points
+    at a time, each chunk one batch of (N, 4, 4) arrays with the setup's
+    operators built once for the whole sweep.
 
-
-def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
-    """One record per grid point, in row-major (d, j, t) order.
-
-    The grid is evaluated in chunks of CHUNK_POINTS points, each one batch
-    of (N, 4, 4) arrays, with the setup's operators embedded once for the
-    whole sweep; working memory beyond the records is bounded by the chunk
-    size, not the grid size. A failing point is flagged on its record
-    instead of aborting the sweep, so edge points cannot take down a long
-    run: it is evaluated again through ``evaluate_point``, and its record
-    carries the error that raises.
+    Yields, per chunk, the points' axis indices, their record columns
+    (CSV names but theta; NaN for an undefined ratio) and the records of
+    the points that the columns do not describe, keyed by row: every point
+    the batch flags, every point of a batch whose solver failed, and every
+    point of a setup that cannot be planned is evaluated again as a batch
+    of one, whose record carries the error it raises.
     """
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     shape = tuple(len(a) for a in axes)
@@ -229,22 +242,62 @@ def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
         plan = _plan(setup)
     except QurelError:
         plan = None  # a setup every point rejects: each point records the error
-    records = []
     n = math.prod(shape)
     for start in range(0, n, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, n)), shape)
         d, j, t = (a[i] for a, i in zip(axes, index))
-        records += _chunk_records(d, j, t, grid.theta, setup, plan)
+        # placeholders for a batch that cannot be evaluated: every point is redone
+        cols = dict(d=d, j=j, t=t, **dict.fromkeys(CSV_HEADER[4:], np.full(len(d), np.nan)))
+        failed = np.ones(len(d), dtype=bool)
+        if plan is not None:
+            checks = Checks(len(d), strict=False)
+            try:
+                cols.update(_columns(*_states(d, j, t, checks), plan, checks))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                failed = checks.failed
+        redone = {i: _point_record(float(d[i]), float(j[i]), float(t[i]), grid.theta, setup)
+                  for i in np.flatnonzero(failed).tolist()}
+        yield index, cols, redone
+
+
+def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
+    """One record per grid point, in row-major (d, j, t) order.
+
+    The grid is evaluated in chunks of CHUNK_POINTS points, each one batch
+    of (N, 4, 4) arrays; working memory beyond the records is bounded by
+    the chunk size, not the grid size. A failing point is flagged on its
+    record instead of aborting the sweep, so edge points cannot take down a
+    long run: it is evaluated again through ``evaluate_point``, and its
+    record carries the error that raises.
+    """
+    records = []
+    for _, cols, redone in _chunks(grid, setup):
+        chunk = _records(grid.theta, cols)
+        for i, rec in redone.items():
+            chunk[i] = rec
+        records += chunk
     return records
 
 
-def format_value(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
-#: a row with no undefined field; "%.17g" formats a value as format_value does
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER))
+#: one CSV field: 17 significant digits, which round-trip a float exactly
+_FIELD = "%.17g"
+#: a record's row with no undefined field
+_CSV_ROW = ",".join([_FIELD] * len(CSV_HEADER))
+#: a row from record columns: the axes, theta and the ratios come as text
+_COLUMN_ROW = ",".join("%s" if k < 4 or k in _RATIOS else _FIELD
+                       for k in range(len(CSV_HEADER)))
 _csv_fields = operator.attrgetter(*CSV_HEADER)
+
+
+def format_value(x) -> str:
+    return "" if x is None else _FIELD % float(x)
+
+
+def _ratio_field(x: float) -> str:
+    """A ratio's field: empty when it is undefined (NaN)."""
+    return "" if x != x else _FIELD % x
 
 
 def _csv_row(rec) -> str:
@@ -252,6 +305,22 @@ def _csv_row(rec) -> str:
     if None in values:
         return ",".join(format_value(x) for x in values)
     return _CSV_ROW % values
+
+
+def _column_rows(index, axis_fields, theta_field: str, cols: dict) -> list[str]:
+    """CSV rows of a chunk's record columns, in the row format of
+    ``_csv_row``; ``axis_fields`` holds each axis's values as fields."""
+    fields = [map(text.__getitem__, i.tolist()) for text, i in zip(axis_fields, index)]
+    fields.append(repeat(theta_field))
+    for k, name in enumerate(CSV_HEADER[4:], 4):
+        values = cols[name].tolist()
+        fields.append(list(map(_ratio_field, values)) if k in _RATIOS else values)
+    return list(map(_COLUMN_ROW.__mod__, zip(*fields)))
+
+
+def _write_rows(fh, rows: list[str]) -> None:
+    rows.append("")
+    fh.write("\n".join(rows))
 
 
 def emit_csv(records, destination) -> None:
@@ -263,8 +332,35 @@ def emit_csv(records, destination) -> None:
     with open(destination, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         while block := list(islice(rows, CHUNK_POINTS)):
-            block.append("")
-            fh.write("\n".join(block))
+            _write_rows(fh, block)
+
+
+def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str]:
+    """Evaluates a sweep and writes the CSV that ``emit_csv(run_sweep(grid,
+    setup), destination)`` writes, chunk by chunk as each finishes, without
+    building the grid's records. Returns the rows' invariant violations in
+    row order, the messages of their records' ``invariant_violations``.
+
+    Rows are formatted straight from each chunk's columns; each distinct
+    axis value is formatted once per sweep.
+    """
+    axis_fields = [[_FIELD % x for x in axis.tolist()]
+                   for axis in (grid.d_values(), grid.j_values(), grid.t_values())]
+    theta_field = _FIELD % grid.theta
+    problems = []
+    with open(destination, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for index, cols, redone in _chunks(grid, setup):
+            rows = _column_rows(index, axis_fields, theta_field, cols)
+            values = np.array([cols[name] for name in _INVARIANT_FIELDS])
+            found = [(i, msg) for i, msg in _violations(values) if i not in redone]
+            for i, rec in redone.items():
+                rows[i] = _csv_row(rec)
+                found += [(i, msg) for msg in rec.invariant_violations()]
+            _write_rows(fh, rows)
+            found.sort(key=operator.itemgetter(0))  # stable: a row keeps its order
+            problems += [msg for _, msg in found]
+    return problems
 
 
 def match_mixedness(d: float, j: float, target_gamma: float) -> float:

@@ -1,8 +1,21 @@
+import csv
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
-from qurel import verify
+from qurel import sweep, verify
 from qurel.cli import main
-from qurel.sweep import CSV_HEADER
+from qurel.model import T_MIN
+from qurel.relations import xz_control_setup
+from qurel.states import mixedness_batch
+from qurel.sweep import CSV_HEADER, SweepGrid, emit_csv, run_sweep
+
+#: ``qurel sweep --preset fig2`` as written before the entropic bound took
+#: its dephased spectra from 2 x 2 blocks in closed form
+FIG2_REFERENCE = Path(__file__).parent / "data" / "fig2.csv"
+#: the denominator column of each tightness ratio
+RATIO_DENOMINATORS = {"u": "w", "u_eur": "eur_rhs"}
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +122,86 @@ class TestSweepCommand:
                                "--out", str(tmp_path / "no" / "dir" / "x.csv"))
         assert code == 3
         assert "cannot write" in err
+
+    def test_negative_range_start_after_space_hints_equals_form(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--d", "0", "--j", "-1.5:1.5:4", "--t", "1",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "argument --j: expected one argument" in err
+        assert "--j=START:STOP:STEPS" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_streamed_csv_equals_record_path(self, tmp_path, capsys):
+        """The streamed CSV and warnings equal emit_csv and the records'
+        invariant violations, across a chunk boundary: the d = 1e308 half of
+        the grid is flagged, and the d = 0 half has undefined u_eur rows
+        near T_MIN."""
+        grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
+                         t_range=(T_MIN, 5.0, 300))
+        records = run_sweep(grid, xz_control_setup(theta=0.5))
+        assert sum(rec.error is not None for rec in records) == 300
+        assert any(rec.error is None and rec.u_eur is None for rec in records)
+        emit_csv(records, tmp_path / "records.csv")
+        code, _, err = run_cli(capsys, "sweep", "--d", "0:1e308:2", "--j", "1",
+                               "--t", f"{T_MIN}:5:300", "--out", str(tmp_path / "streamed.csv"))
+        assert code == 2
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        assert err == "".join(f"warning: {msg}\n"
+                              for rec in records for msg in rec.invariant_violations())
+
+    def test_streamed_warnings_keep_row_order(self, tmp_path, capsys, monkeypatch):
+        """Flagged rows interleave, within one chunk, with rows whose columns
+        break an invariant (gamma pushed out of range here); the warnings
+        still come in row order, as the records give them."""
+        monkeypatch.setattr(sweep, "mixedness_batch", lambda rho: 1.0 + mixedness_batch(rho))
+        grid = SweepGrid(d_range=(1.0, 2.0, 2), j_range=(1.0, 1e308, 2), t_range=(1.0, 1.0, 1))
+        records = run_sweep(grid, xz_control_setup(theta=0.5))
+        assert [rec.error is None for rec in records] == [True, False, True, False]
+        code, _, err = run_cli(capsys, "sweep", "--d", "1:2:2", "--j", "1:1e308:2", "--t", "1",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err == "".join(f"warning: {msg}\n"
+                              for rec in records for msg in rec.invariant_violations())
+        assert ["outside" in line for line in err.splitlines()] == [True, False, True, False]
+
+    def test_map_sweep_memory_is_bounded_by_the_chunk(self, tmp_path, capsys):
+        """A 101 x 101 sweep streams its rows: its traced peak stays far
+        below the 6.5 MB of holding the grid's records."""
+        argv = ["sweep", "--d", "0:3:101", "--j=-2.97:3.03:101", "--t", "1",
+                "--out", str(tmp_path / "map.csv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 3e6
+
+    def test_fig2_agrees_with_reference_csv(self, tmp_path, capsys):
+        """The ROADMAP gate against a committed fig2 output (beta |J| up to
+        1000, 8 undefined u_eur rows): the same empty fields, every value
+        within 1e-12, and each ratio x within 1e-12 (1 + |x|) / |denominator|."""
+        out = tmp_path / "fig2.csv"
+        code, _, err = run_cli(capsys, "sweep", "--preset", "fig2", "--out", str(out))
+        assert code == 0, err
+        with open(FIG2_REFERENCE, newline="") as fh:
+            reference = list(csv.reader(fh))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == reference[0] == list(CSV_HEADER)
+        assert len(rows) == len(reference) == 402
+        assert sum(row[-1] == "" for row in reference) == 8
+        for old, new in zip(reference[1:], rows[1:]):
+            values = dict(zip(CSV_HEADER, old))
+            for name, a, b in zip(CSV_HEADER, old, new):
+                assert (a == "") == (b == ""), (name, values["t"])
+                if not a:
+                    continue
+                gate = 1e-12
+                if name in RATIO_DENOMINATORS:
+                    gate *= (1.0 + abs(float(a))) / abs(float(values[RATIO_DENOMINATORS[name]]))
+                assert abs(float(b) - float(a)) <= gate, (name, values["t"], a, b)
 
     def test_bad_range_syntax_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1", "--j", "1", "--t", "1",

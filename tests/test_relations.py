@@ -121,7 +121,10 @@ class TestQmEur:
 
     def test_oracle_dephased_matrices(self):
         """Entropies recomputed from explicitly constructed post-measurement
-        matrices (diagonal-sector surgery, no projector code shared)."""
+        matrices (no projector code shared): diagonal-sector surgery at a
+        thermal point, then sum_k (P_k x I) rho (P_k x I) built with np.kron
+        for seeded random states and observables and for cold thermal
+        states (beta |J| = 1000)."""
         rho = thermal_state(ModelParams(1.0, 1.0, 1.0)).matrix
         # measuring sz on the first qubit kills every coherence between the
         # upper and lower 2x2 blocks; here only rho23 dies
@@ -145,6 +148,27 @@ class TestQmEur:
                      Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
         assert abs(res.h_sb - (entropy(rho_sb) - h_b)) <= 1e-10
         assert abs(res.h_rb - (entropy(rho_rb) - h_b)) <= 1e-10
+
+        def dephased(m, obs):
+            _, vecs = np.linalg.eigh(obs)
+            out = np.zeros_like(m)
+            for k in range(2):
+                p_full = np.kron(np.outer(vecs[:, k], vecs[:, k].conj()), np.eye(2))
+                out += p_full @ m @ p_full
+            return out
+
+        rng = np.random.default_rng(83)
+        cases = [(random_density(rng, (2, 2)), random_hermitian(rng, 2),
+                  random_hermitian(rng, 2)) for _ in range(50)]
+        cases += [(thermal_state(ModelParams(d, j, T_MIN)), SIGMA_X, SIGMA_Z)
+                  for d in (0.0, 0.5, 1.0, 3.0) for j in (-1.0, 1.0)]
+        for state, r, s in cases:
+            m = state.matrix
+            h_b = entropy(np.einsum("abac->bc", m.reshape(2, 2, 2, 2)))
+            res = qm_eur(state, Observable(r, 0), Observable(s, 0))
+            assert abs(res.h_rb - (entropy(dephased(m, r)) - h_b)) <= 1e-10
+            assert abs(res.h_sb - (entropy(dephased(m, s)) - h_b)) <= 1e-10
+            assert abs(res.h_ab - (entropy(m) - h_b)) <= 1e-10
 
     def test_inequality_on_random_states(self):
         rng = np.random.default_rng(82)

@@ -38,6 +38,15 @@ class TestDensityOperator:
         with pytest.raises(ValidationError):
             DensityOperator(m, (2,))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry_as_non_hermitian(self, value):
+        """The Hermiticity check runs before the spectrum is read, so a
+        non-finite entry never reaches the eigensolver."""
+        m = np.eye(4, dtype=complex) / 4.0
+        m[2, 1] = value
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityOperator(m, (2, 2))
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
             DensityOperator(np.diag([1.5, -0.5]), (2,))

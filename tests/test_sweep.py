@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ class TestRunSweep:
         grid = SweepGrid(d_range=(0.0, 2.0, 3), j_range=(-2.0, -0.5, 3), t_range=(0.3, 3.0, 4))
         for rec in run_sweep(grid, xz_control_setup()):
             assert rec.invariant_violations() == []
+
+    def test_invariant_violation_messages(self):
+        """Each violated invariant of a record gives one message, in check
+        order; a NaN fails a range check but no inequality."""
+        base = SweepRecord(d=1.0, j=-0.5, t=0.25, theta=0.5, gamma=0.3, concurrence=0.2,
+                           l_tra=1.8, lhs=1.2, w=1.0, u=1.2, h_rb=0.5, h_sb=0.6, h_ab=0.1,
+                           eur_rhs=1.1, u_eur=1.0)
+        assert base.invariant_violations() == []
+        at = "(1.0, -0.5, 0.25): "
+        bad = replace(base, gamma=0.8, concurrence=-0.1, lhs=0.5, h_rb=0.25, eur_rhs=math.nan)
+        assert bad.invariant_violations() == [at + "gamma 0.8 outside [0, 0.75]",
+                                              at + "concurrence -0.1 outside [0, 1]",
+                                              at + "lhs 0.5 below bound w 1.0"]
+        bad = replace(base, gamma=math.nan, concurrence=1.5, w=math.nan, h_rb=0.1)
+        assert bad.invariant_violations() == [at + "gamma nan outside [0, 0.75]",
+                                              at + "concurrence 1.5 outside [0, 1]",
+                                              at + "entropic sum 0.7 below bound 1.1"]
+        failed = SweepRecord(d=1.0, j=1.0, t=1.0, theta=0.5, error="boom")
+        assert failed.invariant_violations() == ["point (1.0, 1.0, 1.0) failed: boom"]
 
     def test_cold_map_mixedness_structure(self):
         """On the coupling map at t = 0.5 (the fig1a setting, coarsened),
