@@ -10,10 +10,10 @@ from qurel import (
     SweepGrid,
     check_single_valued,
     closed_form_mixedness,
-    emit_csv,
     match_mixedness,
     qc_vur,
     run_sweep,
+    sweep_csv,
     thermal_state,
     xz_control_setup,
 )
@@ -22,7 +22,7 @@ setup = xz_control_setup(theta=0.5)
 
 grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(0.05, 5.0, 120))
 records = run_sweep(grid, setup)
-emit_csv(records, "bound_vs_mixedness.csv")
+sweep_csv(grid, setup, "bound_vs_mixedness.csv")
 print(f"wrote bound_vs_mixedness.csv ({len(records)} rows: t, gamma, C, w, u, ...)")
 
 print("\nw rises with gamma while concurrence falls:")

@@ -5,12 +5,13 @@ closer to 1 is better). This script evaluates both over a coupling map
 at fixed temperature, writes the CSV, and counts who wins where.
 Run:  python demos/tightness_comparison.py
 """
-from qurel import emit_csv, figure_preset, run_sweep
+from qurel import figure_preset, run_sweep, sweep_csv
 
 grid, setup, _ = figure_preset("fig7b")
 print(f"evaluating a {len(grid.d_values())} x {len(grid.j_values())} (d, j) map at t = 1 ...")
+# the CSV is written by a second evaluation of the map (about 0.2 s)
 records = run_sweep(grid, setup)
-emit_csv(records, "tightness_map.csv")
+sweep_csv(grid, setup, "tightness_map.csv")
 print(f"wrote tightness_map.csv  (columns u = variance-based, u_eur = entropic)")
 
 defined = [r for r in records if r.u is not None and r.u_eur is not None]

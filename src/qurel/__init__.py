@@ -72,9 +72,9 @@ from .sweep import (
     SweepGrid,
     SweepRecord,
     check_single_valued,
-    emit_csv,
     evaluate_point,
     figure_preset,
     match_mixedness,
     run_sweep,
+    sweep_csv,
 )

@@ -9,10 +9,11 @@ statement instead of a visual one.
 
 Points are evaluated in chunks, each as one (N, 4, 4) batch through the
 array kernels of the lower modules, with one eigendecomposition per state;
-``evaluate_point`` is a batch of one. ``run_sweep`` collects the chunks as
-records, while ``sweep_csv`` (behind ``qurel sweep``) writes each chunk's
-rows straight from its column arrays as soon as it is evaluated, so a
-sweep of any size holds one chunk at a time.
+``evaluate_point`` is a batch of one. Each chunk comes out as record
+columns, a point that failed in its batch redone on its own into its row.
+``sweep_csv`` (behind ``qurel sweep``) writes each chunk's rows from those
+columns as soon as it is evaluated, so a sweep of any size holds one chunk
+at a time; ``run_sweep`` turns the same columns into records.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -127,9 +128,14 @@ class SweepRecord:
         """Human-readable list of violated row invariants (empty if fine):
         ``_violations`` as a batch of one."""
         if self.error is not None:
-            return [f"point ({self.d}, {self.j}, {self.t}) failed: {self.error}"]
+            return [_failure(self.d, self.j, self.t, self.error)]
         values = np.array(_invariant_fields(self), dtype=float)[:, None]
         return [msg for _, msg in _violations(values)]
+
+
+def _failure(d: float, j: float, t: float, error: str) -> str:
+    """The invariant violation of a point that failed with ``error``."""
+    return f"point ({d}, {j}, {t}) failed: {error}"
 
 
 #: the record fields the row invariants read
@@ -198,30 +204,33 @@ def _columns(rho, w, v, plan: _SweepPlan, checks: Checks) -> dict:
 _RATIOS = tuple(CSV_HEADER.index(name) for name in ("u", "u_eur"))
 
 
-def _records(theta: float, cols: dict) -> list:
+def _records(theta: float, cols: dict, errors: dict) -> list:
+    """Records of a batch's columns; the row of each ``errors`` key is a
+    failed point, whose record carries only its coordinates and error."""
     columns = [repeat(theta) if name == "theta" else cols[name].tolist()
                for name in CSV_HEADER]
     for k in _RATIOS:
         columns[k] = [optional(x) for x in columns[k]]
-    return [SweepRecord(*row) for row in zip(*columns)]
+    records = [SweepRecord(*row) for row in zip(*columns)]
+    for i, error in errors.items():
+        rec = records[i]
+        records[i] = SweepRecord(rec.d, rec.j, rec.t, theta, error=error)
+    return records
+
+
+def _point_columns(d: float, j: float, t: float, setup: MeasurementSetup) -> dict:
+    """Record columns, each of length 1, of one model point, evaluated as a
+    strict batch of one."""
+    d, j, t = (np.array([x], dtype=float) for x in (d, j, t))
+    checks = Checks(1, strict=True)
+    state = _states(d, j, t, checks)
+    return dict(d=d, j=j, t=t, **_columns(*state, _plan(setup), checks))
 
 
 def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
     """Full record for one model point: the sweep's evaluation as a batch
     of one, which raises the first failing check's error."""
-    d, j, t = (np.array([x], dtype=float) for x in (params.d, params.j, params.t))
-    checks = Checks(1, strict=True)
-    state = _states(d, j, t, checks)
-    cols = dict(d=d, j=j, t=t, **_columns(*state, _plan(setup), checks))
-    return _records(setup.theta, cols)[0]
-
-
-def _point_record(d: float, j: float, t: float, theta: float,
-                  setup: MeasurementSetup) -> SweepRecord:
-    try:
-        return evaluate_point(ModelParams(d, j, t), setup)
-    except QurelError as exc:
-        return SweepRecord(d=d, j=j, t=t, theta=theta, error=str(exc))
+    return _records(setup.theta, _point_columns(params.d, params.j, params.t, setup), {})[0]
 
 
 def _chunks(grid: SweepGrid, setup: MeasurementSetup):
@@ -230,11 +239,12 @@ def _chunks(grid: SweepGrid, setup: MeasurementSetup):
     operators built once for the whole sweep.
 
     Yields, per chunk, the points' axis indices, their record columns
-    (CSV names but theta; NaN for an undefined ratio) and the records of
-    the points that the columns do not describe, keyed by row: every point
-    the batch flags, every point of a batch whose solver failed, and every
-    point of a setup that cannot be planned is evaluated again as a batch
-    of one, whose record carries the error it raises.
+    (CSV names but theta; NaN for an undefined ratio) and the error text of
+    each failed point, keyed by row. Every point the batch flags, every
+    point of a batch whose solver failed, and every point of a setup that
+    cannot be planned is evaluated again through ``_point_columns``: its
+    values replace the row's, or, if it raises, the row's values become NaN
+    and its error is kept.
     """
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     shape = tuple(len(a) for a in axes)
@@ -247,7 +257,7 @@ def _chunks(grid: SweepGrid, setup: MeasurementSetup):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, n)), shape)
         d, j, t = (a[i] for a, i in zip(axes, index))
         # placeholders for a batch that cannot be evaluated: every point is redone
-        cols = dict(d=d, j=j, t=t, **dict.fromkeys(CSV_HEADER[4:], np.full(len(d), np.nan)))
+        cols = dict(d=d, j=j, t=t, **{name: np.full(len(d), np.nan) for name in CSV_HEADER[4:]})
         failed = np.ones(len(d), dtype=bool)
         if plan is not None:
             checks = Checks(len(d), strict=False)
@@ -257,38 +267,42 @@ def _chunks(grid: SweepGrid, setup: MeasurementSetup):
                 pass
             else:
                 failed = checks.failed
-        redone = {i: _point_record(float(d[i]), float(j[i]), float(t[i]), grid.theta, setup)
-                  for i in np.flatnonzero(failed).tolist()}
-        yield index, cols, redone
+        errors = {}
+        for i in np.flatnonzero(failed).tolist():
+            try:
+                point = _point_columns(d[i], j[i], t[i], setup)
+            except QurelError as exc:
+                errors[i] = str(exc)
+                point = dict.fromkeys(CSV_HEADER[4:], (np.nan,))
+            for name in CSV_HEADER[4:]:
+                cols[name][i] = point[name][0]
+        yield index, cols, errors
 
 
 def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
-    """One record per grid point, in row-major (d, j, t) order.
+    """One record per grid point, in row-major (d, j, t) order, from the
+    columns that ``sweep_csv`` writes.
 
     The grid is evaluated in chunks of CHUNK_POINTS points, each one batch
     of (N, 4, 4) arrays; working memory beyond the records is bounded by
     the chunk size, not the grid size. A failing point is flagged on its
     record instead of aborting the sweep, so edge points cannot take down a
-    long run: it is evaluated again through ``evaluate_point``, and its
-    record carries the error that raises.
+    long run: it is evaluated again as a batch of one, and its record
+    carries the error that raises.
     """
     records = []
-    for _, cols, redone in _chunks(grid, setup):
-        chunk = _records(grid.theta, cols)
-        for i, rec in redone.items():
-            chunk[i] = rec
-        records += chunk
+    for _, cols, errors in _chunks(grid, setup):
+        records += _records(grid.theta, cols, errors)
     return records
 
 
 #: one CSV field: 17 significant digits, which round-trip a float exactly
 _FIELD = "%.17g"
-#: a record's row with no undefined field
-_CSV_ROW = ",".join([_FIELD] * len(CSV_HEADER))
 #: a row from record columns: the axes, theta and the ratios come as text
 _COLUMN_ROW = ",".join("%s" if k < 4 or k in _RATIOS else _FIELD
                        for k in range(len(CSV_HEADER)))
-_csv_fields = operator.attrgetter(*CSV_HEADER)
+#: the row of a failed point: its axes and theta, no values
+_ERROR_ROW = ",".join(["%s"] * 4 + [""] * (len(CSV_HEADER) - 4))
 
 
 def format_value(x) -> str:
@@ -300,46 +314,28 @@ def _ratio_field(x: float) -> str:
     return "" if x != x else _FIELD % x
 
 
-def _csv_row(rec) -> str:
-    values = _csv_fields(rec)
-    if None in values:
-        return ",".join(format_value(x) for x in values)
-    return _CSV_ROW % values
-
-
-def _column_rows(index, axis_fields, theta_field: str, cols: dict) -> list[str]:
-    """CSV rows of a chunk's record columns, in the row format of
-    ``_csv_row``; ``axis_fields`` holds each axis's values as fields."""
-    fields = [map(text.__getitem__, i.tolist()) for text, i in zip(axis_fields, index)]
+def _column_rows(index, axis_fields, theta_field: str, cols: dict, errors: dict) -> list[str]:
+    """CSV rows of a chunk's record columns; ``axis_fields`` holds each
+    axis's values as fields. An undefined ratio is an empty field, and so
+    is every value of a row in ``errors``; any other NaN prints as nan."""
+    fields = [list(map(text.__getitem__, i.tolist())) for text, i in zip(axis_fields, index)]
     fields.append(repeat(theta_field))
     for k, name in enumerate(CSV_HEADER[4:], 4):
         values = cols[name].tolist()
         fields.append(list(map(_ratio_field, values)) if k in _RATIOS else values)
-    return list(map(_COLUMN_ROW.__mod__, zip(*fields)))
-
-
-def _write_rows(fh, rows: list[str]) -> None:
-    rows.append("")
-    fh.write("\n".join(rows))
-
-
-def emit_csv(records, destination) -> None:
-    """Write records as CSV: fixed header, 17-significant-digit floats,
-    LF line endings, empty fields for undefined ratios. Rows are written
-    CHUNK_POINTS at a time, so the text of the whole file is never held
-    in memory at once."""
-    rows = map(_csv_row, records)
-    with open(destination, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        while block := list(islice(rows, CHUNK_POINTS)):
-            _write_rows(fh, block)
+    rows = list(map(_COLUMN_ROW.__mod__, zip(*fields)))
+    for i in errors:
+        rows[i] = _ERROR_ROW % (fields[0][i], fields[1][i], fields[2][i], theta_field)
+    return rows
 
 
 def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str]:
-    """Evaluates a sweep and writes the CSV that ``emit_csv(run_sweep(grid,
-    setup), destination)`` writes, chunk by chunk as each finishes, without
-    building the grid's records. Returns the rows' invariant violations in
-    row order, the messages of their records' ``invariant_violations``.
+    """Evaluates a sweep and writes it as CSV, chunk by chunk as each
+    finishes, without building the grid's records: fixed header,
+    17-significant-digit floats, LF line endings, empty fields for
+    undefined ratios and for every value of a failed point. Returns the
+    rows' invariant violations in row order, the messages of their
+    records' ``invariant_violations``.
 
     Rows are formatted straight from each chunk's columns; each distinct
     axis value is formatted once per sweep.
@@ -350,14 +346,15 @@ def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str
     problems = []
     with open(destination, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for index, cols, redone in _chunks(grid, setup):
-            rows = _column_rows(index, axis_fields, theta_field, cols)
+        for index, cols, errors in _chunks(grid, setup):
+            rows = _column_rows(index, axis_fields, theta_field, cols, errors)
+            rows.append("")
+            fh.write("\n".join(rows))
             values = np.array([cols[name] for name in _INVARIANT_FIELDS])
-            found = [(i, msg) for i, msg in _violations(values) if i not in redone]
-            for i, rec in redone.items():
-                rows[i] = _csv_row(rec)
-                found += [(i, msg) for msg in rec.invariant_violations()]
-            _write_rows(fh, rows)
+            found = [(i, msg) for i, msg in _violations(values) if i not in errors]
+            for i, error in errors.items():
+                d, j, t = (cols[name][i].item() for name in ("d", "j", "t"))
+                found.append((i, _failure(d, j, t, error)))
             found.sort(key=operator.itemgetter(0))  # stable: a row keeps its order
             problems += [msg for _, msg in found]
     return problems

@@ -1,7 +1,9 @@
 import csv
+import operator
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qurel import sweep, verify
@@ -9,11 +11,19 @@ from qurel.cli import main
 from qurel.model import T_MIN
 from qurel.relations import xz_control_setup
 from qurel.states import mixedness_batch
-from qurel.sweep import CSV_HEADER, SweepGrid, emit_csv, run_sweep
+from qurel.sweep import CSV_HEADER, SweepGrid, run_sweep
 
-#: ``qurel sweep --preset fig2`` as written before the entropic bound took
-#: its dephased spectra from 2 x 2 blocks in closed form
-FIG2_REFERENCE = Path(__file__).parent / "data" / "fig2.csv"
+DATA = Path(__file__).parent / "data"
+#: committed ``qurel sweep --preset P`` outputs, as (file, every how many
+#: data rows it keeps, its undefined u_eur fields). fig2 is whole and was
+#: written before the entropic bound took its dephased spectra from 2 x 2
+#: blocks in closed form; the maps keep every 20th row and were written
+#: after it.
+REFERENCES = {"fig2": ("fig2.csv", 1, 8),
+              "fig1a": ("fig1a_every20.csv", 20, 1),
+              "fig1b": ("fig1b_every20.csv", 20, 0),
+              "fig3a": ("fig3a_every20.csv", 20, 10),
+              "fig3b": ("fig3b_every20.csv", 20, 5)}
 #: the denominator column of each tightness ratio
 RATIO_DENOMINATORS = {"u": "w", "u_eur": "eur_rhs"}
 
@@ -132,20 +142,24 @@ class TestSweepCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_streamed_csv_equals_record_path(self, tmp_path, capsys):
-        """The streamed CSV and warnings equal emit_csv and the records'
-        invariant violations, across a chunk boundary: the d = 1e308 half of
-        the grid is flagged, and the d = 0 half has undefined u_eur rows
-        near T_MIN."""
+        """The CSV parsed back equals run_sweep's records field for field,
+        and the warnings are the records' invariant violations, across a
+        chunk boundary: the d = 1e308 half of the grid is flagged, and the
+        d = 0 half has undefined u_eur rows near T_MIN."""
         grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
                          t_range=(T_MIN, 5.0, 300))
         records = run_sweep(grid, xz_control_setup(theta=0.5))
         assert sum(rec.error is not None for rec in records) == 300
         assert any(rec.error is None and rec.u_eur is None for rec in records)
-        emit_csv(records, tmp_path / "records.csv")
+        out = tmp_path / "streamed.csv"
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1e308:2", "--j", "1",
-                               "--t", f"{T_MIN}:5:300", "--out", str(tmp_path / "streamed.csv"))
+                               "--t", f"{T_MIN}:5:300", "--out", str(out))
         assert code == 2
-        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(CSV_HEADER)
+        assert [tuple(float(x) if x else None for x in row) for row in rows[1:]] == \
+            list(map(operator.attrgetter(*CSV_HEADER), records))
         assert err == "".join(f"warning: {msg}\n"
                               for rec in records for msg in rec.invariant_violations())
 
@@ -164,6 +178,23 @@ class TestSweepCommand:
                               for rec in records for msg in rec.invariant_violations())
         assert ["outside" in line for line in err.splitlines()] == [True, False, True, False]
 
+    def test_nan_value_prints_nan_and_failed_point_prints_empty(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        """A row that passed its checks prints a NaN value as nan (here a
+        mixedness forced to NaN); the row of a failed point (d = 1e308)
+        prints its axes and theta, then an empty field for every value."""
+        monkeypatch.setattr(sweep, "mixedness_batch", lambda rho: np.full(len(rho), np.nan))
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "--d", "1:1e308:2", "--j", "1", "--t", "1",
+                               "--out", str(out))
+        assert code == 2
+        assert err.splitlines()[0] == "warning: (1.0, 1.0, 1.0): gamma nan outside [0, 0.75]"
+        passed, failed = (row.split(",") for row in out.read_text().splitlines()[1:])
+        assert passed[CSV_HEADER.index("gamma")] == "nan"
+        assert all(np.isfinite(float(x)) for name, x in zip(CSV_HEADER, passed)
+                   if name != "gamma")
+        assert failed == ["1e+308", "1", "1", "0.5"] + [""] * (len(CSV_HEADER) - 4)
+
     def test_map_sweep_memory_is_bounded_by_the_chunk(self, tmp_path, capsys):
         """A 101 x 101 sweep streams its rows: its traced peak stays far
         below the 6.5 MB of holding the grid's records."""
@@ -178,30 +209,33 @@ class TestSweepCommand:
         assert code == 0, capsys.readouterr().err
         assert peak < 3e6
 
-    def test_fig2_agrees_with_reference_csv(self, tmp_path, capsys):
-        """The ROADMAP gate against a committed fig2 output (beta |J| up to
-        1000, 8 undefined u_eur rows): the same empty fields, every value
-        within 1e-12, and each ratio x within 1e-12 (1 + |x|) / |denominator|."""
-        out = tmp_path / "fig2.csv"
-        code, _, err = run_cli(capsys, "sweep", "--preset", "fig2", "--out", str(out))
+    @pytest.mark.parametrize("preset", REFERENCES)
+    def test_preset_agrees_with_reference_csv(self, tmp_path, capsys, preset):
+        """The numerics gate against a committed output of the preset (fig2
+        reaches beta |J| = 1000): the same empty fields, every value within
+        1e-12, and each ratio x within 1e-12 (1 + |x|) / |denominator|."""
+        filename, stride, undefined = REFERENCES[preset]
+        out = tmp_path / f"{preset}.csv"
+        code, _, err = run_cli(capsys, "sweep", "--preset", preset, "--out", str(out))
         assert code == 0, err
-        with open(FIG2_REFERENCE, newline="") as fh:
+        with open(DATA / filename, newline="") as fh:
             reference = list(csv.reader(fh))
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == reference[0] == list(CSV_HEADER)
-        assert len(rows) == len(reference) == 402
-        assert sum(row[-1] == "" for row in reference) == 8
-        for old, new in zip(reference[1:], rows[1:]):
+        rows = rows[1::stride]
+        assert len(rows) == len(reference) - 1
+        assert sum(row[-1] == "" for row in reference) == undefined
+        for old, new in zip(reference[1:], rows):
             values = dict(zip(CSV_HEADER, old))
             for name, a, b in zip(CSV_HEADER, old, new):
-                assert (a == "") == (b == ""), (name, values["t"])
+                assert (a == "") == (b == ""), (name, old[:3])
                 if not a:
                     continue
                 gate = 1e-12
                 if name in RATIO_DENOMINATORS:
                     gate *= (1.0 + abs(float(a))) / abs(float(values[RATIO_DENOMINATORS[name]]))
-                assert abs(float(b) - float(a)) <= gate, (name, values["t"], a, b)
+                assert abs(float(b) - float(a)) <= gate, (name, old[:3], a, b)
 
     def test_bad_range_syntax_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1", "--j", "1", "--t", "1",

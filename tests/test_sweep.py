@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qurel import sweep
 from qurel.errors import QurelError, RangeError, UsageError, ValidationError
-from qurel.model import ModelParams, T_MIN, closed_form_mixedness
+from qurel.model import ModelParams, T_MIN, closed_form_concurrence, closed_form_mixedness
 from qurel.relations import xz_control_setup
 from qurel.sweep import (
     CHUNK_POINTS,
@@ -15,12 +16,12 @@ from qurel.sweep import (
     SweepGrid,
     SweepRecord,
     check_single_valued,
-    emit_csv,
     evaluate_point,
     figure_preset,
     format_value,
     match_mixedness,
     run_sweep,
+    sweep_csv,
 )
 
 
@@ -146,6 +147,16 @@ class TestBatchedSweep:
         assert bad.error == _point_or_error(bad, setup)
         assert bad.gamma is None and bad.u is None
 
+    def test_failed_point_columns_are_nan(self):
+        """A chunk's columns hold a failed point's row as NaN, never the
+        values its batch computed for a state it rejected."""
+        grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
+                         t_range=(1.0, 1.0, 1))
+        [(_, cols, errors)] = sweep._chunks(grid, xz_control_setup())
+        assert list(errors) == [1]
+        values = np.array([cols[name] for name in CSV_HEADER[4:]])
+        assert np.isnan(values[:, 1]).all() and not np.isnan(values[:, 0]).any()
+
     def test_solver_failure_reruns_the_chunk_point_by_point(self, monkeypatch):
         grid = SweepGrid(d_range=(0.0, 2.0, 3), j_range=(-1.0, 1.5, 4),
                          t_range=(0.5, 0.5, 1))
@@ -195,22 +206,31 @@ def _grids(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_grids())
 def test_batched_records_equal_batch_of_one(grid):
+    """Every record equals its batch of one and, where defined, holds the
+    row invariants and agrees with the closed forms."""
     setup = xz_control_setup(theta=grid.theta)
     for rec in run_sweep(grid, setup):
         expected = _point_or_error(rec, setup)
         assert (rec.error if rec.error is not None else rec) == expected
+        if rec.error is not None:
+            continue
+        params = ModelParams(rec.d, rec.j, rec.t)
+        assert rec.lhs >= rec.w - 1e-9
+        assert rec.h_rb + rec.h_sb >= rec.eur_rhs - 1e-9
+        assert -1e-9 <= rec.gamma <= 0.75 + 1e-9
+        assert abs(rec.gamma - closed_form_mixedness(params)) <= 1e-10
+        assert abs(rec.concurrence - closed_form_concurrence(params)) <= 1e-10
+        assert abs(rec.l_tra - (1.0 + math.cos(grid.theta))) <= 1e-10
 
 
 class TestEmitCsv:
-    def test_header_only_for_no_records(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_csv([], path)
-        assert path.read_bytes() == (",".join(CSV_HEADER) + "\n").encode()
+    """sweep_csv's file format."""
 
     def test_single_record_two_lines(self, tmp_path):
+        grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
         rec = evaluate_point(ModelParams(1.0, 1.0, 1.0), xz_control_setup())
         path = tmp_path / "one.csv"
-        emit_csv([rec], path)
+        sweep_csv(grid, xz_control_setup(), path)
         text = path.read_text()
         lines = text.split("\n")
         assert len(lines) == 3 and lines[2] == ""
@@ -219,12 +239,19 @@ class TestEmitCsv:
         assert len(fields) == len(CSV_HEADER)
         assert float(fields[4]) == rec.gamma  # 17 digits round-trips exactly
 
-    def test_undefined_ratio_is_empty_field(self, tmp_path):
-        rec = SweepRecord(d=1.0, j=1.0, t=1.0, theta=0.5, gamma=0.1, concurrence=0.0,
-                          l_tra=1.0, lhs=1.0, w=0.0, u=None, h_rb=1.0, h_sb=1.0,
-                          h_ab=0.0, eur_rhs=1.0, u_eur=None)
+    def test_undefined_ratio_is_empty_field(self, tmp_path, monkeypatch):
+        """The cold singlet's u_eur is undefined; u is forced undefined."""
+        qc_vur_batch = sweep.qc_vur_batch
+
+        def undefined_u(*args):
+            vur = qc_vur_batch(*args)
+            return dict(vur, u=np.full_like(vur["u"], np.nan))
+
+        monkeypatch.setattr(sweep, "qc_vur_batch", undefined_u)
+        grid = SweepGrid(d_range=(0.0, 0.0, 1), j_range=(1.0, 1.0, 1),
+                         t_range=(T_MIN, T_MIN, 1))
         path = tmp_path / "none.csv"
-        emit_csv([rec], path)
+        assert sweep_csv(grid, xz_control_setup(), path) == []
         row = path.read_text().split("\n")[1].split(",")
         assert row[CSV_HEADER.index("u")] == ""
         assert row[CSV_HEADER.index("u_eur")] == ""
@@ -233,14 +260,16 @@ class TestEmitCsv:
         grid = SweepGrid(d_range=(0.0, 1.0, 3), j_range=(0.5, 2.0, 3), t_range=(0.5, 2.0, 3))
         setup = xz_control_setup()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(grid, setup), p1)
-        emit_csv(run_sweep(grid, setup), p2)
+        sweep_csv(grid, setup, p1)
+        sweep_csv(grid, setup, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unix_line_endings(self, tmp_path):
+        grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
         path = tmp_path / "lf.csv"
-        emit_csv([], path)
+        sweep_csv(grid, xz_control_setup(), path)
         assert b"\r" not in path.read_bytes()
+        assert path.read_bytes().count(b"\n") == 3
 
 
 def test_format_value_17_digits():
