@@ -26,7 +26,6 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     is_hermitian,
-    kron,
     partial_trace,
 )
 from .measurements import (
@@ -35,7 +34,6 @@ from .measurements import (
     ProjectiveDecomposition,
     SequentialDecomposition,
     conditional_stats,
-    embed,
     expectation,
     projective_decomposition,
     sequential_decomposition,

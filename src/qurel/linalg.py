@@ -103,18 +103,6 @@ def eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
     return np.stack([mean - radius, mean + radius], axis=-1)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices.
-
-    Written as a broadcasted outer product; identical arithmetic to
-    numpy's kron without its general-rank shape gymnastics.
-    """
-    a = as_square(a)
-    b = as_square(b)
-    da, db = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(da * db, da * db)
-
-
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 

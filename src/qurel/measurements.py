@@ -11,13 +11,13 @@ sequential decomposition
 
 which this module computes term by term from the joint outcome table.
 Measurements on disjoint subsystems commute, so that table is
-well-defined. The table's operators are embedded once (``chain_plan``)
-and traced against a whole stack of states at a time (``chain_terms``).
+well-defined. The table's operators are built once (``chain_plan``) as
+one batched Kronecker product of per-subsystem factor stacks, and traced
+against a whole stack of states at a time (``chain_terms``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,7 +31,7 @@ from .linalg import (
     as_square,
     eigh_batch,
     is_hermitian,
-    kron,
+    partial_trace,
     trace_product,
     trace_products,
 )
@@ -82,13 +82,15 @@ class SequentialDecomposition:
 
 
 class ChainPlan(NamedTuple):
-    """The operators of one chained decomposition, embedded once.
+    """The operators of one chained decomposition, built once.
 
     For every outcome tuple, in lexicographic order of ascending
     eigenvalues per control, ``ops`` holds the joint projector P, then
     q P, then q^2 P: their traces against a state are the tuple's
-    probability and its first and second moments of q. ``shape`` is the
-    number of outcomes of each control.
+    probability and its first and second moments of q. Each operator is
+    the Kronecker product of one factor per subsystem: I, q or q^2 on
+    q's, one projector of each control on its own, I elsewhere. ``shape``
+    is the number of outcomes of each control.
     """
 
     ops: np.ndarray  # (3 * prod(shape), D, D)
@@ -126,42 +128,38 @@ def _decompose(matrix_bytes: bytes, dim: int) -> ProjectiveDecomposition:
     return ProjectiveDecomposition(tuple(outcomes))
 
 
-def embed(op, dims, subsystem: int) -> np.ndarray:
-    """Pad an operator with identities onto the full Hilbert space."""
-    op = as_square(op)
-    dims = tuple(int(d) for d in dims)
+def _check_fits(dim: int, dims: tuple, subsystem: int) -> None:
+    """An operator of dimension ``dim`` must act on an existing subsystem
+    of that dimension."""
     if not 0 <= subsystem < len(dims):
         raise SubsystemError(f"subsystem {subsystem} out of range for dims {dims}")
-    if op.shape[0] != dims[subsystem]:
-        raise DimensionError(
-            f"operator dim {op.shape[0]} != subsystem dim {dims[subsystem]}")
-    # identity entries are exact, so grouping the padding changes no digit
-    left, right = math.prod(dims[:subsystem]), math.prod(dims[subsystem + 1:])
-    if left > 1:
-        op = kron(np.eye(left, dtype=complex), op)
-    if right > 1:
-        op = kron(op, np.eye(right, dtype=complex))
-    return op
+    if dim != dims[subsystem]:
+        raise DimensionError(f"operator dim {dim} != subsystem dim {dims[subsystem]}")
+
+
+def _moments(rho: DensityOperator, obs: Observable) -> tuple[float, float]:
+    """<O> and <O^2>, from the reduced state on the observable's subsystem."""
+    _check_fits(obs.matrix.shape[0], rho.dims, obs.subsystem)
+    reduced = partial_trace(rho.matrix, rho.dims, obs.subsystem)
+    return (trace_product(reduced, obs.matrix).real,
+            trace_product(reduced, obs.matrix @ obs.matrix).real)
 
 
 def expectation(rho: DensityOperator, obs: Observable) -> float:
-    """<O> with the observable identity-padded onto its subsystem."""
-    full = embed(obs.matrix, rho.dims, obs.subsystem)
-    return trace_product(rho.matrix, full).real
+    """<O> on the observable's subsystem."""
+    return _moments(rho, obs)[0]
 
 
 def variance(rho: DensityOperator, obs: Observable) -> float:
     """<Q^2> - <Q>^2."""
-    full = embed(obs.matrix, rho.dims, obs.subsystem)
-    m1 = trace_product(rho.matrix, full).real
-    m2 = trace_product(rho.matrix, full @ full).real
+    m1, m2 = _moments(rho, obs)
     return m2 - m1 * m1
 
 
 def chain_plan(dims, q: Observable, controls) -> ChainPlan:
-    """Embedded table operators of a chained decomposition of q over an
-    ordered list of controls on distinct subsystems of a state with
-    subsystem dimensions ``dims``."""
+    """Table operators of a chained decomposition of q over an ordered
+    list of controls on distinct subsystems of a state with subsystem
+    dimensions ``dims``."""
     dims = tuple(int(d) for d in dims)
     controls = list(controls)
     if not controls:
@@ -173,25 +171,30 @@ def chain_plan(dims, q: Observable, controls) -> ChainPlan:
     if q.subsystem not in span or not set(subsystems) <= span:
         raise SubsystemError(f"subsystems out of range for dims {dims}")
 
-    q_full = embed(q.matrix, dims, q.subsystem)
-    # per control: embedded projectors in ascending-eigenvalue order
-    proj_sets = [
-        [embed(proj, dims, o.subsystem) for _, proj in projective_decomposition(o).outcomes]
-        for o in controls
-    ]
-    joints = []
-    for combo in itertools.product(*[range(len(ps)) for ps in proj_sets]):
-        joint = proj_sets[0][combo[0]]
-        for k in range(1, len(controls)):
-            joint = joint @ proj_sets[k][combo[k]]
-        joints.append(joint)
+    for o in [q] + controls:
+        _check_fits(o.matrix.shape[0], dims, o.subsystem)
+    # one factor stack (k, d, d) per subsystem: I, q, q^2 on q's, each
+    # control's projectors on its own, I elsewhere
+    factors = [np.eye(d, dtype=complex)[None] for d in dims]
+    factors[q.subsystem] = np.array([np.eye(dims[q.subsystem]), q.matrix, q.matrix @ q.matrix])
+    for o in controls:
+        factors[o.subsystem] = np.array([proj for _, proj in projective_decomposition(o).outcomes])
+    # Their batched Kronecker product has axes (stack per subsystem, row
+    # per subsystem, column per subsystem); identity entries are exact,
+    # so the padding changes no digit.
+    n = len(dims)
+    ops = 1.0
+    for s, f in enumerate(factors):
+        shape = [1] * (3 * n)
+        shape[s], shape[n + s], shape[2 * n + s] = f.shape
+        ops = ops * f.reshape(shape)
     # Projectors on disjoint subsystems commute with each other and with
-    # q_full, so the moments reduce to plain traces against the state.
-    joints = np.array(joints)
-    q_joints = q_full @ joints
-    ops = np.concatenate([joints, q_joints, q_full @ q_joints])
+    # q, so the moments reduce to plain traces against the state.
+    order = [q.subsystem] + subsystems
+    dim = math.prod(dims)
+    ops = np.moveaxis(ops, order, range(len(order))).reshape((-1, dim, dim))
     ops.flags.writeable = False
-    return ChainPlan(ops=ops, shape=tuple(len(ps) for ps in proj_sets))
+    return ChainPlan(ops=ops, shape=tuple(len(factors[s]) for s in subsystems))
 
 
 def chain_terms(rho: np.ndarray, plan: ChainPlan):

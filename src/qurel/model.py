@@ -29,7 +29,6 @@ from .linalg import (
     dagger,
     eigh_batch,
     hermitian_residual,
-    kron,
 )
 from .states import DensityOperator
 
@@ -38,10 +37,10 @@ from .states import DensityOperator
 #: machine precision for |J| >= 0.5
 T_MIN = 1e-3
 
-_XX = kron(SIGMA_X, SIGMA_X)
-_YY = kron(SIGMA_Y, SIGMA_Y)
-_ZZ = kron(SIGMA_Z, SIGMA_Z)
-_DM = kron(SIGMA_X, SIGMA_Y) - kron(SIGMA_Y, SIGMA_X)
+_XX = np.kron(SIGMA_X, SIGMA_X)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
+_DM = np.kron(SIGMA_X, SIGMA_Y) - np.kron(SIGMA_Y, SIGMA_X)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ class MeasurementSetup:
     pairs: tuple
     ltra_operator: np.ndarray
     theta: float
-    #: embedded chain plans by state dimensions, built on first use by
+    #: chain plans by state dimensions, built on first use by
     #: vur_plan; the setup is immutable, so they stay valid for its lifetime
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -197,7 +197,7 @@ def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
     of the 2 x 2 spectra of the memory blocks M_k = Tr_A[(P_k (x) I) rho],
     taken in closed form. With rho's 2 x 2 blocks rho_xy[b, c] =
     rho[(x, b), (y, c)], M_k = sum_xy P_k[y, x] rho_xy: one matmul traces
-    every block of both observables from rho against the un-embedded
+    every block of both observables from rho against the 2 x 2
     rank-one projectors P_k. S(AB) comes from w, and S(B) from one batched
     call on the memory's reduced states.
     """
@@ -265,7 +265,7 @@ def l_tra(rho_a: DensityOperator, a: Observable, b: Observable, o, theta: float)
 
 def vur_plan(setup: MeasurementSetup, dims) -> tuple[ChainPlan, ...]:
     """The chained decompositions of every (measured, controls) pair of a
-    setup, embedded for states with subsystem dimensions ``dims``; built
+    setup, for states with subsystem dimensions ``dims``; built
     once per setup and dimensions."""
     dims = tuple(int(d) for d in dims)
     plan = setup._plans.get(dims)

@@ -16,7 +16,6 @@ from .linalg import (
     dagger,
     eigh_batch,
     hermitian_residual,
-    kron,
     partial_trace,
 )
 
@@ -25,7 +24,7 @@ PSD_TOL = 1e-10
 #: eigenvalues below this are treated as exactly zero in entropies
 EIG_ZERO = 1e-14
 
-_YY = kron(SIGMA_Y, SIGMA_Y)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,8 @@ class SweepGrid:
     def __post_init__(self):
         for name, rng in (("d", self.d_range), ("j", self.j_range), ("t", self.t_range)):
             start, stop, steps = rng
+            if not isinstance(steps, (int, np.integer)):
+                raise ValidationError(f"{name}_range needs an integer step count, got {steps!r}")
             if steps < 1:
                 raise ValidationError(f"{name}_range needs steps >= 1, got {steps}")
             if not (math.isfinite(start) and math.isfinite(stop)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Z, kron, partial_trace
+from .linalg import I2, SIGMA_X, SIGMA_Z, partial_trace
 from .measurements import Observable, conditional_stats, sequential_decomposition, variance
 from .model import ModelParams, T_MIN, closed_form_concurrence, closed_form_mixedness, thermal_state
 from .relations import MeasurementSetup, l_tra, qc_vur, qm_eur, schrodinger_bound, xz_control_setup
@@ -61,30 +61,19 @@ def _closed_form_matrix(p: ModelParams) -> np.ndarray:
 
 
 def check_kernel(rng) -> list[Check]:
-    checks = []
-    worst = 0.0
-    for _ in range(20):
-        a, b, c = (_random_hermitian(rng, 2) for _ in range(3))
-        worst = max(worst, float(np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c))))))
-    checks.append(Check("kron associativity", worst <= 1e-13, f"max dev {worst:.2e}"))
-
-    worst = 0.0
-    for _ in range(20):
-        a, b = _random_hermitian(rng, 3), _random_hermitian(rng, 4)
-        worst = max(worst, abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)))
-    checks.append(Check("trace of kron factorizes", worst <= 1e-13, f"max dev {worst:.2e}"))
-
+    # 1,480 normal draws stand in for two retired Kronecker-product checks,
+    # so this case and the later sections keep the random cases they drew
+    rng.standard_normal(1480)
     a, b, c = (_random_hermitian(rng, 2) for _ in range(3))
-    m = kron(kron(a, b), c)
+    m = np.kron(np.kron(a, b), c)
     step = partial_trace(partial_trace(m, (2, 2, 2), (0, 1)), (2, 2), (0,))
     full = partial_trace(m, (2, 2, 2), (0,))
     dev = float(np.max(np.abs(step - full))) + abs(np.trace(step) - np.trace(m))
-    checks.append(Check("partial trace chains and preserves trace", dev <= 1e-12, f"dev {dev:.2e}"))
 
     # 1,600 normal draws keep the later sections on the random cases that
     # earlier versions of this suite drew, so their margins stay comparable
     rng.standard_normal(1600)
-    return checks
+    return [Check("partial trace chains and preserves trace", dev <= 1e-12, f"dev {dev:.2e}")]
 
 
 def check_model() -> list[Check]:

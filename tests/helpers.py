@@ -41,6 +41,14 @@ def random_pauli_rotation_unitary(rng, n_qubits):
     return u
 
 
+def embedded(op, dims, subsystem):
+    """An operator on one subsystem, padded with identities onto the full
+    space by np.kron."""
+    left = int(np.prod(dims[:subsystem]))
+    right = int(np.prod(dims[subsystem + 1:]))
+    return np.kron(np.kron(np.eye(left), op), np.eye(right))
+
+
 def unchecked_density(matrix, dims):
     """Bypass DensityOperator validation; for oracle construction only."""
     obj = object.__new__(DensityOperator)

@@ -2,51 +2,9 @@ import numpy as np
 import pytest
 
 from qurel.errors import DimensionError
-from qurel.linalg import I2, SIGMA_Z, is_hermitian, kron, partial_trace, trace_product
+from qurel.linalg import I2, is_hermitian, partial_trace, trace_product
 
 from helpers import random_hermitian, thermal_matrix
-
-
-def kron_oracle(a, b):
-    """Direct four-index definition of the Kronecker product."""
-    da, db = a.shape[0], b.shape[0]
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        for j in range(da):
-            for k in range(db):
-                for l in range(db):
-                    out[i * db + k, j * db + l] = a[i, j] * b[k, l]
-    return out
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_sigma_z_pair_is_diagonal(self):
-        assert np.allclose(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
-
-    def test_matches_index_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            assert np.max(np.abs(kron(a, b) - kron_oracle(a, b))) <= 1e-15
-
-    def test_associative(self):
-        rng = np.random.default_rng(12)
-        a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-13
-
-    def test_trace_factorizes(self):
-        rng = np.random.default_rng(13)
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 4)
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-13
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionError):
-            kron(np.zeros((2, 3)), I2)
 
 
 class TestPartialTrace:
@@ -55,7 +13,7 @@ class TestPartialTrace:
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
         b = b / np.trace(b).real  # unit trace on the discarded factor
-        assert np.allclose(partial_trace(kron(a, b), (2, 2), (0,)), a)
+        assert np.allclose(partial_trace(np.kron(a, b), (2, 2), (0,)), a)
 
     def test_bell_marginals_are_maximally_mixed(self):
         v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -78,7 +36,7 @@ class TestPartialTrace:
     def test_sequential_reduction_preserves_scalar_trace(self):
         rng = np.random.default_rng(22)
         a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        m = kron(kron(a, b), c)
+        m = np.kron(np.kron(a, b), c)
         step = partial_trace(m, (2, 2, 2), (0, 2))
         step = partial_trace(step, (2, 2), (0,))
         assert np.allclose(np.trace(step), np.trace(m))

@@ -3,22 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from qurel.errors import SubsystemError, ValidationError
-from qurel.linalg import I2, SIGMA_X, SIGMA_Z, kron
+from qurel.errors import DimensionError, SubsystemError, ValidationError
+from qurel.linalg import I2, SIGMA_X, SIGMA_Z
 from qurel.measurements import (
     Observable,
     conditional_stats,
-    embed,
     expectation,
     projective_decomposition,
     sequential_decomposition,
     variance,
 )
 from qurel.model import ModelParams, thermal_state
+from qurel.relations import MeasurementSetup, qc_vur
 from qurel.states import DensityOperator
 
 from helpers import (
     bell_state,
+    embedded,
     ghz_state,
     pure_state,
     random_density,
@@ -90,7 +91,7 @@ class TestConditionalStats:
         rng = np.random.default_rng(73)
         rho_a = random_density(rng, (2,))
         rho_c = random_density(rng, (2,))
-        joint = DensityOperator(kron(rho_a.matrix, rho_c.matrix), (2, 2))
+        joint = DensityOperator(np.kron(rho_a.matrix, rho_c.matrix), (2, 2))
         q = Observable(random_hermitian(rng, 2), 0)
         o = Observable(random_hermitian(rng, 2), 1)
         stats = conditional_stats(joint, q, o)
@@ -151,19 +152,19 @@ def chain_oracle(rho, q, controls):
     """Brute-force expansion of the chained decomposition.
 
     Builds the classical joint distribution over all outcome tuples with
-    explicit conditional states (repeated projector sandwiches, no shared
-    code with the implementation) and evaluates every term of the chain
-    rule directly from its definition.
+    explicit conditional states (repeated sandwiches of np.kron-embedded
+    projectors, no shared code with the implementation's table) and
+    evaluates every term of the chain rule directly from its definition.
     """
     dims = rho.dims
     decs = [projective_decomposition(o) for o in controls]
-    q_full = embed(q.matrix, dims, q.subsystem)
+    q_full = embedded(q.matrix, dims, q.subsystem)
 
     branches = []  # (outcome tuple, probability, E[Q|c], E[Q^2|c])
     for combo in itertools.product(*[range(len(d.outcomes)) for d in decs]):
         proj = np.eye(int(np.prod(dims)), dtype=complex)
         for o, dec, k in zip(controls, decs, combo):
-            proj = proj @ embed(dec.outcomes[k][1], dims, o.subsystem)
+            proj = proj @ embedded(dec.outcomes[k][1], dims, o.subsystem)
         sub = proj @ rho.matrix @ proj.conj().T
         p = np.trace(sub).real
         if p < 1e-12:
@@ -215,7 +216,7 @@ class TestSequentialDecomposition:
     def test_product_state_nothing_explained(self):
         rng = np.random.default_rng(75)
         parts = [random_density(rng, (2,)).matrix for _ in range(3)]
-        joint = DensityOperator(kron(kron(parts[0], parts[1]), parts[2]), (2, 2, 2))
+        joint = DensityOperator(np.kron(np.kron(parts[0], parts[1]), parts[2]), (2, 2, 2))
         q = Observable(random_hermitian(rng, 2), 0)
         controls = [Observable(random_hermitian(rng, 2), 1),
                     Observable(random_hermitian(rng, 2), 2)]
@@ -239,12 +240,19 @@ class TestSequentialDecomposition:
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(77)
-        for i in range(30):
-            n_ctrl = 2 if i % 2 == 0 else 3
-            dims = (2,) * (n_ctrl + 1)
+        # (dims, measured subsystem, control subsystems in chain order):
+        # qubit chains measured on 0, then layouts whose outcome axes must
+        # be moved into chain order (q off subsystem 0, controls out of
+        # subsystem order, idle subsystems, unequal dimensions)
+        layouts = [((2,) * (n + 1), 0, tuple(range(1, n + 1))) for n in (2, 3)] * 15
+        layouts += [((2, 2, 2, 2), 2, (3, 0)),
+                    ((2, 2, 2), 1, (2, 0)),
+                    ((3, 2, 2), 2, (0, 1)),
+                    ((2, 3, 2, 2), 3, (1, 2, 0))] * 3
+        for dims, measured, subsystems in layouts:
             rho = random_density(rng, dims)
-            q = Observable(random_hermitian(rng, 2), 0)
-            controls = [Observable(random_hermitian(rng, 2), s) for s in range(1, n_ctrl + 1)]
+            q = Observable(random_hermitian(rng, dims[measured]), measured)
+            controls = [Observable(random_hermitian(rng, dims[s]), s) for s in subsystems]
             seq = sequential_decomposition(rho, q, controls)
             residual, first, nested = chain_oracle(rho, q, controls)
             assert abs(seq.residual - residual) <= 1e-10
@@ -299,3 +307,39 @@ class TestSequentialDecomposition:
 def test_observable_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         Observable(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)
+
+
+class TestObservableMustFitState:
+    """An observable must act on an existing subsystem of its own
+    dimension, whichever evaluator receives it."""
+
+    WRONG_DIM = (Observable(np.diag([1.0, 0.0, -1.0]), 0), DimensionError,
+                 r"operator dim 3 != subsystem dim 2")
+    NO_SUBSYSTEM = (Observable(SIGMA_Z, 2), SubsystemError, r"out of range for dims \(2, 2\)")
+
+    @pytest.mark.parametrize("obs, error, message", [WRONG_DIM, NO_SUBSYSTEM])
+    def test_moments(self, obs, error, message):
+        for fn in (variance, expectation):
+            with pytest.raises(error, match=message):
+                fn(bell_state(), obs)
+
+    @pytest.mark.parametrize("obs, error, message", [WRONG_DIM, NO_SUBSYSTEM])
+    def test_sequential_decomposition(self, obs, error, message):
+        with pytest.raises(error, match=message):
+            sequential_decomposition(bell_state(), obs, [Observable(SIGMA_X, 1)])
+        with pytest.raises(error, match=message):
+            sequential_decomposition(bell_state(), Observable(SIGMA_X, 1), [obs])
+
+    @pytest.mark.parametrize("obs, error, message", [WRONG_DIM, NO_SUBSYSTEM])
+    def test_qc_vur(self, obs, error, message):
+        # as the measured observable of the second pair, then as a control
+        other = Observable(SIGMA_X, obs.subsystem)
+        measured_bad = MeasurementSetup(
+            pairs=((other, (Observable(SIGMA_X, 1),)), (obs, (Observable(SIGMA_Z, 1),))),
+            ltra_operator=SIGMA_X, theta=0.5)
+        control_bad = MeasurementSetup(
+            pairs=((Observable(SIGMA_X, 1), (obs,)), (Observable(SIGMA_Z, 1), (obs,))),
+            ltra_operator=SIGMA_X, theta=0.5)
+        for setup in (measured_bad, control_bad):
+            with pytest.raises(error, match=message):
+                qc_vur(bell_state(), setup)

@@ -53,6 +53,17 @@ class TestSweepGrid:
         with pytest.raises(ValidationError, match="^t_range"):
             SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(0.5, 2.0, 1))
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0])
+    def test_rejects_non_integer_step_count(self, steps):
+        with pytest.raises(ValidationError, match="^j_range needs an integer step count"):
+            SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 2.0, steps),
+                      t_range=(1.0, 1.0, 1))
+
+    def test_accepts_numpy_integer_step_count(self):
+        grid = SweepGrid(d_range=(0.0, 1.0, np.int64(2)), j_range=(1.0, 1.0, 1),
+                         t_range=(1.0, 1.0, 1))
+        assert list(grid.d_values()) == [0.0, 1.0]
+
 
 class TestRunSweep:
     def test_single_point_matches_evaluate_point(self):
