@@ -11,9 +11,12 @@ sequential decomposition
 
 which this module computes term by term from the joint outcome table.
 Measurements on disjoint subsystems commute, so that table is
-well-defined. The table's operators are built once (``chain_plan``) as
-one batched Kronecker product of per-subsystem factor stacks, and traced
-against a whole stack of states at a time (``chain_terms``).
+well-defined. Observables are decomposed a list at a time
+(``projective_decompositions``, one eigensolver call per matrix
+dimension); nothing is memoized here. The table's operators are built
+once per setup (``chain_plan``) as one batched Kronecker product of
+per-subsystem factor stacks, and traced against a whole stack of states
+at a time (``chain_terms``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import DimensionError, SubsystemError, ValidationError
 from .linalg import (
     Checks,
     as_square,
+    dagger,
     eigh_batch,
     is_hermitian,
     partial_trace,
@@ -67,6 +70,11 @@ class ProjectiveDecomposition:
 
     outcomes: tuple[tuple[float, np.ndarray], ...]
 
+    @property
+    def projectors(self) -> np.ndarray:
+        """The outcomes' projectors as one stack (outcome, d, d)."""
+        return np.array([proj for _, proj in self.outcomes])
+
 
 @dataclass(frozen=True)
 class ConditionalStats:
@@ -97,35 +105,47 @@ class ChainPlan(NamedTuple):
     shape: tuple[int, ...]
 
 
-def projective_decomposition(obs: Observable) -> ProjectiveDecomposition:
-    """Eigenvalues and eigenprojectors of an observable.
+def projective_decompositions(observables) -> list[ProjectiveDecomposition]:
+    """Eigenvalues and eigenprojectors of every observable in a list, in
+    input order.
 
-    Eigenspaces whose eigenvalues differ by less than DEGENERACY_TOL are
-    merged into a single outcome, so degenerate (coarse) observables are
-    legitimate controls. Results are memoized on the matrix bytes: sweep
-    loops decompose the same few control observables at every grid point.
+    The matrices of each dimension are decomposed as one stack. Eigenspaces
+    whose eigenvalues differ by less than DEGENERACY_TOL are merged into a
+    single outcome, so degenerate (coarse) observables are legitimate
+    controls; the observables that share a pattern of merged eigenspaces
+    then form each outcome's projectors together.
     """
-    return _decompose(obs.matrix.tobytes(), obs.matrix.shape[0])
+    observables = list(observables)
+    found = [None] * len(observables)
+    by_dim = {}
+    for i, o in enumerate(observables):
+        by_dim.setdefault(o.matrix.shape[0], []).append(i)
+    for index in by_dim.values():
+        # Observable has checked Hermiticity; each cluster becomes one
+        # projector, so eigenvector phases and the order within it do not matter
+        w, v = eigh_batch(np.array([observables[i].matrix for i in index]),
+                          Checks(len(index), strict=True))
+        patterns = {}
+        for row, starts in enumerate((w[:, 1:] - w[:, :-1] >= DEGENERACY_TOL).tolist()):
+            patterns.setdefault(tuple(starts), []).append(row)
+        for starts, rows in patterns.items():
+            w_rows, v_rows = (w, v) if len(rows) == len(w) else (w[rows], v[rows])
+            edges = [0] + [i + 1 for i, new in enumerate(starts) if new] + [len(starts) + 1]
+            clusters = list(zip(edges[:-1], edges[1:]))
+            values = [[sum(row[i:j]) / (j - i) for i, j in clusters] for row in w_rows.tolist()]
+            blocks = [v_rows[:, :, i:j] for i, j in clusters]
+            projectors = np.stack([b @ dagger(b) for b in blocks], axis=1)  # (row, outcome, d, d)
+            projectors.flags.writeable = False
+            for row, vals, projs in zip(rows, values, projectors):
+                found[index[row]] = ProjectiveDecomposition(tuple(zip(vals, projs)))
+    return found
 
 
-@lru_cache(maxsize=256)
-def _decompose(matrix_bytes: bytes, dim: int) -> ProjectiveDecomposition:
-    m = np.frombuffer(matrix_bytes, dtype=complex).reshape(dim, dim)
-    # Observable has checked Hermiticity; each cluster becomes one
-    # projector, so eigenvector phases and the order within it do not matter
-    (w,), (v,) = eigh_batch(m[None], Checks(1, strict=True))
-    outcomes = []
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j] - w[j - 1] < DEGENERACY_TOL:
-            j += 1
-        block = v[:, i:j]
-        proj = block @ block.conj().T
-        proj.flags.writeable = False
-        outcomes.append((float(np.mean(w[i:j])), proj))
-        i = j
-    return ProjectiveDecomposition(tuple(outcomes))
+def projective_decomposition(obs: Observable) -> ProjectiveDecomposition:
+    """Eigenvalues and eigenprojectors of an observable:
+    ``projective_decompositions`` as a batch of one. Nothing is memoized;
+    the sweeps and ``qc_vur`` build their operators once per setup."""
+    return projective_decompositions([obs])[0]
 
 
 def _check_fits(dim: int, dims: tuple, subsystem: int) -> None:
@@ -156,10 +176,11 @@ def variance(rho: DensityOperator, obs: Observable) -> float:
     return m2 - m1 * m1
 
 
-def chain_plan(dims, q: Observable, controls) -> ChainPlan:
+def chain_plan(dims, q: Observable, controls, decompositions) -> ChainPlan:
     """Table operators of a chained decomposition of q over an ordered
     list of controls on distinct subsystems of a state with subsystem
-    dimensions ``dims``."""
+    dimensions ``dims``; ``decompositions`` holds the controls'
+    projective decompositions, in the same order."""
     dims = tuple(int(d) for d in dims)
     controls = list(controls)
     if not controls:
@@ -177,8 +198,8 @@ def chain_plan(dims, q: Observable, controls) -> ChainPlan:
     # control's projectors on its own, I elsewhere
     factors = [np.eye(d, dtype=complex)[None] for d in dims]
     factors[q.subsystem] = np.array([np.eye(dims[q.subsystem]), q.matrix, q.matrix @ q.matrix])
-    for o in controls:
-        factors[o.subsystem] = np.array([proj for _, proj in projective_decomposition(o).outcomes])
+    for o, dec in zip(controls, decompositions):
+        factors[o.subsystem] = dec.projectors
     # Their batched Kronecker product has axes (stack per subsystem, row
     # per subsystem, column per subsystem); identity entries are exact,
     # so the padding changes no digit.
@@ -242,8 +263,9 @@ def sequential_decomposition(
     marginals give the nested terms. The components sum to the
     unconditional variance of q.
     """
-    residual, first_term, nested = chain_terms(rho.matrix[None],
-                                               chain_plan(rho.dims, q, controls))
+    controls = list(controls)
+    plan = chain_plan(rho.dims, q, controls, projective_decompositions(controls))
+    residual, first_term, nested = chain_terms(rho.matrix[None], plan)
     return SequentialDecomposition(residual=float(residual[0]),
                                    first_term=float(first_term[0]),
                                    nested=tuple(nested[0].tolist()))

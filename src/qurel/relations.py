@@ -42,9 +42,10 @@ from .linalg import (
 from .measurements import (
     ChainPlan,
     Observable,
+    _check_fits,
     chain_plan,
     chain_terms,
-    projective_decomposition,
+    projective_decompositions,
 )
 from .states import DensityOperator, check_density, spectrum_entropies
 
@@ -82,6 +83,8 @@ class MeasurementSetup:
         if not (0.0 <= self.theta <= 2.0 * np.pi):
             raise ValidationError(f"theta must lie in [0, 2*pi], got {self.theta}")
         op = as_square(self.ltra_operator).copy()
+        if not np.isfinite(op).all():
+            raise ValidationError("ltra_operator has a non-finite entry")
         op.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "ltra_operator", op)
@@ -141,14 +144,14 @@ def schrodinger_bound(rho_a: DensityOperator, a: Observable, b: Observable):
     return lhs, rhs
 
 
-def _overlap_constant(dec_r, dec_s, dim: int) -> float:
-    if len(dec_r.outcomes) != dim or len(dec_s.outcomes) != dim:
+def _overlap_constant(pr: np.ndarray, ps: np.ndarray) -> float:
+    """max Tr(P_r P_s) over two projector stacks (outcome, d, d), which
+    must hold d rank-one projectors each."""
+    dim = pr.shape[-1]
+    if len(pr) != dim or len(ps) != dim:
         raise DegeneracyError("overlap constant needs nondegenerate spectra")
-    best = 0.0
-    for _, pr in dec_r.outcomes:
-        for _, ps in dec_s.outcomes:
-            best = max(best, trace_product(pr, ps).real)
-    return best
+    overlaps = np.sum(pr[:, None] * np.swapaxes(ps, -1, -2), axis=(-2, -1)).real
+    return float(overlaps.max())
 
 
 def maximal_overlap_c(r: Observable, s: Observable) -> float:
@@ -159,8 +162,10 @@ def maximal_overlap_c(r: Observable, s: Observable) -> float:
     """
     if r.subsystem != s.subsystem:
         raise SubsystemError("observables must act on the same subsystem")
-    return _overlap_constant(projective_decomposition(r), projective_decomposition(s),
-                             r.matrix.shape[0])
+    dim = r.matrix.shape[0]
+    if s.matrix.shape[0] != dim:
+        raise DimensionError(f"observable dims {dim} and {s.matrix.shape[0]} differ")
+    return _overlap_constant(*(dec.projectors for dec in projective_decompositions([r, s])))
 
 
 class EurPlan(NamedTuple):
@@ -179,12 +184,13 @@ def eur_plan(dims, r: Observable, s: Observable) -> EurPlan:
         raise DimensionError(f"expected a two-qubit state, got dims {tuple(dims)}")
     if r.subsystem != 0 or s.subsystem != 0:
         raise SubsystemError("both observables must act on the measured qubit 0")
-    dec_r = projective_decomposition(r)
-    dec_s = projective_decomposition(s)
-    # both spectra are nondegenerate here: two outcomes each
-    overlap_bound = float(np.log2(1.0 / _overlap_constant(dec_r, dec_s, 2)))
-    projectors = np.array([[proj for _, proj in dec.outcomes] for dec in (dec_r, dec_s)])
-    return EurPlan(projectors=projectors, overlap_bound=overlap_bound)
+    for o in (r, s):
+        _check_fits(o.matrix.shape[0], (2, 2), o.subsystem)
+    projectors = [dec.projectors for dec in projective_decompositions([r, s])]
+    # _overlap_constant rejects a degenerate spectrum, so both stacks hold two
+    # projectors
+    overlap_bound = float(np.log2(1.0 / _overlap_constant(*projectors)))
+    return EurPlan(projectors=np.array(projectors), overlap_bound=overlap_bound)
 
 
 def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
@@ -270,7 +276,11 @@ def vur_plan(setup: MeasurementSetup, dims) -> tuple[ChainPlan, ...]:
     dims = tuple(int(d) for d in dims)
     plan = setup._plans.get(dims)
     if plan is None:
-        plan = tuple(chain_plan(dims, q, controls) for q, controls in setup.pairs)
+        # every control of every pair decomposed in one call
+        decs = iter(projective_decompositions(o for _, controls in setup.pairs
+                                              for o in controls))
+        plan = tuple(chain_plan(dims, q, controls, [next(decs) for _ in controls])
+                     for q, controls in setup.pairs)
         setup._plans[dims] = plan
     return plan
 

@@ -61,8 +61,9 @@ GAMMA_TOL = 1e-10
 #: take a few hundred kilobytes, whatever the size of the grid
 CHUNK_POINTS = 512
 
-#: the entropic bound always compares sigma_x and sigma_z on qubit 0
-_EUR_PAIR = (Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
+#: the entropic bound always compares sigma_x and sigma_z on qubit 0, so
+#: its operators are built once, at import
+_EUR_PLAN = eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ class _SweepPlan(NamedTuple):
 
 
 def _plan(setup: MeasurementSetup) -> _SweepPlan:
-    return _SweepPlan(setup, vur_plan(setup, (2, 2)), eur_plan((2, 2), *_EUR_PAIR))
+    return _SweepPlan(setup, vur_plan(setup, (2, 2)), _EUR_PLAN)
 
 
 def _states(d, j, t, checks: Checks):

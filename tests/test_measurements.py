@@ -10,6 +10,7 @@ from qurel.measurements import (
     conditional_stats,
     expectation,
     projective_decomposition,
+    projective_decompositions,
     sequential_decomposition,
     variance,
 )
@@ -69,6 +70,37 @@ class TestProjectiveDecomposition:
                 assert np.max(np.abs(pi @ pj)) <= 1e-10
             for _, p in dec.outcomes:
                 assert np.max(np.abs(p @ p - p)) <= 1e-10
+
+    def test_batch_matches_single_and_eigh_oracle(self):
+        """A mixed list in interleaved order, decomposed in one call, agrees
+        outcome by outcome with each observable's own decomposition and
+        with clusters formed by hand from np.linalg.eigh."""
+        rng = np.random.default_rng(72)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        u = np.linalg.qr(g)[0]
+        doubled = u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T  # a two-fold cluster
+        matrices = [random_hermitian(rng, 2), np.eye(2), random_hermitian(rng, 3),
+                    random_hermitian(rng, 2), SIGMA_Z, doubled, random_hermitian(rng, 2)]
+        observables = [Observable(m, 0) for m in matrices]
+        batch = projective_decompositions(observables)
+        assert [len(dec.outcomes) for dec in batch] == [2, 1, 3, 2, 2, 2, 2]
+        for obs, dec in zip(observables, batch):
+            single = projective_decomposition(obs)
+            vals, vecs = np.linalg.eigh(obs.matrix)
+            clusters = [[0]]
+            for i in range(1, len(vals)):
+                if vals[i] - vals[i - 1] < 1e-6:
+                    clusters[-1].append(i)
+                else:
+                    clusters.append([i])
+            assert len(dec.outcomes) == len(single.outcomes) == len(clusters)
+            for (w, p), (w1, p1), cols in zip(dec.outcomes, single.outcomes, clusters):
+                oracle = sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in cols)
+                assert abs(w - w1) <= 1e-12 and abs(w - np.mean(vals[cols])) <= 1e-12
+                assert np.max(np.abs(p - p1)) <= 1e-12
+                assert np.max(np.abs(p - oracle)) <= 1e-12
+        assert [w for w, _ in batch[4].outcomes] == [-1.0, 1.0]
+        assert [round(np.trace(p).real) for _, p in batch[5].outcomes] == [2, 1]
 
 
 class TestVariance:

@@ -9,6 +9,7 @@ from qurel.measurements import Observable, variance
 from qurel.model import ModelParams, T_MIN, thermal_state
 from qurel.relations import (
     MeasurementSetup,
+    eur_plan,
     l_tra,
     maximal_overlap_c,
     qc_vur,
@@ -92,6 +93,11 @@ class TestMaximalOverlap:
     def test_rejects_subsystem_mismatch(self):
         with pytest.raises(SubsystemError):
             maximal_overlap_c(Observable(SIGMA_X, 0), Observable(SIGMA_Z, 1))
+
+    def test_rejects_dimension_mismatch(self):
+        qutrit = Observable(np.diag([1.0, 2.0, 3.0]), 0)
+        with pytest.raises(DimensionError, match="dims 2 and 3 differ"):
+            maximal_overlap_c(Observable(SIGMA_X, 0), qutrit)
 
 
 class TestQmEur:
@@ -186,6 +192,16 @@ class TestQmEur:
         rho = DensityOperator(np.eye(8) / 8.0, (2, 2, 2))
         with pytest.raises(DimensionError):
             qm_eur(rho, Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
+
+    @pytest.mark.parametrize("qutrit_first", [False, True])
+    def test_rejects_observable_of_wrong_dimension(self, qutrit_first):
+        pair = [Observable(SIGMA_X, 0), Observable(np.diag([1.0, 2.0, 3.0]), 0)]
+        if qutrit_first:
+            pair.reverse()
+        with pytest.raises(DimensionError, match="operator dim 3 != subsystem dim 2"):
+            eur_plan((2, 2), *pair)
+        with pytest.raises(DimensionError, match="operator dim 3 != subsystem dim 2"):
+            qm_eur(bell_state(), *pair)
 
 
 class TestLTra:
@@ -319,6 +335,14 @@ class TestMeasurementSetup:
         pairs = ((q, (c,)), (Observable(SIGMA_Z, 0), (Observable(SIGMA_Z, 1),)))
         with pytest.raises(ValidationError):
             MeasurementSetup(pairs=pairs, ltra_operator=SIGMA_X, theta=7.0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_ltra_operator(self, entry):
+        pairs = xz_control_setup().pairs
+        op = SIGMA_X + SIGMA_Z
+        op[0, 1] = entry
+        with pytest.raises(ValidationError, match="ltra_operator"):
+            MeasurementSetup(pairs=pairs, ltra_operator=op, theta=0.5)
 
     def test_standard_setup_shape(self):
         setup = xz_control_setup(theta=0.5)
