@@ -49,27 +49,33 @@ def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
 
 
 class Checks:
-    """Failure flags over a batch of points, one per point.
+    """Failure flags over a batch of points, one per point, with the error
+    of each point's first failed check.
 
-    A lenient batch (a sweep chunk) flags the points that fail a check and
-    carries on; a strict batch (the batch of one behind every single-state
-    function) raises the error of its first failing point instead, so its
-    message is the one that function has always raised. A comparison with
-    NaN is false, so a NaN value fails its check.
+    A failed point is flagged and the batch carries on, so an edge point
+    fails alone; the batch of one behind every single-state function ends
+    with ``raise_first``, so it raises the error of the first check its
+    point failed. A comparison with NaN is false, so a NaN value fails its
+    check.
     """
 
-    def __init__(self, n: int, strict: bool):
+    def __init__(self, n: int):
         self.failed = np.zeros(n, dtype=bool)
-        self.strict = strict
+        self.errors = {}
 
     def require(self, ok, error) -> None:
         """Flags every point where ``ok`` is false; ``error(i)`` builds the
-        exception of point ``i``."""
+        exception of point ``i``, kept unless that point failed before."""
         if ok.all():
             return
-        if self.strict:
-            raise error(int(np.argmin(ok)))
+        for i in np.flatnonzero(~(ok | self.failed)).tolist():
+            self.errors[i] = error(i)
         self.failed |= ~ok
+
+    def raise_first(self) -> None:
+        """Raises the error of the lowest-index failed point, if any."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
 
     def clean(self, stack: np.ndarray, fill) -> np.ndarray:
         """The stack with every failed point replaced by ``fill``, so that a
@@ -82,15 +88,25 @@ class Checks:
 
 def eigh_batch(m: np.ndarray, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a stack of Hermitian matrices, eigenvalues
-    ascending; the caller checks Hermiticity. A strict batch reports a
-    solver failure as ConvergenceError; a lenient one lets LinAlgError
-    through, so the caller can re-run the batch point by point."""
+    ascending; the caller checks Hermiticity. When the solver rejects the
+    stack, each matrix is solved again on its own; one that still fails is
+    flagged with ConvergenceError and comes back as eigenvalues 0 and
+    eigenvectors I."""
     try:
         return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        if checks.strict:
-            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-        raise
+    except np.linalg.LinAlgError:
+        pass
+    w = np.zeros(m.shape[:-1])
+    v = np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
+    failures = {}
+    for i, matrix in enumerate(m):
+        try:
+            w[i], v[i] = np.linalg.eigh(matrix)
+        except np.linalg.LinAlgError as exc:
+            failures[i] = exc
+    checks.require(~np.isin(np.arange(len(m)), list(failures)),
+                   lambda i: ConvergenceError(f"eigensolver failed: {failures[i]}"))
+    return w, v
 
 
 def eigvalsh_2x2(m: np.ndarray) -> np.ndarray:

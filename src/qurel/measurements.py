@@ -123,8 +123,9 @@ def projective_decompositions(observables) -> list[ProjectiveDecomposition]:
     for index in by_dim.values():
         # Observable has checked Hermiticity; each cluster becomes one
         # projector, so eigenvector phases and the order within it do not matter
-        w, v = eigh_batch(np.array([observables[i].matrix for i in index]),
-                          Checks(len(index), strict=True))
+        checks = Checks(len(index))
+        w, v = eigh_batch(np.array([observables[i].matrix for i in index]), checks)
+        checks.raise_first()
         patterns = {}
         for row, starts in enumerate((w[:, 1:] - w[:, :-1] >= DEGENERACY_TOL).tolist()):
             patterns.setdefault(tuple(starts), []).append(row)

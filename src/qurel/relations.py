@@ -266,7 +266,10 @@ def l_tra(rho_a: DensityOperator, a: Observable, b: Observable, o, theta: float)
     """
     if len(rho_a.dims) != 1:
         raise DimensionError("expected a single-subsystem state")
-    return float(l_tra_batch(rho_a.matrix[None], a, b, o, theta, Checks(1, strict=True))[0])
+    checks = Checks(1)
+    bound = l_tra_batch(rho_a.matrix[None], a, b, o, theta, checks)
+    checks.raise_first()
+    return float(bound[0])
 
 
 def vur_plan(setup: MeasurementSetup, dims) -> tuple[ChainPlan, ...]:
@@ -313,8 +316,9 @@ def qc_vur(rho: DensityOperator, setup: MeasurementSetup) -> QcVurResult:
     always, and lhs + subtracted recombines to the summed unconditional
     variances.
     """
-    cols = qc_vur_batch(rho.matrix[None], rho.dims, setup, vur_plan(setup, rho.dims),
-                        Checks(1, strict=True))
+    checks = Checks(1)
+    cols = qc_vur_batch(rho.matrix[None], rho.dims, setup, vur_plan(setup, rho.dims), checks)
+    checks.raise_first()
     cols = {k: float(v[0]) for k, v in cols.items()}
     return QcVurResult(lhs=cols["lhs"], l_tra=cols["l_tra"], subtracted=cols["subtracted"],
                        w=cols["w"], u=optional(cols["u"]))

@@ -51,7 +51,9 @@ class DensityOperator:
         # a non-finite entry fails the Hermiticity check, which runs before
         # the spectrum is read, so the solver only ever sees finite entries
         w = np.linalg.eigvalsh(np.where(np.isfinite(m), m, 0.0)[None])
-        check_density(m[None], w, Checks(1, strict=True))
+        checks = Checks(1)
+        check_density(m[None], w, checks)
+        checks.raise_first()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -120,7 +122,9 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"concurrence needs dims (2, 2), got {rho.dims}")
-    w, v = eigh_batch(rho.matrix[None], Checks(1, strict=True))
+    checks = Checks(1)
+    w, v = eigh_batch(rho.matrix[None], checks)
+    checks.raise_first()
     return float(concurrence_batch(w, v)[0])
 
 

@@ -10,7 +10,7 @@ statement instead of a visual one.
 Points are evaluated in chunks, each as one (N, 4, 4) batch through the
 array kernels of the lower modules, with one eigendecomposition per state;
 ``evaluate_point`` is a batch of one. Each chunk comes out as record
-columns, a point that failed in its batch redone on its own into its row.
+columns and the error of each point that failed, whose row is NaN.
 ``sweep_csv`` (behind ``qurel sweep``) writes each chunk's rows from those
 columns as soon as it is evaluated, so a sweep of any size holds one chunk
 at a time; ``run_sweep`` turns the same columns into records.
@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 from itertools import repeat
 
 import numpy as np
 
-from .errors import QurelError, RangeError, UsageError, ValidationError
+from .errors import RangeError, UsageError, ValidationError
 from .linalg import SIGMA_X, SIGMA_Z, Checks, eigh_batch
-from .measurements import ChainPlan, Observable
+from .measurements import Observable
 from .model import (
     ModelParams,
     T_MIN,
@@ -37,7 +36,6 @@ from .model import (
     thermal_state,
 )
 from .relations import (
-    EurPlan,
     MeasurementSetup,
     eur_plan,
     optional,
@@ -90,6 +88,8 @@ class SweepGrid:
                     f"{name}_range has one step but start {start} != stop {stop}")
             if start > stop:
                 raise ValidationError(f"{name}_range has start {start} > stop {stop}")
+        if self.d_range[0] < 0.0:
+            raise ValidationError("d_range must start at or above 0")
         if self.t_range[0] < T_MIN:
             raise ValidationError(f"t_range must start at or above {T_MIN}")
         if np.min(np.abs(self.j_values())) < 1e-9:
@@ -130,14 +130,14 @@ class SweepRecord:
     def invariant_violations(self) -> list[str]:
         """Human-readable list of violated row invariants (empty if fine):
         ``_violations`` as a batch of one."""
-        if self.error is not None:
-            return [_failure(self.d, self.j, self.t, self.error)]
         values = np.array(_invariant_fields(self), dtype=float)[:, None]
-        return [msg for _, msg in _violations(values)]
+        errors = {} if self.error is None else {0: self.error}
+        return [msg for _, msg in _violations(values, errors)]
 
 
-def _failure(d: float, j: float, t: float, error: str) -> str:
-    """The invariant violation of a point that failed with ``error``."""
+def _failure(d: float, j: float, t: float, error) -> str:
+    """The invariant violation of a point that failed with ``error``, an
+    exception or its text."""
     return f"point ({d}, {j}, {t}) failed: {error}"
 
 
@@ -147,10 +147,12 @@ _INVARIANT_FIELDS = ("d", "j", "t", "gamma", "concurrence", "lhs", "w", "h_rb", 
 _invariant_fields = operator.attrgetter(*_INVARIANT_FIELDS)
 
 
-def _violations(values: np.ndarray) -> list[tuple[int, str]]:
-    """(row, message) of every violated row invariant of a batch of rows
-    whose fields ``_INVARIANT_FIELDS`` are the rows of ``values`` (10, N),
-    in row order and, within a row, in check order. A NaN value violates a
+def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
+    """(row, message) of every failed row and violated row invariant of a
+    batch of rows whose fields ``_INVARIANT_FIELDS`` are the rows of
+    ``values`` (10, N), in row order and, within a row, in check order. A
+    row in ``errors`` failed with that error: its one message is
+    ``_failure``'s, and its values are not checked. A NaN value violates a
     range check and no inequality, as on a record."""
     d, j, t, gamma, conc, lhs, w, h_rb, h_sb, rhs = values
     entropic = h_rb + h_sb
@@ -158,7 +160,7 @@ def _violations(values: np.ndarray) -> list[tuple[int, str]]:
            ~((conc >= -1e-9) & (conc <= 1.0 + 1e-9)),
            lhs < w - 1e-9,
            entropic < rhs - 1e-9)
-    if not (bad[0] | bad[1] | bad[2] | bad[3]).any():
+    if not (errors or (bad[0] | bad[1] | bad[2] | bad[3]).any()):
         return []
     d, j, t, gamma, conc, lhs, w, entropic, rhs = (
         x.tolist() for x in (d, j, t, gamma, conc, lhs, w, entropic, rhs))
@@ -166,37 +168,23 @@ def _violations(values: np.ndarray) -> list[tuple[int, str]]:
                 lambda i: f"concurrence {conc[i]} outside [0, 1]",
                 lambda i: f"lhs {lhs[i]} below bound w {w[i]}",
                 lambda i: f"entropic sum {entropic[i]} below bound {rhs[i]}")
-    found = sorted((i, k) for k, rows in enumerate(bad) for i in np.flatnonzero(rows).tolist())
-    return [(i, f"({d[i]}, {j[i]}, {t[i]}): {messages[k](i)}") for i, k in found]
+    found = sorted([(i, k) for k, rows in enumerate(bad) for i in np.flatnonzero(rows).tolist()
+                    if i not in errors] + [(i, -1) for i in errors])
+    return [(i, _failure(d[i], j[i], t[i], errors[i]) if k < 0
+             else f"({d[i]}, {j[i]}, {t[i]}): {messages[k](i)}") for i, k in found]
 
 
-class _SweepPlan(NamedTuple):
-    """A setup's operators for two-qubit thermal states, built once."""
-
-    setup: MeasurementSetup
-    vur: tuple[ChainPlan, ...]
-    eur: EurPlan
-
-
-def _plan(setup: MeasurementSetup) -> _SweepPlan:
-    return _SweepPlan(setup, vur_plan(setup, (2, 2)), _EUR_PLAN)
-
-
-def _states(d, j, t, checks: Checks):
-    """Validated Gibbs states (N, 4, 4) of a batch of model points, with
-    their one eigendecomposition: ascending eigenvalues (N, 4) and
-    eigenvectors (N, 4, 4)."""
+def _columns(d, j, t, setup: MeasurementSetup, checks: Checks) -> dict:
+    """Value columns (CSV names, NaN for an undefined ratio) of a batch of
+    model points: their Gibbs states, each decomposed once, through the
+    setup's operators. A setup that cannot be planned on two qubits raises
+    before any point is evaluated."""
+    plan = vur_plan(setup, (2, 2))
     rho = gibbs_states(d, j, t, checks)
     w, v = eigh_batch(rho, checks)
     check_density(rho, w, checks)
-    return rho, w, v
-
-
-def _columns(rho, w, v, plan: _SweepPlan, checks: Checks) -> dict:
-    """Value columns (CSV names, NaN for an undefined ratio) of a batch of
-    validated thermal states and their eigendecompositions."""
-    vur = qc_vur_batch(rho, (2, 2), plan.setup, plan.vur, checks)
-    eur = qm_eur_batch(rho, w, plan.eur)
+    vur = qc_vur_batch(rho, (2, 2), setup, plan, checks)
+    eur = qm_eur_batch(rho, w, _EUR_PLAN)
     return dict(gamma=mixedness_batch(rho), concurrence=concurrence_batch(w, v),
                 l_tra=vur["l_tra"], lhs=vur["lhs"], w=vur["w"], u=vur["u"],
                 h_rb=eur["h_rb"], h_sb=eur["h_sb"], h_ab=eur["h_ab"],
@@ -209,7 +197,7 @@ _RATIOS = tuple(CSV_HEADER.index(name) for name in ("u", "u_eur"))
 
 def _records(theta: float, cols: dict, errors: dict) -> list:
     """Records of a batch's columns; the row of each ``errors`` key is a
-    failed point, whose record carries only its coordinates and error."""
+    failed point, whose record carries only its coordinates and error text."""
     columns = [repeat(theta) if name == "theta" else cols[name].tolist()
                for name in CSV_HEADER]
     for k in _RATIOS:
@@ -217,69 +205,41 @@ def _records(theta: float, cols: dict, errors: dict) -> list:
     records = [SweepRecord(*row) for row in zip(*columns)]
     for i, error in errors.items():
         rec = records[i]
-        records[i] = SweepRecord(rec.d, rec.j, rec.t, theta, error=error)
+        records[i] = SweepRecord(rec.d, rec.j, rec.t, theta, error=str(error))
     return records
 
 
-def _point_columns(d: float, j: float, t: float, setup: MeasurementSetup) -> dict:
-    """Record columns, each of length 1, of one model point, evaluated as a
-    strict batch of one."""
-    d, j, t = (np.array([x], dtype=float) for x in (d, j, t))
-    checks = Checks(1, strict=True)
-    state = _states(d, j, t, checks)
-    return dict(d=d, j=j, t=t, **_columns(*state, _plan(setup), checks))
+def _chunks(axes, setup: MeasurementSetup):
+    """Evaluates the grid of the (d, j, t) value arrays ``axes`` in
+    row-major order, CHUNK_POINTS points at a time, each chunk one batch of
+    (N, 4, 4) arrays with the setup's operators built once for the whole
+    sweep.
 
-
-def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
-    """Full record for one model point: the sweep's evaluation as a batch
-    of one, which raises the first failing check's error."""
-    return _records(setup.theta, _point_columns(params.d, params.j, params.t, setup), {})[0]
-
-
-def _chunks(grid: SweepGrid, setup: MeasurementSetup):
-    """Evaluates the grid in row-major (d, j, t) order, CHUNK_POINTS points
-    at a time, each chunk one batch of (N, 4, 4) arrays with the setup's
-    operators built once for the whole sweep.
-
-    Yields, per chunk, the points' axis indices, their record columns
-    (CSV names but theta; NaN for an undefined ratio) and the error text of
-    each failed point, keyed by row. Every point the batch flags, every
-    point of a batch whose solver failed, and every point of a setup that
-    cannot be planned is evaluated again through ``_point_columns``: its
-    values replace the row's, or, if it raises, the row's values become NaN
-    and its error is kept.
+    Yields, per chunk, the points' axis indices, their record columns (CSV
+    names but theta; NaN for an undefined ratio and in every value column
+    of a failed point) and the error of each failed point's first failed
+    check, keyed by row.
     """
-    axes = (grid.d_values(), grid.j_values(), grid.t_values())
     shape = tuple(len(a) for a in axes)
-    try:
-        plan = _plan(setup)
-    except QurelError:
-        plan = None  # a setup every point rejects: each point records the error
     n = math.prod(shape)
     for start in range(0, n, CHUNK_POINTS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_POINTS, n)), shape)
         d, j, t = (a[i] for a, i in zip(axes, index))
-        # placeholders for a batch that cannot be evaluated: every point is redone
-        cols = dict(d=d, j=j, t=t, **{name: np.full(len(d), np.nan) for name in CSV_HEADER[4:]})
-        failed = np.ones(len(d), dtype=bool)
-        if plan is not None:
-            checks = Checks(len(d), strict=False)
-            try:
-                cols.update(_columns(*_states(d, j, t, checks), plan, checks))
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                failed = checks.failed
-        errors = {}
-        for i in np.flatnonzero(failed).tolist():
-            try:
-                point = _point_columns(d[i], j[i], t[i], setup)
-            except QurelError as exc:
-                errors[i] = str(exc)
-                point = dict.fromkeys(CSV_HEADER[4:], (np.nan,))
-            for name in CSV_HEADER[4:]:
-                cols[name][i] = point[name][0]
-        yield index, cols, errors
+        checks = Checks(len(d))
+        cols = dict(d=d, j=j, t=t, **_columns(d, j, t, setup, checks))
+        for name in CSV_HEADER[4:]:
+            cols[name][checks.failed] = np.nan
+        yield index, cols, checks.errors
+
+
+def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
+    """Full record for one model point: the sweep's evaluation as a batch
+    of one, which raises the error of the first check the point fails."""
+    axes = tuple(np.array([x], dtype=float) for x in (params.d, params.j, params.t))
+    [(_, cols, errors)] = _chunks(axes, setup)
+    if errors:
+        raise errors[0]
+    return _records(setup.theta, cols, errors)[0]
 
 
 def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
@@ -290,11 +250,13 @@ def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
     of (N, 4, 4) arrays; working memory beyond the records is bounded by
     the chunk size, not the grid size. A failing point is flagged on its
     record instead of aborting the sweep, so edge points cannot take down a
-    long run: it is evaluated again as a batch of one, and its record
-    carries the error that raises.
+    long run: its record carries the error of the first check it failed,
+    the error its ``evaluate_point`` raises. A setup that cannot be planned
+    on two qubits raises before any point is evaluated.
     """
     records = []
-    for _, cols, errors in _chunks(grid, setup):
+    axes = (grid.d_values(), grid.j_values(), grid.t_values())
+    for _, cols, errors in _chunks(axes, setup):
         records += _records(grid.theta, cols, errors)
     return records
 
@@ -343,23 +305,18 @@ def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str
     Rows are formatted straight from each chunk's columns; each distinct
     axis value is formatted once per sweep.
     """
-    axis_fields = [[_FIELD % x for x in axis.tolist()]
-                   for axis in (grid.d_values(), grid.j_values(), grid.t_values())]
+    axes = (grid.d_values(), grid.j_values(), grid.t_values())
+    axis_fields = [[_FIELD % x for x in axis.tolist()] for axis in axes]
     theta_field = _FIELD % grid.theta
     problems = []
     with open(destination, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for index, cols, errors in _chunks(grid, setup):
+        for index, cols, errors in _chunks(axes, setup):
             rows = _column_rows(index, axis_fields, theta_field, cols, errors)
             rows.append("")
             fh.write("\n".join(rows))
             values = np.array([cols[name] for name in _INVARIANT_FIELDS])
-            found = [(i, msg) for i, msg in _violations(values) if i not in errors]
-            for i, error in errors.items():
-                d, j, t = (cols[name][i].item() for name in ("d", "j", "t"))
-                found.append((i, _failure(d, j, t, error)))
-            found.sort(key=operator.itemgetter(0))  # stable: a row keeps its order
-            problems += [msg for _, msg in found]
+            problems += [msg for _, msg in _violations(values, errors)]
     return problems
 
 

@@ -43,6 +43,11 @@ class TestPointCommand:
         assert abs(float(lines["gamma"]) - 0.334794709384799) <= 1e-12
         assert abs(float(lines["w"]) - 1.0832141844750907) <= 1e-12
 
+    def test_hamiltonian_overflow_names_the_point(self, capsys):
+        code, _, err = run_cli(capsys, "point", "--d", "1e308", "--j", "1", "--t", "1")
+        assert code == 2
+        assert "overflowed" in err and "1e+308" in err
+
     def test_undefined_ratio_prints_empty(self, capsys):
         # the cold antiferromagnetic point is the pure singlet: the
         # entropic bound's denominator is exactly zero there
@@ -83,6 +88,13 @@ class TestArgumentDomain:
         code, _, err = run_cli(capsys, "sweep", *argv, "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert f"usage error: {axis}_range needs a finite start and stop" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_d_range_start_exits_one(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--d=-1:1:3", "--j", "1", "--t", "1",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "usage error: d_range" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_infinite_d_exits_one(self, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qurel.errors import DimensionError
-from qurel.linalg import I2, is_hermitian, partial_trace, trace_product
+from qurel.errors import ConvergenceError, DimensionError, ValidationError
+from qurel.linalg import I2, Checks, eigh_batch, is_hermitian, partial_trace, trace_product
 
 from helpers import random_hermitian, thermal_matrix
 
@@ -65,3 +65,46 @@ def test_trace_product_matches_matmul_trace():
     a = random_hermitian(rng, 4)
     b = random_hermitian(rng, 4)
     assert np.isclose(trace_product(a, b), np.trace(a @ b))
+
+
+class TestChecks:
+    def test_keeps_each_points_first_error(self):
+        checks = Checks(3)
+        checks.require(np.array([True, False, True]), lambda i: ValidationError(f"first {i}"))
+        checks.require(np.array([False, False, True]), lambda i: ValidationError(f"second {i}"))
+        assert {i: str(e) for i, e in checks.errors.items()} == {0: "second 0", 1: "first 1"}
+        assert checks.failed.tolist() == [True, True, False]
+
+    def test_raise_first_raises_the_lowest_index_error(self):
+        checks = Checks(3)
+        checks.raise_first()  # nothing failed
+        checks.require(np.array([True, True, False]), lambda i: ValidationError(f"late {i}"))
+        checks.require(np.array([True, False, True]), lambda i: DimensionError(f"early {i}"))
+        with pytest.raises(DimensionError, match="^early 1$"):
+            checks.raise_first()
+
+
+def test_eigh_batch_flags_only_the_matrix_the_solver_rejects(monkeypatch):
+    """A stack the solver rejects is solved matrix by matrix: the matrix
+    that still fails is flagged with ConvergenceError (eigenvalues 0,
+    eigenvectors I), every other one gets exactly np.linalg.eigh's result."""
+    rng = np.random.default_rng(52)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    sentinel = stack[2].copy()
+    eigh = np.linalg.eigh
+
+    def rejects_sentinel(m, *args, **kwargs):
+        if any(np.array_equal(x, sentinel) for x in np.reshape(m, (-1, 3, 3))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", rejects_sentinel)
+    checks = Checks(4)
+    w, v = eigh_batch(stack, checks)
+    assert checks.failed.tolist() == [False, False, True, False]
+    assert list(checks.errors) == [2]
+    assert isinstance(checks.errors[2], ConvergenceError)
+    assert np.array_equal(w[2], np.zeros(3)) and np.array_equal(v[2], np.eye(3))
+    for i in (0, 1, 3):
+        expected_w, expected_v = eigh(stack[i])
+        assert np.array_equal(w[i], expected_w) and np.array_equal(v[i], expected_v)

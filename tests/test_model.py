@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -183,6 +184,18 @@ def as_printed_concurrence(d, j, t):
     r11, r22, r23, z = thermal_elements(d, j, t)
     beta = 1.0 / t
     return 2.0 * max(abs(r23) - math.exp(beta * j / 2.0), 0.0) / z
+
+
+def test_closed_forms_match_matrix_path_at_large_d():
+    """The level splitting 2 J sqrt(1 + D^2) must not overflow where D^2
+    does (|D| above about 1.3e154): the closed forms agree with the
+    matrix path there."""
+    for d, j, t in itertools.product((1e154, 1e200, 1e300), (1.0, -1.0, 0.5),
+                                     (T_MIN, 1.0, 1e3)):
+        p = ModelParams(d, j, t)
+        rho = thermal_state(p)
+        assert abs(closed_form_mixedness(p) - mixedness(rho)) <= 1e-10, p
+        assert abs(closed_form_concurrence(p) - concurrence_two_qubit(rho)) <= 1e-10, p
 
 
 def test_positive_exponent_variant_contradicts_spin_flip():

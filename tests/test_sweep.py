@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qurel import sweep
-from qurel.errors import QurelError, RangeError, UsageError, ValidationError
+from qurel.errors import QurelError, RangeError, SubsystemError, UsageError, ValidationError
 from qurel.model import ModelParams, T_MIN, closed_form_concurrence, closed_form_mixedness
 from qurel.relations import xz_control_setup
 from qurel.sweep import (
@@ -163,7 +163,8 @@ class TestBatchedSweep:
         values its batch computed for a state it rejected."""
         grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
                          t_range=(1.0, 1.0, 1))
-        [(_, cols, errors)] = sweep._chunks(grid, xz_control_setup())
+        axes = (grid.d_values(), grid.j_values(), grid.t_values())
+        [(_, cols, errors)] = sweep._chunks(axes, xz_control_setup())
         assert list(errors) == [1]
         values = np.array([cols[name] for name in CSV_HEADER[4:]])
         assert np.isnan(values[:, 1]).all() and not np.isnan(values[:, 0]).any()
@@ -183,13 +184,17 @@ class TestBatchedSweep:
         monkeypatch.setattr(np.linalg, "eigh", fails_on_batches)
         assert run_sweep(grid, setup) == expected
 
-    def test_setup_every_point_rejects(self):
+    def test_setup_every_point_rejects(self, tmp_path):
+        """A setup that cannot be planned on two qubits raises once, before
+        any point is evaluated, as qc_vur does."""
         grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
         setup = xz_control_setup(controls=(2,))  # no third qubit in the model
-        records = run_sweep(grid, setup)
-        assert [rec.error for rec in records] == [_point_or_error(rec, setup)
-                                                  for rec in records]
-        assert all("out of range" in rec.error for rec in records)
+        with pytest.raises(SubsystemError, match="out of range"):
+            run_sweep(grid, setup)
+        with pytest.raises(SubsystemError, match="out of range"):
+            sweep_csv(grid, setup, tmp_path / "none.csv")
+        with pytest.raises(SubsystemError, match="out of range"):
+            evaluate_point(ModelParams(1.0, 1.0, 1.0), setup)
 
 
 _couplings = st.builds(lambda m, sign: sign * m, st.floats(1e-9, 1e3),
