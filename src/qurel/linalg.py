@@ -162,5 +162,8 @@ def trace_product(a, b) -> complex:
 
 def trace_products(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Tr(rho[n] @ ops[k]) for a stack of states (N, d, d) against a stack
-    of operators (K, d, d), as an (N, K) table."""
-    return np.einsum("nij,kji->nk", rho, ops)
+    of operators (K, d, d), as an (N, K) table. Summed over flattened
+    entries, a state's row does not depend on the rest of the stack; an
+    unflattened einsum orders a batch of one's sum differently."""
+    return np.einsum("nx,kx->nk", np.swapaxes(rho, -1, -2).reshape((len(rho), -1)),
+                     ops.reshape((len(ops), -1)))

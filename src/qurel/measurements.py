@@ -14,15 +14,15 @@ Measurements on disjoint subsystems commute, so that table is
 well-defined. Observables are decomposed a list at a time
 (``projective_decompositions``, one eigensolver call per matrix
 dimension); nothing is memoized here. The table's operators are built
-once per setup (``chain_plan``) as one batched Kronecker product of
-per-subsystem factor stacks, and traced against a whole stack of states
-at a time (``chain_terms``).
+once per setup and control layout (``chain_plan``), stacked over the
+pairs that share it, and traced against a stack of states in one einsum
+(``chain_table``). ``qc_vur`` reads two totals per pair
+(``chain_totals``); ``chain_terms`` splits the chain into its terms.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import DimensionError, SubsystemError, ValidationError
 from .linalg import (
     Checks,
     as_square,
-    dagger,
     eigh_batch,
     is_hermitian,
     partial_trace,
@@ -66,14 +65,11 @@ class Observable:
 @dataclass(frozen=True)
 class ProjectiveDecomposition:
     """Spectral outcomes of an observable: (eigenvalue, projector) pairs,
-    eigenvalues strictly increasing."""
+    eigenvalues strictly increasing, and the same projectors as one
+    read-only stack (outcome, d, d)."""
 
     outcomes: tuple[tuple[float, np.ndarray], ...]
-
-    @property
-    def projectors(self) -> np.ndarray:
-        """The outcomes' projectors as one stack (outcome, d, d)."""
-        return np.array([proj for _, proj in self.outcomes])
+    projectors: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -90,18 +86,19 @@ class SequentialDecomposition:
 
 
 class ChainPlan(NamedTuple):
-    """The operators of one chained decomposition, built once.
+    """The operators of the chained decompositions of one or more
+    (measured, controls) pairs that share a control layout, built once.
 
-    For every outcome tuple, in lexicographic order of ascending
-    eigenvalues per control, ``ops`` holds the joint projector P, then
-    q P, then q^2 P: their traces against a state are the tuple's
-    probability and its first and second moments of q. Each operator is
-    the Kronecker product of one factor per subsystem: I, q or q^2 on
-    q's, one projector of each control on its own, I elsewhere. ``shape``
-    is the number of outcomes of each control.
+    For every pair (leading axis) and every outcome tuple, in lexicographic
+    order of ascending eigenvalues per control, ``ops`` holds the joint
+    projector P, then q P, then q^2 P: their traces against a state are the
+    tuple's probability and its first and second moments of q. Each
+    operator is the Kronecker product of one factor per subsystem: I, q or
+    q^2 on q's, one projector of each control on its own, I elsewhere.
+    ``shape`` is the number of outcomes of each control, in chain order.
     """
 
-    ops: np.ndarray  # (3 * prod(shape), D, D)
+    ops: np.ndarray  # (pairs, 3 * prod(shape), D, D)
     shape: tuple[int, ...]
 
 
@@ -132,13 +129,15 @@ def projective_decompositions(observables) -> list[ProjectiveDecomposition]:
         for starts, rows in patterns.items():
             w_rows, v_rows = (w, v) if len(rows) == len(w) else (w[rows], v[rows])
             edges = [0] + [i + 1 for i, new in enumerate(starts) if new] + [len(starts) + 1]
-            clusters = list(zip(edges[:-1], edges[1:]))
-            values = [[sum(row[i:j]) / (j - i) for i, j in clusters] for row in w_rows.tolist()]
-            blocks = [v_rows[:, :, i:j] for i, j in clusters]
-            projectors = np.stack([b @ dagger(b) for b in blocks], axis=1)  # (row, outcome, d, d)
+            # each cluster's mean eigenvalue, and every eigenvector's rank-one
+            # projector summed over its cluster
+            values = (np.add.reduceat(w_rows, edges[:-1], axis=1) / np.diff(edges)).tolist()
+            vecs = np.swapaxes(v_rows, -1, -2)  # (row, eigenvector, d)
+            projectors = np.add.reduceat(vecs[..., :, None] * vecs[..., None, :].conj(),
+                                         edges[:-1], axis=1)  # (row, outcome, d, d)
             projectors.flags.writeable = False
             for row, vals, projs in zip(rows, values, projectors):
-                found[index[row]] = ProjectiveDecomposition(tuple(zip(vals, projs)))
+                found[index[row]] = ProjectiveDecomposition(tuple(zip(vals, projs)), projs)
     return found
 
 
@@ -177,79 +176,89 @@ def variance(rho: DensityOperator, obs: Observable) -> float:
     return m2 - m1 * m1
 
 
-def chain_plan(dims, q: Observable, controls, decompositions) -> ChainPlan:
-    """Table operators of a chained decomposition of q over an ordered
-    list of controls on distinct subsystems of a state with subsystem
-    dimensions ``dims``; ``decompositions`` holds the controls'
-    projective decompositions, in the same order."""
+def chain_plan(dims, pairs, decompositions) -> ChainPlan:
+    """Table operators of the chained decompositions of (q, controls)
+    pairs on a state with subsystem dimensions ``dims``; ``decompositions``
+    holds each pair's controls' projective decompositions. The pairs share
+    a control layout, as ``vur_plan`` groups them: q's subsystem, the
+    distinct control subsystems in chain order and their outcome counts."""
     dims = tuple(int(d) for d in dims)
-    controls = list(controls)
-    if not controls:
+    order = [pairs[0][0].subsystem] + [o.subsystem for o in pairs[0][1]]
+    if len(order) == 1:
         raise SubsystemError("at least one control is required")
-    subsystems = [o.subsystem for o in controls]
-    if len(set(subsystems)) != len(subsystems) or q.subsystem in subsystems:
+    if len(set(order)) != len(order):
         raise SubsystemError("control subsystems must be distinct and differ from q's")
-    span = set(range(len(dims)))
-    if q.subsystem not in span or not set(subsystems) <= span:
+    if not set(order) <= set(range(len(dims))):
         raise SubsystemError(f"subsystems out of range for dims {dims}")
-
-    for o in [q] + controls:
-        _check_fits(o.matrix.shape[0], dims, o.subsystem)
-    # one factor stack (k, d, d) per subsystem: I, q, q^2 on q's, each
-    # control's projectors on its own, I elsewhere
-    factors = [np.eye(d, dtype=complex)[None] for d in dims]
-    factors[q.subsystem] = np.array([np.eye(dims[q.subsystem]), q.matrix, q.matrix @ q.matrix])
-    for o, dec in zip(controls, decompositions):
-        factors[o.subsystem] = dec.projectors
-    # Their batched Kronecker product has axes (stack per subsystem, row
-    # per subsystem, column per subsystem); identity entries are exact,
-    # so the padding changes no digit.
-    n = len(dims)
-    ops = 1.0
-    for s, f in enumerate(factors):
-        shape = [1] * (3 * n)
-        shape[s], shape[n + s], shape[2 * n + s] = f.shape
-        ops = ops * f.reshape(shape)
+    for q, controls in pairs:
+        for o in (q, *controls):
+            _check_fits(o.matrix.shape[0], dims, o.subsystem)
+    # one factor stack (pairs, k, d, d) per subsystem: I, q, q^2 on q's,
+    # each control's projectors on its own, I elsewhere
+    factors = [np.eye(d, dtype=complex)[None, None] for d in dims]
+    factors[order[0]] = np.array([[np.eye(dims[order[0]]), q.matrix, q.matrix @ q.matrix]
+                                  for q, _ in pairs])
+    for k, s in enumerate(order[1:]):
+        factors[s] = np.array([decs[k].projectors for decs in decompositions])
+    # Each factor stack is prepended to the block built so far, so the
+    # stack axes stay in subsystem order and the innermost loop runs over
+    # the block's columns; identity entries are exact, so the padding
+    # changes no digit.
+    ops = factors[-1]
+    for f in factors[-2::-1]:
+        ops = f[:, :, None, :, None, :, None] * ops[:, None, :, None, :, None, :]
+        n, kf, k, df, d = ops.shape[:5]
+        ops = ops.reshape((n, kf * k, df * d, df * d))
     # Projectors on disjoint subsystems commute with each other and with
     # q, so the moments reduce to plain traces against the state.
-    order = [q.subsystem] + subsystems
-    dim = math.prod(dims)
-    ops = np.moveaxis(ops, order, range(len(order))).reshape((-1, dim, dim))
+    if order != sorted(order):
+        dim = ops.shape[-1]
+        ops = ops.reshape((len(ops),) + tuple(len(f[0]) for f in factors) + (dim, dim))
+        ops = np.moveaxis(ops, [1 + s for s in order], range(1, len(order) + 1))
+        ops = ops.reshape((len(ops), -1, dim, dim))
     ops.flags.writeable = False
-    return ChainPlan(ops=ops, shape=tuple(len(factors[s]) for s in subsystems))
+    return ChainPlan(ops=ops, shape=tuple(len(dec.outcomes) for dec in decompositions[0]))
 
 
-def chain_terms(rho: np.ndarray, plan: ChainPlan):
-    """Residual, first term and nested terms (N, len(shape) - 1) of the
-    chained decomposition of every state in a stack (N, D, D).
+def chain_table(rho: np.ndarray, plan: ChainPlan):
+    """Branch probabilities p and first and second moments s1, s2 of q
+    (N, pairs, *shape) of every pair of a plan and state of a stack
+    (N, D, D); null branches (probability below P_MIN) read zero."""
+    dim = plan.ops.shape[-1]
+    table = trace_products(rho, plan.ops.reshape((-1, dim, dim))).real
+    table = table.reshape((len(rho), len(plan.ops), 3) + plan.shape)
+    return np.where(table[:, :, 0] >= P_MIN, np.moveaxis(table, 2, 0), 0.0)
 
-    The outcome table is traced in one go and reshaped to
-    (N, n1, n2, ...); null branches (probability below P_MIN) are
-    skipped, and summing a prefix's trailing axes gives its marginals.
-    """
-    n_ctrl = len(plan.shape)
-    table = trace_products(rho, plan.ops).real.reshape((len(rho), 3) + plan.shape)
-    live = table[:, 0] >= P_MIN
-    p, s1, s2 = np.where(live, np.moveaxis(table, 1, 0), 0.0)
-    outcome_axes = tuple(range(1, n_ctrl + 1))
 
-    def explained(p_sum, s1_sum):
-        # p * E[Q|prefix]^2 = s1^2 / p per prefix; zero for a null prefix
-        ok = p_sum >= P_MIN
-        return np.where(ok, s1_sum * s1_sum / np.where(ok, p_sum, 1.0), 0.0)
+def _explained(p_sum, s1_sum):
+    # p * E[Q|prefix]^2 = s1^2 / p per prefix; zero for a null prefix
+    ok = p_sum >= P_MIN
+    return np.where(ok, s1_sum * s1_sum / np.where(ok, p_sum, 1.0), 0.0)
 
-    full = explained(p, s1)
-    residual = np.sum(s2 - full, axis=outcome_axes)
-    # prefix sums S_n = sum over outcome prefixes c_1..c_n of p * E[Q|prefix]^2
+
+def chain_totals(p, s1, s2):
+    """Residual sum(s2 - s1^2 / p) and explained total
+    sum(s1^2 / p) - <q>^2 (N, pairs) of a table from ``chain_table``: the
+    first and nested terms of the chain telescope to the latter."""
+    axes = tuple(range(2, p.ndim))
+    full = _explained(p, s1)
+    mean = s1.sum(axis=axes)
+    return np.sum(s2 - full, axis=axes), full.sum(axis=axes) - mean * mean
+
+
+def chain_terms(p, s1):
+    """First term and nested terms (N, pairs, len(shape) - 1) of the
+    chain, from a table of ``chain_table``: summing a prefix's trailing
+    outcome axes gives its marginals, and the differences of the prefix
+    sums S_n = sum over prefixes c_1..c_n of p * E[Q|prefix]^2 the terms."""
+    n_ctrl = p.ndim - 2
     levels = []
-    for n in range(1, n_ctrl):
-        trailing = tuple(range(n + 1, n_ctrl + 1))
-        level = explained(p.sum(axis=trailing), s1.sum(axis=trailing))
-        levels.append(level.sum(axis=tuple(range(1, n + 1))))
-    levels.append(full.sum(axis=outcome_axes))
-    total_mean = s1.sum(axis=outcome_axes)
-    first_term = levels[0] - total_mean * total_mean
-    return residual, first_term, np.diff(np.stack(levels, axis=1), axis=1)
+    for n in range(1, n_ctrl + 1):
+        trailing = tuple(range(n + 2, n_ctrl + 2))
+        level = _explained(p.sum(axis=trailing), s1.sum(axis=trailing))
+        levels.append(level.sum(axis=tuple(range(2, n + 2))))
+    mean = s1.sum(axis=tuple(range(2, n_ctrl + 2)))
+    return levels[0] - mean * mean, np.diff(np.stack(levels, axis=-1), axis=-1)
 
 
 def sequential_decomposition(
@@ -265,11 +274,13 @@ def sequential_decomposition(
     unconditional variance of q.
     """
     controls = list(controls)
-    plan = chain_plan(rho.dims, q, controls, projective_decompositions(controls))
-    residual, first_term, nested = chain_terms(rho.matrix[None], plan)
-    return SequentialDecomposition(residual=float(residual[0]),
-                                   first_term=float(first_term[0]),
-                                   nested=tuple(nested[0].tolist()))
+    plan = chain_plan(rho.dims, [(q, controls)], [projective_decompositions(controls)])
+    p, s1, s2 = chain_table(rho.matrix[None], plan)
+    residual, _ = chain_totals(p, s1, s2)
+    first_term, nested = chain_terms(p, s1)
+    return SequentialDecomposition(residual=float(residual[0, 0]),
+                                   first_term=float(first_term[0, 0]),
+                                   nested=tuple(nested[0, 0].tolist()))
 
 
 def conditional_stats(rho: DensityOperator, q: Observable, o: Observable) -> ConditionalStats:

@@ -44,7 +44,8 @@ from .measurements import (
     Observable,
     _check_fits,
     chain_plan,
-    chain_terms,
+    chain_table,
+    chain_totals,
     projective_decompositions,
 )
 from .states import DensityOperator, check_density, spectrum_entropies
@@ -274,16 +275,21 @@ def l_tra(rho_a: DensityOperator, a: Observable, b: Observable, o, theta: float)
 
 def vur_plan(setup: MeasurementSetup, dims) -> tuple[ChainPlan, ...]:
     """The chained decompositions of every (measured, controls) pair of a
-    setup, for states with subsystem dimensions ``dims``; built
-    once per setup and dimensions."""
+    setup, for states with subsystem dimensions ``dims``: one plan per
+    control layout (control subsystems in chain order, outcome counts),
+    stacking the layout's pairs; built once per setup and dimensions."""
     dims = tuple(int(d) for d in dims)
     plan = setup._plans.get(dims)
     if plan is None:
         # every control of every pair decomposed in one call
         decs = iter(projective_decompositions(o for _, controls in setup.pairs
                                               for o in controls))
-        plan = tuple(chain_plan(dims, q, controls, [next(decs) for _ in controls])
-                     for q, controls in setup.pairs)
+        groups = {}
+        for q, controls in setup.pairs:
+            pair_decs = [next(decs) for _ in controls]
+            layout = tuple((o.subsystem, len(dec.outcomes)) for o, dec in zip(controls, pair_decs))
+            groups.setdefault(layout, []).append(((q, controls), pair_decs))
+        plan = tuple(chain_plan(dims, *zip(*group)) for group in groups.values())
         setup._plans[dims] = plan
     return plan
 
@@ -292,13 +298,16 @@ def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup,
                  plan: tuple[ChainPlan, ...], checks: Checks) -> dict:
     """The assisted bound's columns (lhs, l_tra, subtracted, w, u; u NaN
     where undefined) for a stack of validated states (N, D, D); the reduced
-    measured states are validated as DensityOperator validates them."""
+    measured states are validated as DensityOperator validates them. Each
+    control layout's plan is traced in one einsum, and each pair's
+    residual and explained total (``chain_totals``) are summed into lhs
+    and subtracted."""
     lhs = 0.0
     subtracted = 0.0
     for chain in plan:
-        residual, first_term, nested = chain_terms(rho, chain)
-        lhs = lhs + residual
-        subtracted = subtracted + (first_term + nested.sum(axis=1))
+        residual, explained = chain_totals(*chain_table(rho, chain))
+        lhs = lhs + residual.sum(axis=1)
+        subtracted = subtracted + explained.sum(axis=1)
     rho_a = partial_trace(rho, dims, (setup.measured_subsystem,))
     check_density(rho_a, np.linalg.eigvalsh(rho_a), checks)
     bound = l_tra_batch(rho_a, setup.pairs[0][0], setup.pairs[1][0],

@@ -305,6 +305,7 @@ def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str
     Rows are formatted straight from each chunk's columns; each distinct
     axis value is formatted once per sweep.
     """
+    vur_plan(setup, (2, 2))  # memoized: a setup that cannot be planned leaves no file
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     axis_fields = [[_FIELD % x for x in axis.tolist()] for axis in axes]
     theta_field = _FIELD % grid.theta

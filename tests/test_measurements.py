@@ -74,7 +74,8 @@ class TestProjectiveDecomposition:
     def test_batch_matches_single_and_eigh_oracle(self):
         """A mixed list in interleaved order, decomposed in one call, agrees
         outcome by outcome with each observable's own decomposition and
-        with clusters formed by hand from np.linalg.eigh."""
+        with clusters formed by hand from np.linalg.eigh; each projector
+        stack is built once, read-only, and holds the outcomes' projectors."""
         rng = np.random.default_rng(72)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u = np.linalg.qr(g)[0]
@@ -94,6 +95,10 @@ class TestProjectiveDecomposition:
                 else:
                     clusters.append([i])
             assert len(dec.outcomes) == len(single.outcomes) == len(clusters)
+            assert dec.projectors is dec.projectors and not dec.projectors.flags.writeable
+            assert np.array_equal(dec.projectors, np.array([p for _, p in dec.outcomes]))
+            with pytest.raises(ValueError):
+                dec.projectors[0, 0, 0] = 0.0
             for (w, p), (w1, p1), cols in zip(dec.outcomes, single.outcomes, clusters):
                 oracle = sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in cols)
                 assert abs(w - w1) <= 1e-12 and abs(w - np.mean(vals[cols])) <= 1e-12

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qurel.errors import DegenerateOperator, DegeneracyError, DimensionError, SubsystemError, ValidationError
-from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from qurel.measurements import Observable, variance
+from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
+from qurel.measurements import Observable, sequential_decomposition, variance
 from qurel.model import ModelParams, T_MIN, thermal_state
 from qurel.relations import (
     MeasurementSetup,
@@ -13,8 +13,10 @@ from qurel.relations import (
     l_tra,
     maximal_overlap_c,
     qc_vur,
+    qc_vur_batch,
     qm_eur,
     schrodinger_bound,
+    vur_plan,
     xz_control_setup,
 )
 from qurel.states import DensityOperator
@@ -306,6 +308,44 @@ class TestQcVur:
             assert abs(res.lhs + res.subtracted - total) <= 1e-9
             assert res.lhs >= res.w - 1e-9
 
+    def test_mixed_control_layouts_match_per_pair_oracle(self):
+        """Pairs whose controls differ in subsystems, in count and in outcome
+        count (a degenerate control with a single outcome), q on subsystem 2
+        and one chain in the order (3, 0): one plan per control layout, and
+        qc_vur sums what each pair's sequential decomposition gives."""
+        rng = np.random.default_rng(86)
+        setup = _mixed_layout_setup(rng)
+        dims = (2, 2, 2, 2)
+        assert [len(plan.ops) for plan in vur_plan(setup, dims)] == [2, 1, 1, 1, 1]
+        for _ in range(20):
+            rho = random_density(rng, dims)
+            res = qc_vur(rho, setup)
+            seqs = [sequential_decomposition(rho, q, controls) for q, controls in setup.pairs]
+            assert abs(res.lhs - sum(seq.residual for seq in seqs)) <= 1e-12
+            explained = sum(seq.first_term + sum(seq.nested) for seq in seqs)
+            assert abs(res.subtracted - explained) <= 1e-12
+
+    def test_multi_qubit_batch_equals_batch_of_one(self):
+        """Batched columns of 3- and 4-qubit states equal each state's batch
+        of one bit for bit."""
+        rng = np.random.default_rng(87)
+        chain = tuple((Observable(random_hermitian(rng, 2), 0),
+                       (Observable(random_hermitian(rng, 2), 1),
+                        Observable(random_hermitian(rng, 2), 2))) for _ in range(2))
+        setups = [(MeasurementSetup(pairs=chain, ltra_operator=SIGMA_X + SIGMA_Z, theta=0.5),
+                   (2, 2, 2)),
+                  (_mixed_layout_setup(rng), (2, 2, 2, 2))]
+        for setup, dims in setups:
+            plan = vur_plan(setup, dims)
+            rho = np.array([random_density(rng, dims).matrix for _ in range(9)])
+            checks = Checks(len(rho))
+            batch = qc_vur_batch(rho, dims, setup, plan, checks)
+            assert not checks.failed.any()
+            for i in range(len(rho)):
+                one = qc_vur_batch(rho[i:i + 1], dims, setup, plan, Checks(1))
+                for name, column in batch.items():
+                    assert column[i:i + 1].tobytes() == one[name].tobytes(), name
+
     def test_tightness_at_least_one(self):
         rng = np.random.default_rng(85)
         setup = xz_control_setup()
@@ -314,6 +354,19 @@ class TestQcVur:
             res = qc_vur(rho, setup)
             if res.u is not None and res.w > 1e-6:
                 assert res.u >= 1.0 - 1e-9
+
+
+def _mixed_layout_setup(rng) -> MeasurementSetup:
+    """Six pairs on four qubits, q on qubit 2, in five control layouts:
+    (3, 0) twice, (1,), (1, 3) with a single-outcome control on 1, (1, 3)
+    and (0, 1, 3)."""
+    def obs(subsystem):
+        return Observable(random_hermitian(rng, 2), subsystem)
+
+    controls = [(obs(3), obs(0)), (obs(1),), (obs(3), obs(0)),
+                (Observable(0.7 * I2, 1), obs(3)), (obs(1), obs(3)), (obs(0), obs(1), obs(3))]
+    return MeasurementSetup(pairs=tuple((obs(2), c) for c in controls),
+                            ltra_operator=SIGMA_X + SIGMA_Z, theta=0.9)
 
 
 class TestMeasurementSetup:

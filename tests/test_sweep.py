@@ -186,13 +186,20 @@ class TestBatchedSweep:
 
     def test_setup_every_point_rejects(self, tmp_path):
         """A setup that cannot be planned on two qubits raises once, before
-        any point is evaluated, as qc_vur does."""
+        any point is evaluated, as qc_vur does, and before sweep_csv opens
+        its destination."""
         grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
         setup = xz_control_setup(controls=(2,))  # no third qubit in the model
         with pytest.raises(SubsystemError, match="out of range"):
             run_sweep(grid, setup)
         with pytest.raises(SubsystemError, match="out of range"):
             sweep_csv(grid, setup, tmp_path / "none.csv")
+        assert not (tmp_path / "none.csv").exists()
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier contents\n")
+        with pytest.raises(SubsystemError, match="out of range"):
+            sweep_csv(grid, setup, kept)
+        assert kept.read_bytes() == b"earlier contents\n"
         with pytest.raises(SubsystemError, match="out of range"):
             evaluate_point(ModelParams(1.0, 1.0, 1.0), setup)
 
