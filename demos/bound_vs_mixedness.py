@@ -5,6 +5,8 @@ then demonstrates the stronger statement: at matched mixedness the bound
 does not care about the coupling magnitude at all (only its sign).
 Run:  python demos/bound_vs_mixedness.py
 """
+import csv
+
 from qurel import (
     ModelParams,
     SweepGrid,
@@ -12,7 +14,6 @@ from qurel import (
     closed_form_mixedness,
     match_mixedness,
     qc_vur,
-    run_sweep,
     sweep_csv,
     thermal_state,
     xz_control_setup,
@@ -21,14 +22,16 @@ from qurel import (
 setup = xz_control_setup(theta=0.5)
 
 grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(0.05, 5.0, 120))
-records = run_sweep(grid, setup)
 sweep_csv(grid, setup, "bound_vs_mixedness.csv")
-print(f"wrote bound_vs_mixedness.csv ({len(records)} rows: t, gamma, C, w, u, ...)")
+# read the dataset back; an empty field is an undefined ratio
+with open("bound_vs_mixedness.csv", newline="") as fh:
+    rows = [{k: float(v) if v else None for k, v in row.items()} for row in csv.DictReader(fh)]
+print(f"wrote bound_vs_mixedness.csv ({len(rows)} rows: t, gamma, C, w, u, ...)")
 
 print("\nw rises with gamma while concurrence falls:")
-for rec in records[::24]:
-    print(f"  t = {rec.t:5.2f}  gamma = {rec.gamma:.4f}  C = {rec.concurrence:.4f}  "
-          f"w = {rec.w:.4f}  u = {rec.u:.4f}")
+for r in rows[::24]:
+    print(f"  t = {r['t']:5.2f}  gamma = {r['gamma']:.4f}  C = {r['concurrence']:.4f}  "
+          f"w = {r['w']:.4f}  u = {r['u']:.4f}")
 
 # --- matched-mixedness comparison ----------------------------------------
 print("\nsame mixedness, different couplings, identical bound:")

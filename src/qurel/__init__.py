@@ -73,6 +73,6 @@ from .sweep import (
     evaluate_point,
     figure_preset,
     match_mixedness,
-    run_sweep,
+    sweep_columns,
     sweep_csv,
 )

@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     for axis in ("d", "j", "t"):
         p_sweep.add_argument(f"--{axis}", help=f"{axis} range start:stop:steps or one value; "
                              f"a negative start needs the = form, --{axis}=START:STOP:STEPS")
-    p_sweep.add_argument("--theta", type=float, default=0.5)
+    p_sweep.add_argument("--theta", type=float, help="phase of explicit ranges, default 0.5")
     p_sweep.add_argument("--out", required=True, help="CSV destination path")
 
     p_point = sub.add_parser("point", help="evaluate a single model point")
@@ -115,16 +115,19 @@ def _cmd_sweep(args) -> int:
     if args.preset:
         if args.d or args.j or args.t:
             raise UsageError("--preset cannot be combined with explicit ranges")
+        if args.theta is not None:
+            raise UsageError("--preset fixes theta at 0.5; --theta needs explicit ranges")
         grid, setup, _ = figure_preset(args.preset)
     else:
         if not (args.d and args.j and args.t):
             raise UsageError("either --preset or all of --d/--j/--t are required")
+        theta = 0.5 if args.theta is None else args.theta
         with _arguments():
             grid = SweepGrid(d_range=_parse_range(args.d, "d"),
                              j_range=_parse_range(args.j, "j"),
                              t_range=_parse_range(args.t, "t"),
-                             theta=args.theta)
-            setup = xz_control_setup(theta=args.theta)
+                             theta=theta)
+            setup = xz_control_setup(theta=theta)
     try:
         problems = sweep_csv(grid, setup, args.out)
     except OSError as exc:

@@ -9,18 +9,18 @@ statement instead of a visual one.
 
 Points are evaluated in chunks, each as one (N, 4, 4) batch through the
 array kernels of the lower modules, with one eigendecomposition per state;
-``evaluate_point`` is a batch of one. Each chunk comes out as record
-columns and the error of each point that failed, whose row is NaN.
-``sweep_csv`` (behind ``qurel sweep``) writes each chunk's rows from those
-columns as soon as it is evaluated, so a sweep of any size holds one chunk
-at a time; ``run_sweep`` turns the same columns into records.
+``evaluate_point`` is a batch of one. Each chunk comes out as columns, one
+array per CSV column, and the error of each point that failed, whose
+values are NaN. ``sweep_csv`` (behind ``qurel sweep``) writes each chunk's
+rows from those columns as soon as it is evaluated, so a sweep of any size
+holds one chunk at a time; ``sweep_columns`` concatenates them into the
+grid's columns.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -46,9 +46,6 @@ from .relations import (
     xz_control_setup,
 )
 from .states import check_density, concurrence_batch, mixedness_batch
-
-CSV_HEADER = ("d", "j", "t", "theta", "gamma", "concurrence", "l_tra", "lhs",
-              "w", "u", "h_rb", "h_sb", "h_ab", "eur_rhs", "u_eur")
 
 #: matched-mixedness targets are located on this log-spaced scan
 SCAN_T_MAX = 1e4
@@ -107,53 +104,48 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Everything computed at one grid point. Ratios are None when their
-    denominator is numerically zero; ``error`` flags a failed point."""
+    """One grid point's row, field for field the CSV columns in their
+    order: what ``evaluate_point`` returns. A ratio is None when its
+    denominator is numerically zero."""
 
     d: float
     j: float
     t: float
     theta: float
-    gamma: float | None = None
-    concurrence: float | None = None
-    l_tra: float | None = None
-    lhs: float | None = None
-    w: float | None = None
-    u: float | None = None
-    h_rb: float | None = None
-    h_sb: float | None = None
-    h_ab: float | None = None
-    eur_rhs: float | None = None
-    u_eur: float | None = None
-    error: str | None = None
+    gamma: float
+    concurrence: float
+    l_tra: float
+    lhs: float
+    w: float
+    u: float | None
+    h_rb: float
+    h_sb: float
+    h_ab: float
+    eur_rhs: float
+    u_eur: float | None
 
     def invariant_violations(self) -> list[str]:
         """Human-readable list of violated row invariants (empty if fine):
         ``_violations`` as a batch of one."""
-        values = np.array(_invariant_fields(self), dtype=float)[:, None]
-        errors = {} if self.error is None else {0: self.error}
-        return [msg for _, msg in _violations(values, errors)]
+        values = np.array([getattr(self, name) for name in _INVARIANT_FIELDS], dtype=float)
+        return [msg for _, msg in _violations(values[:, None], {})]
 
 
-def _failure(d: float, j: float, t: float, error) -> str:
-    """The invariant violation of a point that failed with ``error``, an
-    exception or its text."""
-    return f"point ({d}, {j}, {t}) failed: {error}"
+CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 
 
 #: the record fields the row invariants read
 _INVARIANT_FIELDS = ("d", "j", "t", "gamma", "concurrence", "lhs", "w", "h_rb", "h_sb",
                      "eur_rhs")
-_invariant_fields = operator.attrgetter(*_INVARIANT_FIELDS)
 
 
 def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
     """(row, message) of every failed row and violated row invariant of a
     batch of rows whose fields ``_INVARIANT_FIELDS`` are the rows of
     ``values`` (10, N), in row order and, within a row, in check order. A
-    row in ``errors`` failed with that error: its one message is
-    ``_failure``'s, and its values are not checked. A NaN value violates a
-    range check and no inequality, as on a record."""
+    row in ``errors`` failed with that error: its one message names the
+    point and the error, and its values are not checked. A NaN value
+    violates a range check and no inequality, as on a record."""
     d, j, t, gamma, conc, lhs, w, h_rb, h_sb, rhs = values
     entropic = h_rb + h_sb
     bad = (~((gamma >= -1e-9) & (gamma <= 0.75 + 1e-9)),
@@ -170,7 +162,7 @@ def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
                 lambda i: f"entropic sum {entropic[i]} below bound {rhs[i]}")
     found = sorted([(i, k) for k, rows in enumerate(bad) for i in np.flatnonzero(rows).tolist()
                     if i not in errors] + [(i, -1) for i in errors])
-    return [(i, _failure(d[i], j[i], t[i], errors[i]) if k < 0
+    return [(i, f"point ({d[i]}, {j[i]}, {t[i]}) failed: {errors[i]}" if k < 0
              else f"({d[i]}, {j[i]}, {t[i]}): {messages[k](i)}") for i, k in found]
 
 
@@ -195,28 +187,14 @@ def _columns(d, j, t, setup: MeasurementSetup, checks: Checks) -> dict:
 _RATIOS = tuple(CSV_HEADER.index(name) for name in ("u", "u_eur"))
 
 
-def _records(theta: float, cols: dict, errors: dict) -> list:
-    """Records of a batch's columns; the row of each ``errors`` key is a
-    failed point, whose record carries only its coordinates and error text."""
-    columns = [repeat(theta) if name == "theta" else cols[name].tolist()
-               for name in CSV_HEADER]
-    for k in _RATIOS:
-        columns[k] = [optional(x) for x in columns[k]]
-    records = [SweepRecord(*row) for row in zip(*columns)]
-    for i, error in errors.items():
-        rec = records[i]
-        records[i] = SweepRecord(rec.d, rec.j, rec.t, theta, error=str(error))
-    return records
-
-
 def _chunks(axes, setup: MeasurementSetup):
     """Evaluates the grid of the (d, j, t) value arrays ``axes`` in
     row-major order, CHUNK_POINTS points at a time, each chunk one batch of
     (N, 4, 4) arrays with the setup's operators built once for the whole
     sweep.
 
-    Yields, per chunk, the points' axis indices, their record columns (CSV
-    names but theta; NaN for an undefined ratio and in every value column
+    Yields, per chunk, the points' axis indices, their columns (CSV names
+    but theta; NaN for an undefined ratio and in every value column
     of a failed point) and the error of each failed point's first failed
     check, keyed by row.
     """
@@ -233,32 +211,32 @@ def _chunks(axes, setup: MeasurementSetup):
 
 
 def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
-    """Full record for one model point: the sweep's evaluation as a batch
-    of one, which raises the error of the first check the point fails."""
+    """The row of one model point: the sweep's evaluation as a batch of
+    one, which raises the error of the first check the point fails."""
     axes = tuple(np.array([x], dtype=float) for x in (params.d, params.j, params.t))
     [(_, cols, errors)] = _chunks(axes, setup)
     if errors:
         raise errors[0]
-    return _records(setup.theta, cols, errors)[0]
+    row = {name: col.item() for name, col in cols.items()}
+    return SweepRecord(theta=setup.theta, **dict(row, u=optional(row["u"]),
+                                                 u_eur=optional(row["u_eur"])))
 
 
-def run_sweep(grid: SweepGrid, setup: MeasurementSetup) -> list[SweepRecord]:
-    """One record per grid point, in row-major (d, j, t) order, from the
-    columns that ``sweep_csv`` writes.
-
-    The grid is evaluated in chunks of CHUNK_POINTS points, each one batch
-    of (N, 4, 4) arrays; working memory beyond the records is bounded by
-    the chunk size, not the grid size. A failing point is flagged on its
-    record instead of aborting the sweep, so edge points cannot take down a
-    long run: its record carries the error of the first check it failed,
-    the error its ``evaluate_point`` raises. A setup that cannot be planned
-    on two qubits raises before any point is evaluated.
-    """
-    records = []
+def sweep_columns(grid: SweepGrid, setup: MeasurementSetup) -> tuple[dict, dict]:
+    """The grid's columns, one array per CSV_HEADER name (theta too) in
+    row-major (d, j, t) order, evaluated in chunks as ``sweep_csv`` does,
+    and the error of each failed point keyed by its row. A ratio is NaN
+    where it is undefined, and a failed point's values are all NaN: its
+    error, the one its ``evaluate_point`` raises, does not abort the
+    sweep. A setup that cannot be planned on two qubits raises at once."""
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
-    for _, cols, errors in _chunks(axes, setup):
-        records += _records(grid.theta, cols, errors)
-    return records
+    chunks, errors = [], {}
+    for _, cols, chunk_errors in _chunks(axes, setup):
+        errors.update((CHUNK_POINTS * len(chunks) + i, e) for i, e in chunk_errors.items())
+        chunks.append(cols)
+    n = math.prod(map(len, axes))
+    return {name: np.full(n, grid.theta) if name == "theta"
+            else np.concatenate([cols[name] for cols in chunks]) for name in CSV_HEADER}, errors
 
 
 #: one CSV field: 17 significant digits, which round-trip a float exactly
@@ -296,11 +274,12 @@ def _column_rows(index, axis_fields, theta_field: str, cols: dict, errors: dict)
 
 def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str]:
     """Evaluates a sweep and writes it as CSV, chunk by chunk as each
-    finishes, without building the grid's records: fixed header,
+    finishes, without holding the grid's columns: fixed header,
     17-significant-digit floats, LF line endings, empty fields for
     undefined ratios and for every value of a failed point. Returns the
-    rows' invariant violations in row order, the messages of their
-    records' ``invariant_violations``.
+    rows' invariant violations in row order: a passing point's are its
+    ``evaluate_point`` record's ``invariant_violations``, and a failed
+    point's one message names its error.
 
     Rows are formatted straight from each chunk's columns; each distinct
     axis value is formatted once per sweep.

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import operator
 import tracemalloc
 from pathlib import Path
@@ -8,10 +9,11 @@ import pytest
 
 from qurel import sweep, verify
 from qurel.cli import main
-from qurel.model import T_MIN
+from qurel.errors import QurelError
+from qurel.model import T_MIN, ModelParams
 from qurel.relations import xz_control_setup
 from qurel.states import mixedness_batch
-from qurel.sweep import CSV_HEADER, SweepGrid, run_sweep
+from qurel.sweep import CSV_HEADER, SweepGrid, evaluate_point
 
 DATA = Path(__file__).parent / "data"
 #: committed ``qurel sweep --preset P`` outputs, as (file, every how many
@@ -32,6 +34,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def batch_of_one(grid, setup) -> list:
+    """(CSV fields, warnings, failed) of each grid point in row-major
+    order, from evaluate_point: the fields and invariant violations of its
+    record or, for a point that raises, its axes and theta with no values
+    and the one warning that names its error."""
+    oracle = []
+    for d, j, t in itertools.product(grid.d_values().tolist(), grid.j_values().tolist(),
+                                     grid.t_values().tolist()):
+        try:
+            rec = evaluate_point(ModelParams(d, j, t), setup)
+        except QurelError as exc:
+            oracle.append(((d, j, t, grid.theta) + (None,) * (len(CSV_HEADER) - 4),
+                           [f"point ({d}, {j}, {t}) failed: {exc}"], True))
+        else:
+            oracle.append((operator.attrgetter(*CSV_HEADER)(rec), rec.invariant_violations(),
+                           False))
+    return oracle
 
 
 class TestPointCommand:
@@ -129,6 +150,16 @@ class TestSweepCommand:
         assert code == 1
         assert "usage error" in err
 
+    def test_theta_with_preset_exits_one(self, tmp_path, capsys):
+        """A preset fixes its own theta: a --theta beside it is refused, not
+        silently dropped, and no file is written."""
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "--preset", "fig2", "--theta", "1.2",
+                               "--out", str(out))
+        assert code == 1
+        assert "usage error" in err and "--theta" in err
+        assert not out.exists()
+
     def test_unknown_preset_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--preset", "fig99",
                                "--out", str(tmp_path / "x.csv"))
@@ -154,15 +185,15 @@ class TestSweepCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_streamed_csv_equals_record_path(self, tmp_path, capsys):
-        """The CSV parsed back equals run_sweep's records field for field,
-        and the warnings are the records' invariant violations, across a
+        """The CSV parsed back equals the batch of one's records field for
+        field, and the warnings are their invariant violations, across a
         chunk boundary: the d = 1e308 half of the grid is flagged, and the
         d = 0 half has undefined u_eur rows near T_MIN."""
         grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
                          t_range=(T_MIN, 5.0, 300))
-        records = run_sweep(grid, xz_control_setup(theta=0.5))
-        assert sum(rec.error is not None for rec in records) == 300
-        assert any(rec.error is None and rec.u_eur is None for rec in records)
+        oracle = batch_of_one(grid, xz_control_setup(theta=0.5))
+        assert sum(failed for _, _, failed in oracle) == 300
+        assert any(not failed and fields[-1] is None for fields, _, failed in oracle)
         out = tmp_path / "streamed.csv"
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1e308:2", "--j", "1",
                                "--t", f"{T_MIN}:5:300", "--out", str(out))
@@ -171,23 +202,23 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_HEADER)
         assert [tuple(float(x) if x else None for x in row) for row in rows[1:]] == \
-            list(map(operator.attrgetter(*CSV_HEADER), records))
-        assert err == "".join(f"warning: {msg}\n"
-                              for rec in records for msg in rec.invariant_violations())
+            [fields for fields, _, _ in oracle]
+        assert err == "".join(f"warning: {msg}\n" for _, messages, _ in oracle
+                              for msg in messages)
 
     def test_streamed_warnings_keep_row_order(self, tmp_path, capsys, monkeypatch):
         """Flagged rows interleave, within one chunk, with rows whose columns
         break an invariant (gamma pushed out of range here); the warnings
-        still come in row order, as the records give them."""
+        still come in row order, as the batch of one gives them."""
         monkeypatch.setattr(sweep, "mixedness_batch", lambda rho: 1.0 + mixedness_batch(rho))
         grid = SweepGrid(d_range=(1.0, 2.0, 2), j_range=(1.0, 1e308, 2), t_range=(1.0, 1.0, 1))
-        records = run_sweep(grid, xz_control_setup(theta=0.5))
-        assert [rec.error is None for rec in records] == [True, False, True, False]
+        oracle = batch_of_one(grid, xz_control_setup(theta=0.5))
+        assert [not failed for _, _, failed in oracle] == [True, False, True, False]
         code, _, err = run_cli(capsys, "sweep", "--d", "1:2:2", "--j", "1:1e308:2", "--t", "1",
                                "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert err == "".join(f"warning: {msg}\n"
-                              for rec in records for msg in rec.invariant_violations())
+        assert err == "".join(f"warning: {msg}\n" for _, messages, _ in oracle
+                              for msg in messages)
         assert ["outside" in line for line in err.splitlines()] == [True, False, True, False]
 
     def test_nan_value_prints_nan_and_failed_point_prints_empty(self, tmp_path, capsys,

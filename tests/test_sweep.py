@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qurel import sweep
 from qurel.errors import QurelError, RangeError, SubsystemError, UsageError, ValidationError
 from qurel.model import ModelParams, T_MIN, closed_form_concurrence, closed_form_mixedness
-from qurel.relations import xz_control_setup
+from qurel.relations import optional, xz_control_setup
 from qurel.sweep import (
     CHUNK_POINTS,
     CSV_HEADER,
@@ -20,7 +20,7 @@ from qurel.sweep import (
     figure_preset,
     format_value,
     match_mixedness,
-    run_sweep,
+    sweep_columns,
     sweep_csv,
 )
 
@@ -65,26 +65,45 @@ class TestSweepGrid:
         assert list(grid.d_values()) == [0.0, 1.0]
 
 
+def _record(cols: dict, i: int) -> SweepRecord:
+    """Row ``i`` of a sweep's columns as evaluate_point gives it: a record
+    whose undefined (NaN) ratios are None."""
+    row = {name: col[i].item() for name, col in cols.items()}
+    return SweepRecord(**dict(row, u=optional(row["u"]), u_eur=optional(row["u_eur"])))
+
+
+def _point_or_error(cols: dict, i: int, setup):
+    """What the batch of one gives for row ``i``'s point: its record, or
+    the text of the error it raises."""
+    try:
+        return evaluate_point(ModelParams(*(cols[k][i].item() for k in "djt")), setup)
+    except QurelError as exc:
+        return str(exc)
+
+
 class TestRunSweep:
     def test_single_point_matches_evaluate_point(self):
         grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
         setup = xz_control_setup()
-        records = run_sweep(grid, setup)
-        assert len(records) == 1
+        cols, errors = sweep_columns(grid, setup)
+        assert list(cols) == list(CSV_HEADER)
+        assert all(len(col) == 1 for col in cols.values()) and errors == {}
         direct = evaluate_point(ModelParams(1.0, 1.0, 1.0), setup)
-        assert records[0] == direct
+        assert _record(cols, 0) == direct
 
     def test_row_major_order(self):
         grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 2.0, 2), t_range=(1.0, 2.0, 2))
-        records = run_sweep(grid, xz_control_setup())
-        coords = [(r.d, r.j, r.t) for r in records]
+        cols, _ = sweep_columns(grid, xz_control_setup())
+        coords = list(zip(cols["d"].tolist(), cols["j"].tolist(), cols["t"].tolist()))
         expected = [(d, j, t) for d in (0.0, 1.0) for j in (1.0, 2.0) for t in (1.0, 2.0)]
         assert coords == expected
 
     def test_records_satisfy_row_invariants(self):
         grid = SweepGrid(d_range=(0.0, 2.0, 3), j_range=(-2.0, -0.5, 3), t_range=(0.3, 3.0, 4))
-        for rec in run_sweep(grid, xz_control_setup()):
-            assert rec.invariant_violations() == []
+        cols, errors = sweep_columns(grid, xz_control_setup())
+        assert errors == {}
+        values = np.array([cols[name] for name in sweep._INVARIANT_FIELDS])
+        assert sweep._violations(values, errors) == []
 
     def test_invariant_violation_messages(self):
         """Each violated invariant of a record gives one message, in check
@@ -102,8 +121,10 @@ class TestRunSweep:
         assert bad.invariant_violations() == [at + "gamma nan outside [0, 0.75]",
                                               at + "concurrence 1.5 outside [0, 1]",
                                               at + "entropic sum 0.7 below bound 1.1"]
-        failed = SweepRecord(d=1.0, j=1.0, t=1.0, theta=0.5, error="boom")
-        assert failed.invariant_violations() == ["point (1.0, 1.0, 1.0) failed: boom"]
+        # a failed row has the one message of its error, whatever its values
+        failed = np.array([[1.0]] * 3 + [[math.nan]] * 7)
+        assert sweep._violations(failed, {0: "boom"}) == [
+            (0, "point (1.0, 1.0, 1.0) failed: boom")]
 
     def test_cold_map_mixedness_structure(self):
         """On the coupling map at t = 0.5 (the fig1a setting, coarsened),
@@ -111,10 +132,10 @@ class TestRunSweep:
         off toward strong coupling of either sign."""
         grid = SweepGrid(d_range=(0.0, 3.0, 4), j_range=(-2.97, 3.03, 11),
                          t_range=(0.5, 0.5, 1))
-        records = run_sweep(grid, xz_control_setup())
+        cols, _ = sweep_columns(grid, xz_control_setup())
         by_j = {}
-        for rec in records:
-            by_j.setdefault(rec.j, []).append(rec.gamma)
+        for j, gamma in zip(cols["j"].tolist(), cols["gamma"].tolist()):
+            by_j.setdefault(j, []).append(gamma)
         js = sorted(by_j)
         weakest = min(js, key=abs)
         assert min(by_j[weakest]) > 0.7  # near maximally mixed
@@ -124,47 +145,52 @@ class TestRunSweep:
         assert max(by_j[js[0]]) < 0.70
 
 
-def _point_or_error(rec, setup):
-    """What the batch of one gives for a record's point: its record, or
-    the text of the error it raises."""
-    try:
-        return evaluate_point(ModelParams(rec.d, rec.j, rec.t), setup)
-    except QurelError as exc:
-        return str(exc)
-
-
 class TestBatchedSweep:
-    """run_sweep evaluates chunks of points as one batch; every record must
-    equal what evaluate_point, the batch of one, gives for its point."""
+    """sweep_columns evaluates chunks of points as one batch; every row
+    must equal what evaluate_point, the batch of one, gives for its point."""
 
     def test_grid_across_chunk_boundaries(self):
         grid = SweepGrid(d_range=(0.0, 3.0, 3), j_range=(-2.0, 2.5, 300),
                          t_range=(0.4, 0.4, 1))
         assert 900 > CHUNK_POINTS
         setup = xz_control_setup()
-        records = run_sweep(grid, setup)
-        assert len(records) == 900
-        for rec in records:
-            assert rec.error is None
-            assert rec == _point_or_error(rec, setup)
+        cols, errors = sweep_columns(grid, setup)
+        assert all(len(col) == 900 for col in cols.values())
+        assert errors == {}
+        for i in range(900):
+            assert _record(cols, i) == _point_or_error(cols, i, setup)
+
+    def test_errors_are_keyed_by_grid_row_across_chunks(self):
+        """The second chunk's failed rows are keyed by their rows in the
+        grid, not in the chunk: each key's error is its own point's."""
+        grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(-2.0, 2.5, 300),
+                         t_range=(1.0, 1.0, 1))
+        assert 300 < CHUNK_POINTS < 600
+        setup = xz_control_setup()
+        cols, errors = sweep_columns(grid, setup)
+        assert sorted(errors) == list(range(300, 600))
+        for i in range(600):
+            if i in errors:
+                assert str(errors[i]) == _point_or_error(cols, i, setup)
+            else:
+                assert _record(cols, i) == _point_or_error(cols, i, setup)
 
     def test_failed_point_is_flagged_alone(self):
         grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
                          t_range=(1.0, 1.0, 1))
         setup = xz_control_setup()
-        good, bad = run_sweep(grid, setup)
-        assert good.error is None and good == _point_or_error(good, setup)
-        assert bad.error is not None
-        assert bad.error == _point_or_error(bad, setup)
-        assert bad.gamma is None and bad.u is None
+        cols, errors = sweep_columns(grid, setup)
+        assert list(errors) == [1]
+        assert _record(cols, 0) == _point_or_error(cols, 0, setup)
+        assert str(errors[1]) == _point_or_error(cols, 1, setup)
+        assert np.isnan(cols["gamma"][1]) and np.isnan(cols["u"][1])
 
     def test_failed_point_columns_are_nan(self):
-        """A chunk's columns hold a failed point's row as NaN, never the
-        values its batch computed for a state it rejected."""
+        """The columns hold a failed point's row as NaN, never the values
+        its batch computed for a state it rejected."""
         grid = SweepGrid(d_range=(0.0, 1e308, 2), j_range=(1.0, 1.0, 1),
                          t_range=(1.0, 1.0, 1))
-        axes = (grid.d_values(), grid.j_values(), grid.t_values())
-        [(_, cols, errors)] = sweep._chunks(axes, xz_control_setup())
+        cols, errors = sweep_columns(grid, xz_control_setup())
         assert list(errors) == [1]
         values = np.array([cols[name] for name in CSV_HEADER[4:]])
         assert np.isnan(values[:, 1]).all() and not np.isnan(values[:, 0]).any()
@@ -173,7 +199,7 @@ class TestBatchedSweep:
         grid = SweepGrid(d_range=(0.0, 2.0, 3), j_range=(-1.0, 1.5, 4),
                          t_range=(0.5, 0.5, 1))
         setup = xz_control_setup()
-        expected = run_sweep(grid, setup)
+        expected, expected_errors = sweep_columns(grid, setup)
         eigh = np.linalg.eigh
 
         def fails_on_batches(m, *args, **kwargs):
@@ -182,7 +208,12 @@ class TestBatchedSweep:
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", fails_on_batches)
-        assert run_sweep(grid, setup) == expected
+        cols, errors = sweep_columns(grid, setup)
+        assert list(cols) == list(expected)
+        for name in expected:
+            np.testing.assert_array_equal(cols[name], expected[name], err_msg=name)
+        assert {i: str(e) for i, e in errors.items()} == \
+            {i: str(e) for i, e in expected_errors.items()}
 
     def test_setup_every_point_rejects(self, tmp_path):
         """A setup that cannot be planned on two qubits raises once, before
@@ -191,7 +222,7 @@ class TestBatchedSweep:
         grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
         setup = xz_control_setup(controls=(2,))  # no third qubit in the model
         with pytest.raises(SubsystemError, match="out of range"):
-            run_sweep(grid, setup)
+            sweep_columns(grid, setup)
         with pytest.raises(SubsystemError, match="out of range"):
             sweep_csv(grid, setup, tmp_path / "none.csv")
         assert not (tmp_path / "none.csv").exists()
@@ -229,14 +260,16 @@ def _grids(draw):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_grids())
 def test_batched_records_equal_batch_of_one(grid):
-    """Every record equals its batch of one and, where defined, holds the
-    row invariants and agrees with the closed forms."""
+    """Every row equals its batch of one and, where defined, holds the row
+    invariants and agrees with the closed forms."""
     setup = xz_control_setup(theta=grid.theta)
-    for rec in run_sweep(grid, setup):
-        expected = _point_or_error(rec, setup)
-        assert (rec.error if rec.error is not None else rec) == expected
-        if rec.error is not None:
+    cols, errors = sweep_columns(grid, setup)
+    for i in range(len(cols["d"])):
+        expected = _point_or_error(cols, i, setup)
+        assert (str(errors[i]) if i in errors else _record(cols, i)) == expected
+        if i in errors:
             continue
+        rec = _record(cols, i)
         params = ModelParams(rec.d, rec.j, rec.t)
         assert rec.lhs >= rec.w - 1e-9
         assert rec.h_rb + rec.h_sb >= rec.eur_rhs - 1e-9
