@@ -125,8 +125,9 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     ``dims`` lists the subsystem dimensions whose product must equal the
     matrix dimension; ``keep`` is a nonempty collection of subsystem
     indices. Kept subsystems stay in their original relative order and
-    the total trace is preserved. A stack ``(N, d, d)`` is reduced matrix
-    by matrix.
+    the total trace is preserved. The matrix, or every matrix of a stack
+    ``(N, d, d)``, is reduced in one ``einsum`` over its ``(dims, dims)``
+    tensor, in which each traced subsystem's row and column share a label.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -145,14 +146,12 @@ def partial_trace(m, dims, keep) -> np.ndarray:
         raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
 
     lead = m.shape[:-2]
-    tensor = m.reshape(lead + dims + dims)
-    traced = [s for s in range(n) if s not in keep]
-    # trace highest-index subsystems first so remaining axis numbers stay valid
-    for s in sorted(traced, reverse=True):
-        k = (tensor.ndim - len(lead)) // 2
-        tensor = np.trace(tensor, axis1=len(lead) + s, axis2=len(lead) + s + k)
+    # label s is subsystem s's row, n + s a kept subsystem's column
+    columns = [n + s if s in keep else s for s in range(n)]
+    reduced = np.einsum(m.reshape(lead + dims + dims), [..., *range(n), *columns],
+                        [..., *keep, *(n + s for s in keep)])
     d_kept = math.prod(dims[s] for s in keep)
-    return tensor.reshape(lead + (d_kept, d_kept))
+    return reduced.reshape(lead + (d_kept, d_kept))
 
 
 def trace_product(a, b) -> complex:

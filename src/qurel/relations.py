@@ -224,11 +224,12 @@ def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
 def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
     """Memory-assisted entropic bound on a two-qubit state.
 
-    The measured system is qubit 0, the memory qubit 1.
+    The measured system is qubit 0, the memory qubit 1. S(AB) comes from
+    the state's stored spectrum: ``qm_eur_batch`` as a batch of one.
     """
     plan = eur_plan(rho.dims, r, s)
-    m = rho.matrix[None]
-    cols = {k: float(v[0]) for k, v in qm_eur_batch(m, np.linalg.eigvalsh(m), plan).items()}
+    cols = {k: float(v[0])
+            for k, v in qm_eur_batch(rho.matrix[None], rho.eigenvalues[None], plan).items()}
     return QmEurResult(h_rb=cols["h_rb"], h_sb=cols["h_sb"], h_ab=cols["h_ab"],
                        overlap_bound=plan.overlap_bound, rhs=cols["rhs"],
                        u_eur=optional(cols["u_eur"]))

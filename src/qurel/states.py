@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,14 +31,21 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 class DensityOperator:
     """A quantum state over a declared list of subsystem dimensions.
 
-    Construction validates Hermiticity, unit trace and positive
-    semidefiniteness eagerly (through ``check_density``, as a batch of
-    one); a corrupted state would silently poison every quantity computed
-    downstream.
+    Construction decomposes the matrix once (``eigh_batch``, as a batch of
+    one) and validates Hermiticity, unit trace and positive
+    semidefiniteness eagerly from that decomposition (``check_density``);
+    a corrupted state would silently poison every quantity computed
+    downstream, and a solver failure raises ConvergenceError. The
+    ascending eigenvalues and the eigenvectors (as columns) are kept,
+    read-only, for the functionals that need the spectrum
+    (``von_neumann_entropy``, ``concurrence_two_qubit``, ``qm_eur``); they
+    take no part in ``==`` or ``repr``.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_square(self.matrix).copy()
@@ -48,14 +55,15 @@ class DensityOperator:
         if math.prod(dims) != m.shape[0]:
             raise DimensionError(
                 f"dims {dims} do not multiply to matrix dim {m.shape[0]}")
-        # a non-finite entry fails the Hermiticity check, which runs before
-        # the spectrum is read, so the solver only ever sees finite entries
-        w = np.linalg.eigvalsh(np.where(np.isfinite(m), m, 0.0)[None])
+        # a non-finite entry fails the Hermiticity check, so the solver only
+        # ever sees finite entries
         checks = Checks(1)
+        w, v = eigh_batch(np.where(np.isfinite(m), m, 0.0)[None], checks)
         check_density(m[None], w, checks)
         checks.raise_first()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        for name, value in (("matrix", m), ("eigenvalues", w[0]), ("eigenvectors", v[0])):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -104,8 +112,9 @@ def spectrum_entropies(w: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Base-2 von Neumann entropy, with the 0*log(0) = 0 convention."""
-    return float(spectrum_entropies(np.linalg.eigvalsh(rho.matrix)))
+    """Base-2 von Neumann entropy, with the 0*log(0) = 0 convention, from
+    the state's stored spectrum."""
+    return float(spectrum_entropies(rho.eigenvalues))
 
 
 def concurrence_two_qubit(rho: DensityOperator) -> float:
@@ -118,14 +127,13 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
     spectrum but avoids taking square roots of near-zero eigenvalues (an
     eigenvalue route loses half the significant digits right where the
     entanglement threshold sits). Tiny negative eigenvalues of rho are
-    rounding noise and get clamped before the matrix square root.
+    rounding noise and get clamped before the matrix square root, which is
+    built from the state's stored eigendecomposition: ``concurrence_batch``
+    as a batch of one.
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"concurrence needs dims (2, 2), got {rho.dims}")
-    checks = Checks(1)
-    w, v = eigh_batch(rho.matrix[None], checks)
-    checks.raise_first()
-    return float(concurrence_batch(w, v)[0])
+    return float(concurrence_batch(rho.eigenvalues[None], rho.eigenvectors[None])[0])
 
 
 def concurrence_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:

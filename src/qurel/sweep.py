@@ -63,7 +63,9 @@ _EUR_PLAN = eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis ranges, each a (start, stop, steps) triple, plus the phase."""
+    """Axis ranges, each a (start, stop, steps) triple, plus the phase,
+    which must lie in [0, 2*pi] and equal the theta of the setup the grid
+    is swept with."""
 
     d_range: tuple[float, float, int]
     j_range: tuple[float, float, int]
@@ -91,6 +93,8 @@ class SweepGrid:
             raise ValidationError(f"t_range must start at or above {T_MIN}")
         if np.min(np.abs(self.j_values())) < 1e-9:
             raise ValidationError("j_range passes through zero coupling")
+        if not (0.0 <= self.theta <= 2.0 * np.pi):
+            raise ValidationError(f"theta must lie in [0, 2*pi], got {self.theta}")
 
     def d_values(self) -> np.ndarray:
         return np.linspace(*self.d_range[:2], self.d_range[2])
@@ -222,13 +226,22 @@ def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
                                                  u_eur=optional(row["u_eur"])))
 
 
+def _check_theta(grid: SweepGrid, setup: MeasurementSetup) -> None:
+    """The grid's theta column must be the phase the setup evaluates."""
+    if grid.theta != setup.theta:
+        raise ValidationError(
+            f"grid theta {grid.theta} differs from the setup's theta {setup.theta}")
+
+
 def sweep_columns(grid: SweepGrid, setup: MeasurementSetup) -> tuple[dict, dict]:
     """The grid's columns, one array per CSV_HEADER name (theta too) in
     row-major (d, j, t) order, evaluated in chunks as ``sweep_csv`` does,
     and the error of each failed point keyed by its row. A ratio is NaN
     where it is undefined, and a failed point's values are all NaN: its
     error, the one its ``evaluate_point`` raises, does not abort the
-    sweep. A setup that cannot be planned on two qubits raises at once."""
+    sweep. A grid whose theta is not the setup's, or a setup that cannot
+    be planned on two qubits, raises at once."""
+    _check_theta(grid, setup)
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     chunks, errors = [], {}
     for _, cols, chunk_errors in _chunks(axes, setup):
@@ -282,9 +295,12 @@ def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str
     point's one message names its error.
 
     Rows are formatted straight from each chunk's columns; each distinct
-    axis value is formatted once per sweep.
+    axis value is formatted once per sweep. A grid whose theta is not the
+    setup's, or a setup that cannot be planned, raises before
+    ``destination`` is opened, so it leaves no file.
     """
-    vur_plan(setup, (2, 2))  # memoized: a setup that cannot be planned leaves no file
+    _check_theta(grid, setup)
+    vur_plan(setup, (2, 2))  # memoized; raises before the file is opened
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     axis_fields = [[_FIELD % x for x in axis.tolist()] for axis in axes]
     theta_field = _FIELD % grid.theta

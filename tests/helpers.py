@@ -50,10 +50,14 @@ def embedded(op, dims, subsystem):
 
 
 def unchecked_density(matrix, dims):
-    """Bypass DensityOperator validation; for oracle construction only."""
+    """Bypass DensityOperator validation; for oracle construction only.
+    The stored decomposition is np.linalg.eigh's, unchecked."""
     obj = object.__new__(DensityOperator)
-    object.__setattr__(obj, "matrix", np.asarray(matrix, dtype=complex))
-    object.__setattr__(obj, "dims", tuple(dims))
+    matrix = np.asarray(matrix, dtype=complex)
+    w, v = np.linalg.eigh(matrix)
+    for name, value in (("matrix", matrix), ("dims", tuple(dims)),
+                        ("eigenvalues", w), ("eigenvectors", v)):
+        object.__setattr__(obj, name, value)
     return obj
 
 

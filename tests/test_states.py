@@ -1,9 +1,15 @@
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
-from qurel.errors import DimensionError, ValidationError
-from qurel.model import ModelParams, thermal_state
+from qurel.errors import ConvergenceError, DimensionError, QurelError, ValidationError
+from qurel.linalg import SIGMA_X, SIGMA_Z
+from qurel.measurements import Observable
+from qurel.model import ModelParams, T_MIN, thermal_state
+from qurel.relations import qm_eur, xz_control_setup
 from qurel.states import DensityOperator, concurrence_two_qubit, mixedness, von_neumann_entropy
+from qurel.sweep import evaluate_point
 
 from helpers import (
     GRID,
@@ -59,6 +65,39 @@ class TestDensityOperator:
         rho = DensityOperator(np.eye(2) / 2.0, (2,))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
+
+    def test_stored_decomposition_is_eighs_and_read_only(self):
+        """Construction keeps np.linalg.eigh's decomposition of the matrix:
+        read-only, and outside == and repr."""
+        rng = np.random.default_rng(64)
+        for dims in [(2,), (2, 2), (2, 3), (2, 2, 2, 2)]:
+            rho = random_density(rng, dims)
+            w, v = np.linalg.eigh(rho.matrix)
+            assert np.array_equal(rho.eigenvalues, w) and np.array_equal(rho.eigenvectors, v)
+            rebuilt = (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T
+            assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-12
+            with pytest.raises(ValueError):
+                rho.eigenvalues[0] = 1.0
+            with pytest.raises(ValueError):
+                rho.eigenvectors[0, 0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                rho.eigenvalues = w
+            assert repr(rho) == f"DensityOperator(matrix={rho.matrix!r}, dims={rho.dims!r})"
+            assert rho == rho
+        assert [f.name for f in fields(DensityOperator) if f.compare] == ["matrix", "dims"]
+        assert [f.name for f in fields(DensityOperator) if f.init] == ["matrix", "dims"]
+
+    def test_solver_failure_raises_convergence_error(self, monkeypatch):
+        """A state the eigensolver rejects raises ConvergenceError, a
+        QurelError (CLI exit code 2), not numpy's LinAlgError."""
+        def rejects(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", rejects)
+        monkeypatch.setattr(np.linalg, "eigvalsh", rejects)
+        with pytest.raises(ConvergenceError, match="eigensolver failed") as info:
+            DensityOperator(np.eye(4) / 4.0, (2, 2))
+        assert isinstance(info.value, QurelError)
 
     def test_reduced_bell_is_maximally_mixed(self):
         rho = bell_state().reduced(0)
@@ -159,3 +198,21 @@ def test_thermal_concurrence_matches_closed_form_on_grid():
     for d, j, t in GRID:
         p = ModelParams(d, j, t)
         assert abs(concurrence_two_qubit(thermal_state(p)) - closed_form_concurrence(p)) <= 1e-10
+
+
+def test_single_state_functionals_equal_the_sweeps_on_thermal_grid():
+    """concurrence_two_qubit and qm_eur on a thermal DensityOperator read the
+    same decomposition as the sweep, so they equal evaluate_point's columns
+    bit for bit."""
+    setup = xz_control_setup()
+    r, s = Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0)
+    for d in (0.0, 0.5, 1.0, 3.0):
+        for j in (0.5, -0.5, 1.0, 2.0, -2.0):
+            for t in (T_MIN, 0.05, 0.3, 1.0, 5.0, 100.0):
+                p = ModelParams(d, j, t)
+                rho = thermal_state(p)
+                rec = evaluate_point(p, setup)
+                eur = qm_eur(rho, r, s)
+                assert concurrence_two_qubit(rho) == rec.concurrence, p
+                assert (eur.h_rb, eur.h_sb, eur.h_ab, eur.rhs) == \
+                    (rec.h_rb, rec.h_sb, rec.h_ab, rec.eur_rhs), p

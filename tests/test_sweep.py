@@ -59,6 +59,18 @@ class TestSweepGrid:
             SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 2.0, steps),
                       t_range=(1.0, 1.0, 1))
 
+    @pytest.mark.parametrize("theta", [math.nan, -0.1, 2.0 * math.pi + 1e-9, math.inf])
+    def test_rejects_theta_outside_zero_two_pi(self, theta):
+        with pytest.raises(ValidationError, match=r"^theta must lie in \[0, 2\*pi\], got "):
+            SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1),
+                      theta=theta)
+
+    def test_accepts_theta_endpoints(self):
+        for theta in (0.0, 2.0 * math.pi):
+            grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1),
+                             t_range=(1.0, 1.0, 1), theta=theta)
+            assert grid.theta == theta
+
     def test_accepts_numpy_integer_step_count(self):
         grid = SweepGrid(d_range=(0.0, 1.0, np.int64(2)), j_range=(1.0, 1.0, 1),
                          t_range=(1.0, 1.0, 1))
@@ -214,6 +226,24 @@ class TestBatchedSweep:
             np.testing.assert_array_equal(cols[name], expected[name], err_msg=name)
         assert {i: str(e) for i, e in errors.items()} == \
             {i: str(e) for i, e in expected_errors.items()}
+
+    def test_grid_theta_must_equal_setup_theta(self, tmp_path):
+        """The theta column is the grid's and the bound is the setup's, so
+        a sweep given two different phases raises, naming both, before
+        sweep_csv opens its destination."""
+        grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1),
+                         theta=1.0)
+        setup = xz_control_setup(theta=0.5)
+        message = r"grid theta 1\.0 differs from the setup's theta 0\.5"
+        with pytest.raises(ValidationError, match=message):
+            sweep_columns(grid, setup)
+        with pytest.raises(ValidationError, match=message):
+            sweep_csv(grid, setup, tmp_path / "none.csv")
+        assert not (tmp_path / "none.csv").exists()
+        cols, errors = sweep_columns(grid, xz_control_setup(theta=1.0))
+        assert not errors
+        assert cols["theta"].tolist() == [1.0]
+        assert cols["l_tra"][0] == pytest.approx(1.0 + math.cos(1.0), abs=1e-12)
 
     def test_setup_every_point_rejects(self, tmp_path):
         """A setup that cannot be planned on two qubits raises once, before
