@@ -46,9 +46,10 @@ P_MIN = 1e-12
 DEGENERACY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator tagged with the subsystem it acts on."""
+    """Hermitian operator tagged with the subsystem it acts on; equality and
+    hashing are by identity."""
 
     matrix: np.ndarray
     subsystem: int
@@ -62,11 +63,11 @@ class Observable:
         object.__setattr__(self, "subsystem", int(self.subsystem))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveDecomposition:
     """Spectral outcomes of an observable: (eigenvalue, projector) pairs,
     eigenvalues strictly increasing, and the same projectors as one
-    read-only stack (outcome, d, d)."""
+    read-only stack (outcome, d, d); equality and hashing are by identity."""
 
     outcomes: tuple[tuple[float, np.ndarray], ...]
     projectors: np.ndarray = field(repr=False, compare=False)

@@ -18,12 +18,14 @@ reported unclamped.
 Each evaluator on a DensityOperator is a batch of one of a kernel over a
 stack of states (N, d, d) (``qc_vur_batch``, ``l_tra_batch``,
 ``qm_eur_batch``), whose setup-dependent operators are built once
-(``vur_plan``, ``eur_plan``); the sweeps call the same kernels.
+(``vur_plan``, ``l_tra_operators``, ``eur_plan``); the sweeps call the
+same kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,14 +59,15 @@ OPERATOR_MIN = 1e-12
 IMAG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetup:
     """K (measurement, controls) pairs plus the weighted-bound parameters.
 
     Every pair holds an observable on the measured subsystem and an
     ordered tuple of control observables on distinct other subsystems.
     The additive bound uses the first two measured observables, the
-    weighting operator and the phase theta.
+    weighting operator and the phase theta. Equality and hashing are by
+    identity.
     """
 
     pairs: tuple
@@ -94,6 +97,13 @@ class MeasurementSetup:
     @property
     def measured_subsystem(self) -> int:
         return self.pairs[0][0].subsystem
+
+    @cached_property
+    def _ltra_ops(self) -> np.ndarray:
+        """The weighted bound's operator stack (``l_tra_operators``) for the
+        first two measured observables and the weighting operator: built on
+        first use, then kept for the setup's lifetime."""
+        return l_tra_operators(self.pairs[0][0], self.pairs[1][0], self.ltra_operator)
 
 
 @dataclass(frozen=True)
@@ -205,10 +215,10 @@ def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
     taken in closed form. With rho's 2 x 2 blocks rho_xy[b, c] =
     rho[(x, b), (y, c)], M_k = sum_xy P_k[y, x] rho_xy: one matmul traces
     every block of both observables from rho against the 2 x 2
-    rank-one projectors P_k. S(AB) comes from w, and S(B) from one batched
-    call on the memory's reduced states.
+    rank-one projectors P_k. S(AB) comes from w, and S(B) from the
+    memory's 2 x 2 reduced states, in closed form as well: no solver call.
     """
-    h_b = spectrum_entropies(np.linalg.eigvalsh(partial_trace(rho, (2, 2), (1,))))
+    h_b = spectrum_entropies(eigvalsh_2x2(partial_trace(rho, (2, 2), (1,))))
     coeffs = np.swapaxes(plan.projectors, -1, -2).reshape(4, 4)  # [(o, k), (x, y)]
     regrouped = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     blocks = (coeffs @ regrouped).reshape(-1, 2, 2, 2, 2)  # [n, o, k, b, c]
@@ -235,24 +245,42 @@ def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
                        u_eur=optional(cols["u_eur"]))
 
 
-def l_tra_batch(rho: np.ndarray, a: Observable, b: Observable, o, theta: float,
-                checks: Checks) -> np.ndarray:
-    """The operator-weighted additive bound on a stack of single-subsystem
-    states (N, d, d); see ``l_tra``."""
+def l_tra_operators(a: Observable, b: Observable, o) -> np.ndarray:
+    """The operators whose traces against a state make up every term of
+    the weighted bound on A and B with operator O, as one read-only stack
+    (9, d, d): O†O, O†A, O†B, AB, BA, A, B, O† and I."""
     om = as_square(o)
-    if om.shape[0] != rho.shape[-1] or a.matrix.shape[0] != rho.shape[-1] \
-            or b.matrix.shape[0] != rho.shape[-1]:
+    am, bm = a.matrix, b.matrix
+    if not om.shape == am.shape == bm.shape:
         raise DimensionError("operator dimensions do not match the state")
     od = om.conj().T
-    denom, ea, eb = trace_products(rho, np.array([od @ om, a.matrix, b.matrix])).real.T
+    products = np.array([od, od, od, am, bm]) @ np.array([om, am, bm, bm, am])
+    ops = np.concatenate([products, [am, bm, od, np.eye(len(am))]])
+    ops.flags.writeable = False
+    return ops
+
+
+def l_tra_batch(rho: np.ndarray, ops: np.ndarray, theta: float, checks: Checks) -> np.ndarray:
+    """The operator-weighted additive bound (see ``l_tra``) on a stack of
+    single-subsystem states (N, d, d), from one table of traces against
+    the stack ``ops`` of ``l_tra_operators``.
+
+    The mean shifts Ac = A - <A> I and Bc = B - <B> I expand every term
+    into those traces, Tr rho = <I> carried where it would be 1:
+    <O† Ac> = <O†A> - <A> <O†>, and
+    <Ac Bc> = <AB> - <B> <A> - <A> <B> + <A> <B> <I>, with <A> and <B>
+    real in the shifts; <Bc Ac> likewise from <BA>.
+    """
+    if ops.shape[-1] != rho.shape[-1]:
+        raise DimensionError("operator dimensions do not match the state")
+    t_oo, t_oda, t_odb, t_ab, t_ba, t_a, t_b, t_od, t_i = trace_products(rho, ops).T
+    denom, ea, eb = t_oo.real, t_a.real, t_b.real
     checks.require(denom >= OPERATOR_MIN,
                    lambda i: DegenerateOperator(f"<O†O> = {denom[i]:.3e} is numerically zero"))
-    eye = np.eye(rho.shape[-1])
-    ac = a.matrix - ea[:, None, None] * eye
-    bc = b.matrix - eb[:, None, None] * eye
     phase = np.exp(1j * theta)
-    num = np.abs(np.einsum("nij,nji->n", rho, od @ (ac + phase * bc))) ** 2
-    cross = np.einsum("nij,nji->n", rho, ac @ (phase * bc) + np.conj(phase) * bc @ ac)
+    num = np.abs(t_oda - ea * t_od + phase * (t_odb - eb * t_od)) ** 2
+    shift = ea * eb * t_i - eb * t_a - ea * t_b
+    cross = phase * (t_ab + shift) + np.conj(phase) * (t_ba + shift)
     checks.require(np.abs(cross.imag) <= IMAG_TOL,
                    lambda i: ValidationError(f"anticommutator cross term has imaginary "
                                              f"residue {cross.imag[i]:.3e}"))
@@ -264,12 +292,12 @@ def l_tra(rho_a: DensityOperator, a: Observable, b: Observable, o, theta: float)
 
     |<O†(Ac + e^{i theta} Bc)>|^2 / <O†O>  -  <Ac e^{i theta} Bc + h.c.>
     with Ac, Bc the mean-shifted observables, everything evaluated in the
-    given single-subsystem state.
+    given single-subsystem state: ``l_tra_batch`` as a batch of one.
     """
     if len(rho_a.dims) != 1:
         raise DimensionError("expected a single-subsystem state")
     checks = Checks(1)
-    bound = l_tra_batch(rho_a.matrix[None], a, b, o, theta, checks)
+    bound = l_tra_batch(rho_a.matrix[None], l_tra_operators(a, b, o), theta, checks)
     checks.raise_first()
     return float(bound[0])
 
@@ -311,8 +339,7 @@ def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup,
         subtracted = subtracted + explained.sum(axis=1)
     rho_a = partial_trace(rho, dims, (setup.measured_subsystem,))
     check_density(rho_a, np.linalg.eigvalsh(rho_a), checks)
-    bound = l_tra_batch(rho_a, setup.pairs[0][0], setup.pairs[1][0],
-                        setup.ltra_operator, setup.theta, checks)
+    bound = l_tra_batch(rho_a, setup._ltra_ops, setup.theta, checks)
     w = bound - subtracted
     return dict(lhs=lhs, l_tra=bound, subtracted=subtracted, w=w, u=ratios(lhs, w))
 

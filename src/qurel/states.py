@@ -10,10 +10,8 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .linalg import (
     HERMITICITY_TOL,
-    SIGMA_Y,
     Checks,
     as_square,
-    dagger,
     eigh_batch,
     hermitian_residual,
     partial_trace,
@@ -24,10 +22,12 @@ PSD_TOL = 1e-10
 #: eigenvalues below this are treated as exactly zero in entropies
 EIG_ZERO = 1e-14
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+#: sy x sy is the anti-diagonal (-1, 1, 1, -1): applied to a matrix, it
+#: reverses the rows and negates the first and last of them
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A quantum state over a declared list of subsystem dimensions.
 
@@ -39,7 +39,8 @@ class DensityOperator:
     ascending eigenvalues and the eigenvectors (as columns) are kept,
     read-only, for the functionals that need the spectrum
     (``von_neumann_entropy``, ``concurrence_two_qubit``, ``qm_eur``); they
-    take no part in ``==`` or ``repr``.
+    take no part in ``repr``. Equality and hashing are by identity, as for
+    every class with array fields.
     """
 
     matrix: np.ndarray
@@ -122,14 +123,12 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
 
     C = max(0, sqrt(mu1) - sqrt(mu2) - sqrt(mu3) - sqrt(mu4)) where the
     mu_i are the descending eigenvalues of
-    rho (sy x sy) conj(rho) (sy x sy). The sqrt(mu_i) are computed as the
-    singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, which is the same
-    spectrum but avoids taking square roots of near-zero eigenvalues (an
-    eigenvalue route loses half the significant digits right where the
-    entanglement threshold sits). Tiny negative eigenvalues of rho are
-    rounding noise and get clamped before the matrix square root, which is
-    built from the state's stored eigendecomposition: ``concurrence_batch``
-    as a batch of one.
+    rho (sy x sy) conj(rho) (sy x sy). The sqrt(mu_i) are the singular
+    values of sqrt(rho) (sy x sy) sqrt(rho)^T, which avoids taking square
+    roots of near-zero eigenvalues (an eigenvalue route loses half the
+    significant digits right where the entanglement threshold sits); they
+    come from the state's stored eigendecomposition, without forming
+    sqrt(rho): ``concurrence_batch`` as a batch of one.
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"concurrence needs dims (2, 2), got {rho.dims}")
@@ -139,8 +138,18 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
 def concurrence_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Concurrence of every validated two-qubit state in a stack, from the
     states' eigendecompositions: ascending eigenvalues w (N, 4) and
-    eigenvectors v (N, 4, 4), as ``eigh_batch`` returns them."""
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ dagger(v)
-    flip_core = root @ _YY @ np.swapaxes(root, -1, -2)
+    eigenvectors v (N, 4, 4), as ``eigh_batch`` returns them.
+
+    With sqrt(rho) = V S V^dagger and S = diag sqrt(w) (tiny negative
+    eigenvalues are rounding noise and are clamped to 0),
+    sqrt(rho) Y sqrt(rho)^T = V [S (V^dagger Y conj(V)) S] V^T for
+    Y = sy x sy; V and V^T are unitary, so the singular values are those
+    of the bracket. The bracket is the complex conjugate of W^T Y W with
+    W = V S, which has the same singular values: one product per state
+    and one batched ``svd``. Y W is W's rows in reverse order with the
+    outer two negated.
+    """
+    scaled = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    flip_core = np.swapaxes(scaled, -1, -2) @ (scaled[:, ::-1] * _FLIP_SIGNS)
     s = np.linalg.svd(flip_core, compute_uv=False)
     return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])

@@ -105,8 +105,64 @@ def thermal_matrix(d, j, t):
                      [0, 0, 0, r11]], dtype=complex) / z
 
 
+def l_tra_oracle(rho, a, b, o, theta):
+    """The weighted additive bound by its mean-shifted matrix formula:
+    |Tr[rho O† (Ac + e^{i theta} Bc)]|^2 / Tr[rho O† O]
+    - Tr[rho (e^{i theta} Ac Bc + e^{-i theta} Bc Ac)], with
+    Ac = A - <A> I and Bc = B - <B> I, on plain matrices."""
+    eye = np.eye(len(rho))
+    ac = a - np.trace(rho @ a).real * eye
+    bc = b - np.trace(rho @ b).real * eye
+    phase = np.exp(1j * theta)
+    od = o.conj().T
+    num = abs(np.trace(rho @ od @ (ac + phase * bc))) ** 2
+    cross = np.trace(rho @ (phase * ac @ bc + np.conj(phase) * bc @ ac)).real
+    return num / np.trace(rho @ od @ o).real - cross
+
+
+def concurrence_oracle(matrix):
+    """Two-qubit concurrence from the singular values of
+    sqrt(rho) (sy x sy) sqrt(rho)^T, with sqrt(rho) built from eigh and its
+    eigenvalues clamped at 0."""
+    w, v = np.linalg.eigh(matrix)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    s = np.linalg.svd(root @ np.kron(SY, SY) @ root.T, compute_uv=False)
+    return max(0.0, s[0] - s[1] - s[2] - s[3])
+
+
 #: the model cross-check grid used throughout the tests
 GRID = [(d, j, t)
         for d in (0.0, 0.5, 1.0, 2.0)
         for j in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
         for t in (0.2, 0.5, 1.0, 2.0, 5.0)]
+
+
+#: the denominator column of each tightness ratio
+RATIO_DENOMINATORS = {"u": "w", "u_eur": "eur_rhs"}
+#: the absolute agreement a numerics change must keep in every CSV value
+CSV_GATE = 1e-12
+
+
+def csv_gate(header, reference, rows) -> dict:
+    """Per column of ``header``, the worst |new - old| and the worst share
+    of its gate, as (delta, share), of CSV data rows against reference
+    rows (lists of fields, row for row). A value's gate is CSV_GATE; a
+    ratio x's is CSV_GATE (1 + |x|) / |denominator|, with x and its
+    denominator read from the reference row. A field empty on one side
+    only, or any other pair of fields that are not the same number, has
+    delta and share inf. The rows pass the gate when every share is <= 1."""
+    worst = {name: (0.0, 0.0) for name in header}
+    for old, new in zip(reference, rows, strict=True):
+        values = dict(zip(header, old))
+        for name, a, b in zip(header, old, new, strict=True):
+            if a == b:
+                continue
+            delta = abs(float(b) - float(a)) if a and b else math.inf
+            gate = CSV_GATE
+            if name in RATIO_DENOMINATORS and a:
+                gate *= (1.0 + abs(float(a))) / abs(float(values[RATIO_DENOMINATORS[name]]))
+            if not delta <= math.inf:  # NaN on either side
+                delta = math.inf
+            top, share = worst[name]
+            worst[name] = (max(top, delta), max(share, delta / gate))
+    return worst

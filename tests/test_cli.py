@@ -1,6 +1,9 @@
 import csv
 import itertools
+import math
 import operator
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from qurel.relations import xz_control_setup
 from qurel.states import mixedness_batch
 from qurel.sweep import CSV_HEADER, SweepGrid, evaluate_point
 
+from helpers import csv_gate
+
 DATA = Path(__file__).parent / "data"
 #: committed ``qurel sweep --preset P`` outputs, as (file, every how many
 #: data rows it keeps, its undefined u_eur fields). fig2 is whole and was
@@ -26,8 +31,6 @@ REFERENCES = {"fig2": ("fig2.csv", 1, 8),
               "fig1b": ("fig1b_every20.csv", 20, 0),
               "fig3a": ("fig3a_every20.csv", 20, 10),
               "fig3b": ("fig3b_every20.csv", 20, 5)}
-#: the denominator column of each tightness ratio
-RATIO_DENOMINATORS = {"u": "w", "u_eur": "eur_rhs"}
 
 
 def run_cli(capsys, *argv):
@@ -269,22 +272,42 @@ class TestSweepCommand:
         rows = rows[1::stride]
         assert len(rows) == len(reference) - 1
         assert sum(row[-1] == "" for row in reference) == undefined
-        for old, new in zip(reference[1:], rows):
-            values = dict(zip(CSV_HEADER, old))
-            for name, a, b in zip(CSV_HEADER, old, new):
-                assert (a == "") == (b == ""), (name, old[:3])
-                if not a:
-                    continue
-                gate = 1e-12
-                if name in RATIO_DENOMINATORS:
-                    gate *= (1.0 + abs(float(a))) / abs(float(values[RATIO_DENOMINATORS[name]]))
-                assert abs(float(b) - float(a)) <= gate, (name, old[:3], a, b)
+        worst = csv_gate(CSV_HEADER, reference[1:], rows)
+        assert all(share <= 1.0 for _, share in worst.values()), worst
 
     def test_bad_range_syntax_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1", "--j", "1", "--t", "1",
                                "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "start:stop:steps" in err
+
+
+def test_csv_gate_reports_each_columns_worst_share(tmp_path):
+    """Shares of the 1e-12 gate, scaled for a ratio by (1 + |x|) / |den|; a
+    field empty on one side only is an infinite miss. The script prints
+    the same table and exits 1 when a share exceeds 1."""
+    header = ("d", "w", "u", "eur_rhs", "u_eur")
+    old = [["0.5", "2", "1.5", "1", ""], ["1", "0.5", "", "1", "2"]]
+    new = [["0.5", "2.0000000000005", "1.5000000000005", "1", ""], ["1", "0.5", "", "1", "2"]]
+    worst = csv_gate(header, old, new)
+    assert worst["d"] == worst["eur_rhs"] == worst["u_eur"] == (0.0, 0.0)
+    assert worst["w"][1] == pytest.approx(0.5, rel=1e-3)
+    assert worst["u"][1] == pytest.approx(0.5e-12 / (1e-12 * 2.5 / 2.0), rel=1e-3)
+    assert csv_gate(header, old, [old[0], ["1", "0.5", "", "1", ""]])["u_eur"] == (math.inf,) * 2
+
+    script = Path(__file__).parent / "csv_gate.py"
+    files = []
+    for name, rows in (("old", old), ("new", new), ("bad", [new[0], ["1", "0.5", "2", "1", "2"]])):
+        files.append(tmp_path / f"{name}.csv")
+        files[-1].write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    passed = subprocess.run([sys.executable, script, files[0], files[1]],
+                            capture_output=True, text=True)
+    assert passed.returncode == 0, passed.stderr
+    assert passed.stdout.split("\n")[0].split() == ["column", "worst", "|delta|", "share", "of",
+                                                    "gate"]
+    assert [line.split()[0] for line in passed.stdout.strip().split("\n")[1:]] == list(header)
+    assert subprocess.run([sys.executable, script, files[0], files[2]],
+                          capture_output=True).returncode == 1
 
 
 class TestMatchGammaCommand:

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from qurel.errors import ValidationError
+from qurel.errors import RangeError, ValidationError
+from qurel.linalg import Checks
 from qurel.model import (
     ModelParams,
     T_MIN,
     closed_form_concurrence,
     closed_form_mixedness,
+    gibbs_states,
     hamiltonian,
     in_domain,
     thermal_state,
@@ -124,6 +126,42 @@ class TestThermalState:
         singlet[1], singlet[2] = 1.0, -1.0
         singlet /= np.sqrt(2.0)
         assert np.max(np.abs(rho - np.outer(singlet, singlet.conj()))) <= 1e-9
+
+    def test_stack_equals_each_points_batch_of_one(self):
+        """d repeating in runs and out of order: every point's state from
+        the stack equals its batch of one bit for bit."""
+        d = np.array([0.0, 1.0, 1.0, 0.0, 3.0, 3.0, 1.0])
+        j = np.array([1.0, -0.5, 2.0, 1.0, 0.7, -3.0, -0.5])
+        t = np.array([0.5, 1.0, 0.2, T_MIN, 2.0, 0.3, 1.0])
+        checks = Checks(len(d))
+        stack = gibbs_states(d, j, t, checks)
+        assert not checks.failed.any()
+        for i in range(len(d)):
+            one = gibbs_states(d[i:i + 1], j[i:i + 1], t[i:i + 1], Checks(1))
+            assert stack[i:i + 1].tobytes() == one.tobytes(), i
+            assert stack[i].tobytes() == thermal_state(ModelParams(d[i], j[i], t[i])).matrix.tobytes()
+
+    def test_overflowing_hamiltonian_flags_exactly_its_points(self):
+        """d = 1e308 and j d = 1e400 overflow the Hamiltonian: those two
+        points of a chunk fail with the Hamiltonian overflow error naming
+        them, and the rest equal their batches of one."""
+        d = np.array([1.0, 1e308, 1.0, 1e200, 1e200, 3.0])
+        j = np.array([1.0, 1.0, -2.0, 1e200, 1e-200, 1.0])
+        t = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0])
+        checks = Checks(len(d))
+        stack = gibbs_states(d, j, t, checks)
+        assert np.flatnonzero(checks.failed).tolist() == [1, 3]
+        for i in (1, 3):
+            error = checks.errors[i]
+            assert isinstance(error, RangeError)
+            point = ModelParams(float(d[i]), float(j[i]), float(t[i]))
+            assert str(error) == f"Hamiltonian overflowed at {point}"
+            assert np.array_equal(stack[i], np.eye(4) / 4.0)
+        for i in (0, 2, 4, 5):
+            one = gibbs_states(d[i:i + 1], j[i:i + 1], t[i:i + 1], Checks(1))
+            assert stack[i:i + 1].tobytes() == one.tobytes(), i
+        with pytest.raises(RangeError, match=r"Hamiltonian overflowed at ModelParams\(d=1e\+308"):
+            thermal_state(ModelParams(1e308, 1.0, 1.0))
 
 
 class TestClosedFormMixedness:

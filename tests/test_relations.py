@@ -7,10 +7,12 @@ from qurel.errors import DegenerateOperator, DegeneracyError, DimensionError, Su
 from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
 from qurel.measurements import Observable, sequential_decomposition, variance
 from qurel.model import ModelParams, T_MIN, thermal_state
+from qurel import relations
 from qurel.relations import (
     MeasurementSetup,
     eur_plan,
     l_tra,
+    l_tra_operators,
     maximal_overlap_c,
     qc_vur,
     qc_vur_batch,
@@ -21,7 +23,14 @@ from qurel.relations import (
 )
 from qurel.states import DensityOperator
 
-from helpers import bell_state, pure_state, random_density, random_hermitian, thermal_elements
+from helpers import (
+    bell_state,
+    l_tra_oracle,
+    pure_state,
+    random_density,
+    random_hermitian,
+    thermal_elements,
+)
 
 # frozen reference values at (d, j, t) = (1, 1, 1) under the standard
 # setup (q1 = o1 = sx, q2 = o2 = sz, o = sx + sz, theta = 0.5), derived
@@ -253,6 +262,44 @@ class TestLTra:
         with pytest.raises(DimensionError):
             l_tra(rho, Observable(np.eye(4, dtype=complex), 0),
                   Observable(SIGMA_Z, 0), SIGMA_X, 0.5)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_mean_shifted_oracle(self, dim):
+        """l_tra and qc_vur_batch's l_tra column equal the mean-shifted
+        matrix formula within 1e-12 on random qubit and qutrit states, with
+        complex O and theta at 0, pi/2, pi and random."""
+        rng = np.random.default_rng(88 + dim)
+        dims = (dim, 2)
+        for theta in (0.0, math.pi / 2, math.pi, *rng.uniform(0.0, 2.0 * math.pi, 3)):
+            a, b = (Observable(random_hermitian(rng, dim), 0) for _ in range(2))
+            o = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            pairs = tuple((q, (Observable(random_hermitian(rng, 2), 1),)) for q in (a, b))
+            setup = MeasurementSetup(pairs=pairs, ltra_operator=o, theta=theta)
+            joint = [random_density(rng, dims) for _ in range(6)]
+            reduced = [rho.reduced(0) for rho in joint]
+            column = qc_vur_batch(np.array([rho.matrix for rho in joint]), dims, setup,
+                                  vur_plan(setup, dims), Checks(len(joint)))["l_tra"]
+            for rho_a, got in zip(reduced, column):
+                expected = l_tra_oracle(rho_a.matrix, a.matrix, b.matrix, o, theta)
+                assert abs(l_tra(rho_a, a, b, o, theta) - expected) <= 1e-12
+                assert abs(got - expected) <= 1e-12
+
+    def test_setup_builds_its_operator_stack_once(self, monkeypatch):
+        """A reused setup keeps its l_tra operator stack: one build, and the
+        same array on a second qc_vur call."""
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return l_tra_operators(*args)
+
+        monkeypatch.setattr(relations, "l_tra_operators", counting)
+        setup = xz_control_setup()
+        rho = thermal_state(ModelParams(1.0, 1.0, 1.0))
+        first = qc_vur(rho, setup)
+        stack = setup._ltra_ops
+        assert qc_vur(rho, setup) == first
+        assert setup._ltra_ops is stack and len(built) == 1
 
 
 class TestQcVur:
