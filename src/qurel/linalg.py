@@ -109,14 +109,55 @@ def eigh_batch(m: np.ndarray, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _centre_2x2(m: np.ndarray):
+    """Mean (m00 + m11)/2, half gap (m00 - m11)/2 and radius
+    hypot(half gap, |m01|) of a stack (..., 2, 2) of Hermitian matrices."""
+    a, b = m[..., 0, 0].real, m[..., 1, 1].real
+    half_gap = 0.5 * (a - b)
+    return 0.5 * (a + b), half_gap, np.hypot(half_gap, np.abs(m[..., 0, 1]))
+
+
 def eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (..., 2) of a stack (..., 2, 2) of Hermitian
     matrices, in closed form: mean -/+ hypot(half the diagonal gap, |m01|).
     Reads the diagonal and the upper off-diagonal entry only."""
-    a, b = m[..., 0, 0].real, m[..., 1, 1].real
-    mean = 0.5 * (a + b)
-    radius = np.hypot(0.5 * (a - b), np.abs(m[..., 0, 1]))
+    mean, _, radius = _centre_2x2(m)
     return np.stack([mean - radius, mean + radius], axis=-1)
+
+
+#: the projector pair 1/2 I -/+ N/2 of ``spectral_2x2``, as the real and
+#: imaginary parts of its 8 entries: the constant 1/2 I, and the parts
+#: linear in x, Re(w) and Im(w) of N/2 = x sz + Re(w) sx - Im(w) sy
+_HALF_I = (0.5 * np.array([I2, I2])).view(float).reshape(16)
+_PROJECTOR_PARTS = np.array([[-SIGMA_Z, SIGMA_Z], [-SIGMA_X, SIGMA_X],
+                             [SIGMA_Y, -SIGMA_Y]]).view(float).reshape(3, 16)
+_TINY = np.finfo(float).tiny
+
+
+def spectral_2x2(m: np.ndarray):
+    """Spectral decomposition of a stack (..., 2, 2) of Hermitian matrices
+    h in closed form, with no solver call: the eigenvalues are
+    mean -/+ radius, as ``eigvalsh_2x2`` gives them, and their rank-one
+    projectors (..., 2, 2, 2), in that order, are 1/2 (I -/+ N) with
+    N = (h - mean I) / radius. Returns (mean, radius, projectors).
+
+    Like ``eigvalsh_2x2`` it reads the diagonal and the upper off-diagonal
+    entry only: N's diagonal is +/- the half gap over the radius and its
+    lower entry is the conjugate of its upper one, so every projector is
+    exactly Hermitian. Where the radius is 0 both projectors read I/2;
+    the caller merges such a spectrum into one outcome.
+    """
+    mean, half_gap, radius = _centre_2x2(m)
+    # N/2 = x sz + Re(w) sx - Im(w) sy with x = half gap / 2r, w = m01 / 2r;
+    # a radius of 0 (x = w = 0) is scaled by a finite factor
+    parts = np.empty(mean.shape + (3,))
+    parts[..., 0] = half_gap
+    parts[..., 1] = m[..., 0, 1].real
+    parts[..., 2] = m[..., 0, 1].imag
+    parts *= (0.5 / np.maximum(radius, _TINY))[..., None]
+    # each off-diagonal part comes from one term, so conjugates stay exact
+    projectors = (parts @ _PROJECTOR_PARTS + _HALF_I).view(complex)
+    return mean, radius, projectors.reshape(mean.shape + (2, 2, 2))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:

@@ -12,12 +12,14 @@ sequential decomposition
 which this module computes term by term from the joint outcome table.
 Measurements on disjoint subsystems commute, so that table is
 well-defined. Observables are decomposed a list at a time
-(``projective_decompositions``, one eigensolver call per matrix
-dimension); nothing is memoized here. The table's operators are built
-once per setup and control layout (``chain_plan``), stacked over the
-pairs that share it, and traced against a stack of states in one einsum
-(``chain_table``). ``qc_vur`` reads two totals per pair
-(``chain_totals``); ``chain_terms`` splits the chain into its terms.
+(``projective_decompositions``): qubit observables in closed form
+(``linalg.spectral_2x2``), with no solver call, and larger ones in one
+eigensolver call per matrix dimension; nothing is memoized here. The
+table's operators are built once per setup and control layout
+(``chain_plan``), stacked over the pairs that share it, and traced
+against a stack of states in one einsum (``chain_table``). ``qc_vur``
+reads two totals per pair (``chain_totals``); ``chain_terms`` splits the
+chain into its terms.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ import numpy as np
 
 from .errors import DimensionError, SubsystemError, ValidationError
 from .linalg import (
+    I2,
     Checks,
     as_square,
     eigh_batch,
     is_hermitian,
     partial_trace,
+    spectral_2x2,
     trace_product,
     trace_products,
 )
@@ -66,11 +70,14 @@ class Observable:
 @dataclass(frozen=True, eq=False)
 class ProjectiveDecomposition:
     """Spectral outcomes of an observable: (eigenvalue, projector) pairs,
-    eigenvalues strictly increasing, and the same projectors as one
-    read-only stack (outcome, d, d); equality and hashing are by identity."""
+    eigenvalues increasing, and the same projectors as one read-only stack
+    (outcome, d, d); equality and hashing are by identity. The increase is
+    strict but for a qubit whose gap, though at least DEGENERACY_TOL, is
+    below the rounding of its mean: its two eigenvalues may then round
+    to one float, while its projectors stay distinct."""
 
     outcomes: tuple[tuple[float, np.ndarray], ...]
-    projectors: np.ndarray = field(repr=False, compare=False)
+    projectors: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -111,18 +118,31 @@ def projective_decompositions(observables) -> list[ProjectiveDecomposition]:
     whose eigenvalues differ by less than DEGENERACY_TOL are merged into a
     single outcome, so degenerate (coarse) observables are legitimate
     controls; the observables that share a pattern of merged eigenspaces
-    then form each outcome's projectors together.
+    then form each outcome's projectors together. Qubit observables take
+    their spectra and projectors in closed form (``spectral_2x2``): a gap
+    2r below DEGENERACY_TOL leaves one outcome, the mean with projector I.
+    Larger matrices go through one ``eigh_batch`` per dimension.
     """
     observables = list(observables)
     found = [None] * len(observables)
     by_dim = {}
     for i, o in enumerate(observables):
         by_dim.setdefault(o.matrix.shape[0], []).append(i)
-    for index in by_dim.values():
+    for dim, index in by_dim.items():
+        matrices = np.array([observables[i].matrix for i in index])
+        if dim == 2:
+            means, radii, projectors = spectral_2x2(matrices)
+            projectors.flags.writeable = False
+            for i, mean, radius, projs in zip(index, means.tolist(), radii.tolist(), projectors):
+                found[i] = (ProjectiveDecomposition(((mean, I2),), I2[None])
+                            if 2.0 * radius < DEGENERACY_TOL else
+                            ProjectiveDecomposition(((mean - radius, projs[0]),
+                                                     (mean + radius, projs[1])), projs))
+            continue
         # Observable has checked Hermiticity; each cluster becomes one
         # projector, so eigenvector phases and the order within it do not matter
         checks = Checks(len(index))
-        w, v = eigh_batch(np.array([observables[i].matrix for i in index]), checks)
+        w, v = eigh_batch(matrices, checks)
         checks.raise_first()
         patterns = {}
         for row, starts in enumerate((w[:, 1:] - w[:, :-1] >= DEGENERACY_TOL).tolist()):

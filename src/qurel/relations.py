@@ -75,7 +75,7 @@ class MeasurementSetup:
     theta: float
     #: chain plans by state dimensions, built on first use by
     #: vur_plan; the setup is immutable, so they stay valid for its lifetime
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pairs = tuple((q, tuple(controls)) for q, controls in self.pairs)
@@ -327,7 +327,8 @@ def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup,
                  plan: tuple[ChainPlan, ...], checks: Checks) -> dict:
     """The assisted bound's columns (lhs, l_tra, subtracted, w, u; u NaN
     where undefined) for a stack of validated states (N, D, D); the reduced
-    measured states are validated as DensityOperator validates them. Each
+    measured states are validated as DensityOperator validates them, a
+    qubit's from its closed-form spectrum (``eigvalsh_2x2``). Each
     control layout's plan is traced in one einsum, and each pair's
     residual and explained total (``chain_totals``) are summed into lhs
     and subtracted."""
@@ -338,7 +339,8 @@ def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup,
         lhs = lhs + residual.sum(axis=1)
         subtracted = subtracted + explained.sum(axis=1)
     rho_a = partial_trace(rho, dims, (setup.measured_subsystem,))
-    check_density(rho_a, np.linalg.eigvalsh(rho_a), checks)
+    spectrum = eigvalsh_2x2 if rho_a.shape[-1] == 2 else np.linalg.eigvalsh
+    check_density(rho_a, spectrum(rho_a), checks)
     bound = l_tra_batch(rho_a, setup._ltra_ops, setup.theta, checks)
     w = bound - subtracted
     return dict(lhs=lhs, l_tra=bound, subtracted=subtracted, w=w, u=ratios(lhs, w))

@@ -45,8 +45,8 @@ class DensityOperator:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = as_square(self.matrix).copy()

@@ -50,6 +50,8 @@ from .states import check_density, concurrence_batch, mixedness_batch
 #: matched-mixedness targets are located on this log-spaced scan
 SCAN_T_MAX = 1e4
 SCAN_POINTS = 200
+#: a matched temperature's mixedness is this close to the target, or
+#: matching raises RangeError
 GAMMA_TOL = 1e-10
 
 #: grid points evaluated together as one batch: a chunk's working arrays
@@ -317,11 +319,24 @@ def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str
 
 
 def match_mixedness(d: float, j: float, target_gamma: float) -> float:
-    """Temperature at which the model reaches a target mixedness.
+    """Lowest temperature at which the model reaches a target mixedness.
 
-    The target is bracketed on a log-spaced temperature scan over
-    [T_MIN, 1e4] and refined by bisection to |gamma - target| <= 1e-10;
-    with several brackets the one at the smallest temperature wins.
+    A log-spaced scan over [T_MIN, 1e4] finds the first temperature where
+    gamma - target is zero or has changed sign. A zero at T_MIN returns
+    T_MIN; otherwise the bracket it closes, [previous scan point, it], is
+    bisected until its ends are adjacent floats, keeping gamma - target of
+    the lower end's sign at the lower end. The end nearer the target in
+    gamma is returned. No tolerance on gamma stops the bisection early: on
+    a flat stretch of gamma a small gamma gap is a large temperature gap.
+
+    So a target that gamma equals exactly on a stretch of temperatures (a
+    plateau, such as gamma = 0 while the excited Boltzmann factors
+    underflow, or the 2/3 of a cold ferromagnetic d = 0 model) matches
+    the lowest temperature of that stretch: T_MIN when the stretch starts
+    there, otherwise the float at which gamma first equals the target.
+    The returned temperature meets |gamma - target| <= GAMMA_TOL, or
+    RangeError is raised; a target the scan never reaches raises
+    RangeError as well.
     """
     if not math.isfinite(target_gamma):
         raise ValidationError(f"target mixedness must be finite, got {target_gamma}")
@@ -332,27 +347,27 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     ts = np.logspace(np.log10(T_MIN), np.log10(SCAN_T_MAX), SCAN_POINTS)
     gammas = np.array([gamma_at(t) for t in ts])
     residues = gammas - target_gamma
-
-    hit = np.flatnonzero(np.abs(residues) <= GAMMA_TOL)
-    if hit.size:
-        return float(ts[hit[0]])
-    brackets = np.flatnonzero(residues[:-1] * residues[1:] < 0.0)
-    if not brackets.size:
+    if residues[0] == 0.0:
+        return float(ts[0])
+    reached = (residues[1:] == 0.0) | (residues[:-1] * residues[1:] < 0.0)
+    if not reached.any():
         raise RangeError(
             f"gamma = {target_gamma} not achieved for d = {d}, j = {j}; "
             f"scan reached [{gammas.min():.6g}, {gammas.max():.6g}]")
-    lo, hi = float(ts[brackets[0]]), float(ts[brackets[0] + 1])
-    f_lo = gamma_at(lo) - target_gamma
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    k = int(np.argmax(reached))
+    lo, hi = float(ts[k]), float(ts[k + 1])
+    f_lo, f_hi = float(residues[k]), float(residues[k + 1])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = gamma_at(mid) - target_gamma
-        if abs(f_mid) <= GAMMA_TOL:
-            return mid
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
+        if f_mid * f_lo > 0.0:
             lo, f_lo = mid, f_mid
-    raise RangeError(f"bisection stalled matching gamma = {target_gamma}")
+        else:
+            hi, f_hi = mid, f_mid
+    t, residue = (hi, f_hi) if abs(f_hi) <= abs(f_lo) else (lo, f_lo)
+    if not abs(residue) <= GAMMA_TOL:
+        raise RangeError(f"matching gamma = {target_gamma} for d = {d}, j = {j} "
+                         f"ended {abs(residue):.3e} away at t = {t}")
+    return t
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def check_mixedness_matching(setup) -> list[Check]:
             worst_w = max(worst_w, res.w_spread)
             worst_u = max(worst_u, res.u_spread)
     checks.append(Check("bound single-valued in (mixedness, d) at fixed coupling sign",
-                        worst_w <= 1e-6 and worst_u <= 1e-6,
+                        worst_w <= 1e-12 and worst_u <= 1e-12,
                         f"w spread {worst_w:.2e}, u spread {worst_u:.2e}"))
 
     spread = 0.0

@@ -130,6 +130,21 @@ def concurrence_oracle(matrix):
     return max(0.0, s[0] - s[1] - s[2] - s[3])
 
 
+def count_solver_calls(monkeypatch) -> dict:
+    """From here on, counts the calls to numpy.linalg.eigh, eigvalsh and
+    svd (the LAPACK drivers qurel uses), by name."""
+    calls = {}
+    for name in ("eigh", "eigvalsh", "svd"):
+        calls[name] = 0
+
+        def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 #: the model cross-check grid used throughout the tests
 GRID = [(d, j, t)
         for d in (0.0, 0.5, 1.0, 2.0)

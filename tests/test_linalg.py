@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from qurel.errors import ConvergenceError, DimensionError, ValidationError
-from qurel.linalg import I2, Checks, eigh_batch, is_hermitian, partial_trace, trace_product
+from qurel.linalg import (
+    I2,
+    Checks,
+    eigh_batch,
+    eigvalsh_2x2,
+    is_hermitian,
+    partial_trace,
+    spectral_2x2,
+    trace_product,
+)
 
 from helpers import random_density, random_hermitian, thermal_matrix
 
@@ -160,3 +169,60 @@ def test_eigh_batch_flags_only_the_matrix_the_solver_rejects(monkeypatch):
     for i in (0, 1, 3):
         expected_w, expected_v = eigh(stack[i])
         assert np.array_equal(w[i], expected_w) and np.array_equal(v[i], expected_v)
+
+
+def qubit_hermitians():
+    """Seeded 2 x 2 Hermitians at scales 1e-8 to 1e8, plus diagonal and
+    off-diagonal-only ones."""
+    rng = np.random.default_rng(53)
+    matrices = [scale * random_hermitian(rng, 2)
+                for scale in 10.0 ** np.arange(-8, 9) for _ in range(4)]
+    matrices += [np.diag([2.0, -3.0]), np.diag([1e8, -1e-8]), np.diag([-1e-8, 1e-8]),
+                 np.array([[0.0, 1.0 - 2.0j], [1.0 + 2.0j, 0.0]]),
+                 np.array([[0.0, 1e8j], [-1e8j, 0.0]]), np.array([[0.0, 1e-8], [1e-8, 0.0]])]
+    return np.array(matrices, dtype=complex)
+
+
+class TestSpectral2x2:
+    """The closed-form qubit spectrum against LAPACK: eigenvalues within a
+    few ulps of the matrix norm, projectors exactly Hermitian and, to
+    rounding, idempotent, complete and orthogonal."""
+
+    ULPS = 4 * np.finfo(float).eps
+
+    def test_eigenvalues_match_eigvalsh_within_ulps_of_the_norm(self):
+        h = qubit_hermitians()
+        mean, radius, _ = spectral_2x2(h)
+        w = np.stack([mean - radius, mean + radius], axis=-1)
+        assert np.array_equal(w, eigvalsh_2x2(h))
+        norm = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+        assert np.all(np.abs(w - np.linalg.eigvalsh(h)) <= self.ULPS * norm[:, None])
+
+    def test_projectors_are_exact_hermitian_spectral_projectors(self):
+        h = qubit_hermitians()
+        mean, radius, p = spectral_2x2(h)
+        assert p.shape == (len(h), 2, 2, 2)
+        assert np.array_equal(p, np.conj(np.swapaxes(p, -1, -2)))
+        tol = self.ULPS * 4
+        assert np.max(np.abs(p @ p - p)) <= tol
+        assert np.max(np.abs(p[:, 0] + p[:, 1] - I2)) <= tol
+        assert np.max(np.abs(p[:, 0] @ p[:, 1])) <= tol
+        rebuilt = (mean - radius)[:, None, None] * p[:, 0] + (mean + radius)[:, None, None] * p[:, 1]
+        norm = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+        assert np.all(np.max(np.abs(rebuilt - h), axis=(-2, -1)) <= tol * norm)
+        _, v = np.linalg.eigh(h)
+        oracle = v.swapaxes(-1, -2)[..., :, None] * v.swapaxes(-1, -2)[..., None, :].conj()
+        assert np.max(np.abs(p - oracle)) <= 1e-14
+
+    def test_reads_the_diagonal_and_upper_entry_only(self):
+        h = qubit_hermitians()
+        garbled = h.copy()
+        garbled[:, 1, 0] = np.nan
+        for exact, read in zip(spectral_2x2(h), spectral_2x2(garbled)):
+            assert np.array_equal(exact, read)
+
+    def test_multiple_of_identity_has_zero_radius(self):
+        for c in (0.0, 1.0, -3.5e7):
+            mean, radius, p = spectral_2x2(c * I2[None])
+            assert mean.tolist() == [c] and radius.tolist() == [0.0]
+            assert np.array_equal(p[0], np.array([I2, I2]) / 2.0)

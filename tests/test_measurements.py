@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qurel.errors import DimensionError, SubsystemError, ValidationError
-from qurel.linalg import I2, SIGMA_X, SIGMA_Z
+from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qurel.measurements import (
+    DEGENERACY_TOL,
     Observable,
     conditional_stats,
     expectation,
@@ -106,6 +107,50 @@ class TestProjectiveDecomposition:
                 assert np.max(np.abs(p - oracle)) <= 1e-12
         assert [w for w, _ in batch[4].outcomes] == [-1.0, 1.0]
         assert [round(np.trace(p).real) for _, p in batch[5].outcomes] == [2, 1]
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_qubit_gap_merges_below_degeneracy_tol(self, factor):
+        """A qubit observable c I + (g/2) n.sigma has gap g: below
+        DEGENERACY_TOL it is one outcome (c, I), above it two outcomes that
+        agree with np.linalg.eigh's eigenprojectors."""
+        rng = np.random.default_rng(73)
+        gap = DEGENERACY_TOL * factor
+        for c in (0.0, 0.3, -2.0):
+            n = rng.standard_normal(3)
+            n /= np.linalg.norm(n)
+            h = c * I2 + 0.5 * gap * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
+            dec = projective_decomposition(Observable(h, 0))
+            if factor < 1.0:
+                [(w, p)] = dec.outcomes
+                assert abs(w - c) <= 1e-15 and np.array_equal(p, I2)
+                continue
+            vals, vecs = np.linalg.eigh(h)
+            assert [w for w, _ in dec.outcomes] == pytest.approx(vals, abs=1e-15)
+            for (_, p), v in zip(dec.outcomes, vecs.T):
+                assert np.max(np.abs(p - np.outer(v, v.conj()))) <= 1e-6
+
+    def test_qubit_gap_is_read_from_the_entries_not_the_rounded_eigenvalues(self):
+        """1e8 I + 1e-9 sx has gap 2e-9 >= DEGENERACY_TOL: two outcomes with
+        the projectors of sx, though both eigenvalues round to 1e8."""
+        dec = projective_decomposition(Observable(1e8 * I2 + 1e-9 * SIGMA_X, 0))
+        assert [w for w, _ in dec.outcomes] == [1e8, 1e8]
+        expected = np.array([I2 - SIGMA_X, I2 + SIGMA_X]) / 2.0
+        assert np.max(np.abs(dec.projectors - expected)) <= 1e-15
+
+    def test_mixed_qubit_and_qutrit_list_keeps_input_order(self):
+        """Qubits (closed form) and qutrits (eigh) interleaved come back in
+        input order, each equal to its own decomposition."""
+        rng = np.random.default_rng(74)
+        dims = [3, 2, 2, 3, 2, 3, 3, 2]
+        observables = [Observable(random_hermitian(rng, d), 0) for d in dims]
+        batch = projective_decompositions(observables)
+        assert [dec.projectors.shape[1:] for dec in batch] == [(d, d) for d in dims]
+        for obs, dec in zip(observables, batch):
+            single = projective_decomposition(obs)
+            assert len(dec.outcomes) == obs.matrix.shape[0]
+            assert np.array_equal(dec.projectors, single.projectors)
+            rebuilt = sum(w * p for w, p in dec.outcomes)
+            assert np.max(np.abs(rebuilt - obs.matrix)) <= 1e-12
 
 
 class TestVariance:

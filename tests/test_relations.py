@@ -25,6 +25,7 @@ from qurel.states import DensityOperator
 
 from helpers import (
     bell_state,
+    count_solver_calls,
     l_tra_oracle,
     pure_state,
     random_density,
@@ -401,6 +402,35 @@ class TestQcVur:
             res = qc_vur(rho, setup)
             if res.u is not None and res.w > 1e-6:
                 assert res.u >= 1.0 - 1e-9
+
+
+class TestNoSolverForQubits:
+    """Qubit observables and reduced qubit states are decomposed in closed
+    form: a bound on a state already built calls no LAPACK driver."""
+
+    NONE = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_qc_vur_with_a_fresh_qubit_setup(self, monkeypatch, n_qubits):
+        rng = np.random.default_rng(90 + n_qubits)
+        rho = random_density(rng, (2,) * n_qubits)
+        calls = count_solver_calls(monkeypatch)
+        measured = n_qubits - 1
+        controls = range(n_qubits - 1)
+        pairs = tuple((Observable(random_hermitian(rng, 2), measured),
+                       tuple(Observable(random_hermitian(rng, 2), c) for c in controls))
+                      for _ in range(3))
+        setup = MeasurementSetup(pairs=pairs, ltra_operator=random_hermitian(rng, 2), theta=0.7)
+        qc_vur(rho, setup)
+        qc_vur(rho, xz_control_setup(controls=tuple(range(1, n_qubits))))
+        assert calls == self.NONE
+
+    def test_qm_eur(self, monkeypatch):
+        rng = np.random.default_rng(94)
+        rho = random_density(rng, (2, 2))
+        calls = count_solver_calls(monkeypatch)
+        qm_eur(rho, Observable(random_hermitian(rng, 2), 0), Observable(random_hermitian(rng, 2), 0))
+        assert calls == self.NONE
 
 
 def _mixed_layout_setup(rng) -> MeasurementSetup:

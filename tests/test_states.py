@@ -91,7 +91,7 @@ class TestDensityOperator:
                 rho.eigenvalues = w
             assert repr(rho) == f"DensityOperator(matrix={rho.matrix!r}, dims={rho.dims!r})"
             assert rho == rho
-        assert [f.name for f in fields(DensityOperator) if f.compare] == ["matrix", "dims"]
+            assert rho != DensityOperator(rho.matrix, rho.dims)
         assert [f.name for f in fields(DensityOperator) if f.init] == ["matrix", "dims"]
 
     def test_solver_failure_raises_convergence_error(self, monkeypatch):

@@ -24,6 +24,8 @@ from qurel.sweep import (
     sweep_csv,
 )
 
+from helpers import count_solver_calls
+
 
 class TestSweepGrid:
     def test_single_point_grid(self):
@@ -393,6 +395,69 @@ class TestMatchMixedness:
         t = match_mixedness(0.5, -1.5, target)
         assert abs(closed_form_mixedness(ModelParams(0.5, -1.5, t)) - target) <= 1e-10
 
+    @staticmethod
+    def rescaling_cases():
+        """(d, j, t, j') of one sign: the ROADMAP's four cases, then seeded
+        ones whose exact match t j'/j lies inside the scan."""
+        cases = [(2.0, 1.0, 0.1, 0.5), (2.0, 1.0, 0.127, 0.5), (1.0, 1.0, 0.1, 2.0),
+                 (0.0, -1.0, 0.1, -0.5)]
+        rng = np.random.default_rng(1515)
+        while len(cases) < 64:
+            sign = rng.choice([-1.0, 1.0])
+            d, j, j2 = rng.uniform(0.0, 3.0), sign * rng.uniform(0.3, 3.0), sign * rng.uniform(0.3, 3.0)
+            t = abs(j) * 10.0 ** rng.uniform(-1.5, 1.5)
+            if 2 * T_MIN < t * j2 / j < 5e3:
+                cases.append((d, j, t, j2))
+        return cases
+
+    def test_matches_the_exact_rescaled_temperature(self):
+        """rho(d, j, t) depends on (d, j/t) only, so the match of a
+        coupling j' to the mixedness at (d, j, t) is t j'/j. The match
+        holds it to 8 ulps, plus 8 ulps of gamma carried into t through
+        the relative slope |t gamma'/gamma|: where gamma is flat, as just
+        above the ferromagnetic 2/3 plateau, t is correspondingly loose."""
+        eps = np.finfo(float).eps
+
+        def gamma(d, j, t):
+            return closed_form_mixedness(ModelParams(d, j, t))
+
+        for d, j, t, j2 in self.rescaling_cases():
+            target = gamma(d, j, t)
+            exact = t * j2 / j
+            slope = abs(gamma(d, j2, exact * (1 + 1e-6))
+                        - gamma(d, j2, exact * (1 - 1e-6))) / (2e-6 * target)
+            got = match_mixedness(d, j2, target)
+            assert abs(got / exact - 1.0) <= 8 * eps * (1.0 + 1.0 / slope), (d, j, t, j2, got)
+
+    def test_tiny_target_on_a_steep_tail(self):
+        """The reproducer of the old absolute tolerance, which returned
+        T_MIN here because gamma(T_MIN) = 0 was within 1e-10 of the target."""
+        t = match_mixedness(2.0, 0.5, 3.5318013206062414e-14)
+        assert abs(t - 0.05) <= 5e-14
+
+    @pytest.mark.parametrize("d, j", [(2.0, 0.5), (0.0, -1.0)])
+    def test_plateau_target_matches_the_lowest_temperature(self, d, j):
+        """gamma is exactly 0 (excited weights underflow) or exactly 2/3
+        (cold ferromagnet at d = 0) from T_MIN up: a target on that
+        plateau returns T_MIN."""
+        target = closed_form_mixedness(ModelParams(d, j, T_MIN))
+        assert target == {2.0: 0.0, 0.0: 2.0 / 3.0}[d]
+        assert closed_form_mixedness(ModelParams(d, j, 2 * T_MIN)) == target
+        assert match_mixedness(d, j, target) == T_MIN
+
+    def test_target_at_a_scan_point_returns_the_first_float_reaching_it(self):
+        """Where gamma is flat at rounding level, as near its 3/4 ceiling,
+        floats below the scan point reach the target too: the match is the
+        lowest of them."""
+        ts = np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX), sweep.SCAN_POINTS)
+        for k in (40, 90, 150):
+            target = closed_form_mixedness(ModelParams(1.0, 1.0, float(ts[k])))
+            t = match_mixedness(1.0, 1.0, target)
+            assert ts[k - 1] < t <= ts[k]
+            assert closed_form_mixedness(ModelParams(1.0, 1.0, t)) == target
+            below = np.nextafter(t, 0.0)
+            assert closed_form_mixedness(ModelParams(1.0, 1.0, below)) != target
+
 
 class TestCheckSingleValued:
     def test_single_sample_is_trivially_flat(self):
@@ -405,6 +470,15 @@ class TestCheckSingleValued:
         assert res.u_spread <= 1e-6
         assert res.skipped == 0
 
+    @pytest.mark.parametrize("d", [0.0, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_spreads_are_at_rounding_level(self, d, sign):
+        """Matching to adjacent floats leaves verify's 1e-12 threshold a
+        wide margin: rho depends on (d, j/t) only."""
+        res = check_single_valued(d, [sign * 0.5, sign * 1.0, sign * 2.0], xz_control_setup(),
+                                  n_targets=8)
+        assert res.w_spread <= 1e-13 and res.u_spread <= 1e-13 and res.skipped == 0
+
     def test_mixed_signs_rejected(self):
         with pytest.raises(ValidationError):
             check_single_valued(1.0, [-1.0, 1.0], xz_control_setup())
@@ -413,6 +487,17 @@ class TestCheckSingleValued:
     def test_rejects_fewer_than_one_target(self, n_targets):
         with pytest.raises(ValidationError, match="^n_targets must be >= 1"):
             check_single_valued(1.0, [0.5, 1.0], xz_control_setup(), n_targets=n_targets)
+
+
+def test_chunk_makes_three_solver_calls(monkeypatch):
+    """One full chunk of a fresh standard setup: the Hamiltonians' eigh,
+    the states' eigh and the concurrence's svd; the controls' projectors
+    and the measured qubit's spectrum are closed forms."""
+    calls = count_solver_calls(monkeypatch)
+    grid = SweepGrid(d_range=(0.0, 3.0, 8), j_range=(-1.9, 1.6, 8), t_range=(T_MIN, 4.0, 8))
+    cols, errors = sweep_columns(grid, xz_control_setup())
+    assert len(cols["gamma"]) == CHUNK_POINTS and not errors
+    assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 1}
 
 
 class TestFigurePresets:
