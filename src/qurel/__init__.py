@@ -13,7 +13,6 @@ from .errors import (
     DegenerateOperator,
     DegeneracyError,
     DimensionError,
-    HermiticityError,
     QurelError,
     RangeError,
     SubsystemError,
@@ -34,8 +33,6 @@ from .measurements import (
     ProjectiveDecomposition,
     SequentialDecomposition,
     conditional_stats,
-    expectation,
-    projective_decomposition,
     sequential_decomposition,
     variance,
 )
@@ -52,7 +49,6 @@ from .relations import (
     QcVurResult,
     QmEurResult,
     l_tra,
-    maximal_overlap_c,
     qc_vur,
     qm_eur,
     schrodinger_bound,

@@ -9,10 +9,6 @@ class DimensionError(QurelError):
     """Operand shapes or subsystem dimensions do not fit together."""
 
 
-class HermiticityError(QurelError):
-    """A matrix that must be Hermitian is not (beyond tolerance)."""
-
-
 class ConvergenceError(QurelError):
     """The eigensolver failed to converge."""
 

@@ -162,13 +162,6 @@ def projective_decompositions(observables) -> list[ProjectiveDecomposition]:
     return found
 
 
-def projective_decomposition(obs: Observable) -> ProjectiveDecomposition:
-    """Eigenvalues and eigenprojectors of an observable:
-    ``projective_decompositions`` as a batch of one. Nothing is memoized;
-    the sweeps and ``qc_vur`` build their operators once per setup."""
-    return projective_decompositions([obs])[0]
-
-
 def _check_fits(dim: int, dims: tuple, subsystem: int) -> None:
     """An operator of dimension ``dim`` must act on an existing subsystem
     of that dimension."""
@@ -184,11 +177,6 @@ def _moments(rho: DensityOperator, obs: Observable) -> tuple[float, float]:
     reduced = partial_trace(rho.matrix, rho.dims, obs.subsystem)
     return (trace_product(reduced, obs.matrix).real,
             trace_product(reduced, obs.matrix @ obs.matrix).real)
-
-
-def expectation(rho: DensityOperator, obs: Observable) -> float:
-    """<O> on the observable's subsystem."""
-    return _moments(rho, obs)[0]
 
 
 def variance(rho: DensityOperator, obs: Observable) -> float:

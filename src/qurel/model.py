@@ -5,11 +5,17 @@ The Hamiltonian is
     H = (J/2) [ sx sx + sy sy + sz sz + D (sx sy - sy sx) ]
 
 with real coupling J (antiferromagnetic for J > 0) and antisymmetric
-strength D >= 0. Its thermal state at temperature T (k = 1) is an
-X-shaped matrix whose only coherence sits between |01> and |10>, and
-mixedness and concurrence of that state have closed forms. Both the
-Gibbs construction and the closed forms are exposed so they can be
-cross-checked against each other.
+strength D >= 0. Its eigensystem is known in closed form: the levels J/2
+of |00> and |11>, and -J/2 -/+ J r, r = hypot(1, D), of
+(|01> -/+ e^(-i phi) |10>) / sqrt(2) with e^(-i phi) = (1 - iD) / r. So
+its thermal state at temperature T (k = 1) is built with no eigensolver:
+an X-shaped matrix whose only coherence sits between |01> and |10>. Each
+level enters through its height above the ground level, in a form that
+neither cancels nor overflows; the near-degenerate ferromagnetic gap
+J (1 - r) is -J D (D / (1 + r)). Mixedness and concurrence of the state
+have scalar closed forms from the same heights. ``hamiltonian`` builds H
+from its Pauli terms, and ``qurel verify`` checks the closed-form
+eigensystem against it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QurelError, RangeError, ValidationError
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Checks, dagger, eigh_batch
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
 from .states import DensityOperator
 
 #: coldest supported temperature; beta <= 1000 keeps the shifted
@@ -82,17 +88,14 @@ def _domain_error(d: float, j: float, t: float) -> QurelError:
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
-    """4x4 Hermitian matrix of the model.
+    """4x4 Hermitian matrix of the model, built from its Pauli terms.
 
     Eigenvalues are {J/2, J/2, -J/2 + delta/2, -J/2 - delta/2} and the
-    inner matrix element <01|H|10> equals J(1 + iD).
+    inner matrix element <01|H|10> equals J(1 + iD). The thermal states
+    do not use it: it is the independent cross-check of their closed-form
+    eigensystem (``qurel verify``).
     """
-    return hamiltonians(np.array([p.d], dtype=float), np.array([p.j], dtype=float))[0]
-
-
-def hamiltonians(d: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The model's Hamiltonians at arrays of (d, j), as an (N, 4, 4) stack."""
-    return (j / 2.0)[:, None, None] * (_XX + _YY + _ZZ + d[:, None, None] * _DM)
+    return (p.j / 2.0) * (_XX + _YY + _ZZ + p.d * _DM)
 
 
 def thermal_state(p: ModelParams) -> DensityOperator:
@@ -105,72 +108,113 @@ def thermal_state(p: ModelParams) -> DensityOperator:
     return DensityOperator(rho[0], (2, 2))
 
 
+def _levels(d: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each level's height above the ground level -j/2 - |j| r of the
+    Hamiltonians at arrays of (d, j), in units of |j|, as an (N, 4) array
+    in the order: far level, |00>, |11>, ground level. The heights are 2r,
+    then twice 1 + r for j > 0 and r - 1 = d (d / (1 + r)) for j < 0, then
+    0; so they descend, and the Boltzmann weights ascend."""
+    r = np.hypot(1.0, d)
+    pair = np.where(j > 0.0, 1.0 + r, d * (d / (1.0 + r)))
+    return np.stack([2.0 * r, pair, pair, np.zeros_like(r)], axis=1)
+
+
+#: 1/sqrt(2), the |01> and |10> amplitude of the two inner eigenvectors
+_ROOT_HALF = math.sqrt(0.5)
+
+
+def _eigenvectors(d: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The Hamiltonians' eigenvectors at arrays of (d, j), as the columns of
+    an (N, 4, 4) stack in the order of ``_levels``: with s = sign(j), the
+    far and ground levels are (|01> +/- s e^(-i phi) |10>) / sqrt(2),
+    e^(-i phi) = (1 - i d) / r."""
+    v = np.zeros((len(d), 4, 4), dtype=complex)
+    v[:, 0, 1] = v[:, 3, 2] = 1.0
+    v[:, 1, 0] = v[:, 1, 3] = _ROOT_HALF
+    c = np.copysign(_ROOT_HALF, j) / np.hypot(1.0, d)
+    v[:, 2, 0] = c - 1j * (c * d)
+    v[:, 2, 3] = -v[:, 2, 0]
+    return v
+
+
 def gibbs_states(d: np.ndarray, j: np.ndarray, t: np.ndarray, checks: Checks) -> np.ndarray:
     """Gibbs states exp(-H/T) / Z of a batch of model points, as an
-    (N, 4, 4) stack from one batched eigendecomposition.
+    (N, 4, 4) stack built from the closed-form eigensystem (``_levels``,
+    ``_eigenvectors``): no solver call.
 
-    The checks are thermal_state's: the ModelParams domain, a finite
-    Hamiltonian (then exactly Hermitian: real scalars times Hermitian
-    constants), a converged eigensolver and finite entries. The spectral
-    exponent is shifted by its maximum before exponentiation; the shift
-    cancels against the partition function, so arbitrarily large beta*|J|
-    cannot overflow. Failed points come back as I/4.
+    The checks are thermal_state's: the ModelParams domain and a finite
+    Hamiltonian. A point fails with "Hamiltonian overflowed" exactly where
+    ``hamiltonian`` would hold a non-finite entry, where 2d or (j/2)(2d)
+    overflows. Each Boltzmann weight is exp(-|j| height / t) relative to
+    the ground level's, which is 1, so arbitrarily large beta*|J| cannot
+    overflow and a stable height keeps the near-degenerate ferromagnetic
+    gap accurate. Failed points come back as I/4.
     """
     checks.require(in_domain(d, j, t), lambda i: _domain_error(d[i], j[i], t[i]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite((j / 2.0) * (2.0 * d))
+    checks.require(finite, lambda i: RangeError(
+        f"Hamiltonian overflowed at {ModelParams(float(d[i]), float(j[i]), float(t[i]))}"))
     d = checks.clean(d, 0.0)
     j = checks.clean(j, 1.0)
     t = checks.clean(t, 1.0)
-
-    def overflowed(what):
-        return lambda i: RangeError(f"{what} overflowed at "
-                                    f"{ModelParams(float(d[i]), float(j[i]), float(t[i]))}")
-
+    heights = _levels(d, j)
+    aj = np.abs(j)[:, None]
+    t = t[:, None]
+    # |j| height / t in two orders: each overflows short of the true value
+    # only where the other cannot (|j| / t for t < 1, |j| height for t > 1),
+    # and fmin drops the NaN of a 0 height times an infinite |j| / t; a true
+    # overflow is a weight of 0
     with np.errstate(over="ignore", invalid="ignore"):
-        h = hamiltonians(d, j)
-        checks.require(np.isfinite(h.view(float)).all(axis=(1, 2)), overflowed("Hamiltonian"))
-        w, v = eigh_batch(checks.clean(h, 0.0), checks)
-        x = -(1.0 / t)[:, None] * w
-        weights = np.exp(x - np.max(x, axis=1, keepdims=True))
-        z = weights.sum(axis=1, keepdims=True)
-        rho = (v * (weights / z)[:, None, :]) @ dagger(v)
-    checks.require(np.isfinite(rho.view(float)).all(axis=(1, 2)), overflowed("thermal state"))
+        x = np.fmin(heights * aj / t, heights * (aj / t))
+    weights = np.exp(-x)
+    w = weights / weights.sum(axis=1, keepdims=True)
+    # V diag(w) V^dagger for the V of _eigenvectors, entry by entry: the X
+    # state, exactly Hermitian
+    coherence = (w[:, 0] - w[:, 3]) * np.copysign(0.5, j) / np.hypot(1.0, d)
+    rho = np.zeros((len(d), 4, 4), dtype=complex)
+    rho[:, 0, 0] = rho[:, 3, 3] = w[:, 1]
+    rho[:, 1, 1] = rho[:, 2, 2] = 0.5 * (w[:, 0] + w[:, 3])
+    rho[:, 1, 2] = coherence + 1j * (coherence * d)
+    rho[:, 2, 1] = np.conj(rho[:, 1, 2])
     return checks.clean(rho, np.eye(4) / 4.0)
 
 
-def _shifted_weights(p: ModelParams) -> tuple[float, float, float]:
-    """The three Boltzmann factors exp(-bJ/2), exp(b(J+delta)/2),
-    exp(b(J-delta)/2), jointly rescaled by their maximum.
+def _shifted_weights(p: ModelParams) -> tuple[float, float]:
+    """The Boltzmann factors of |00> (equal to that of |11>) and of the far
+    level, relative to the ground level's: ``gibbs_states``' weights in
+    scalar math, from the same heights and in the same two orders.
 
     Every closed form below is a ratio of terms of equal total degree in
-    these factors, so the common rescaling cancels exactly and no
-    exponential ever exceeds 1.
+    the factors (1 for the ground level), so no exponential exceeds 1.
+    Scalar math keeps a single point cheap: mixedness matching calls this
+    a few hundred times per match.
     """
-    beta = p.beta
-    e1 = -beta * p.j / 2.0
-    e2 = beta * (p.j + p.delta) / 2.0
-    e3 = beta * (p.j - p.delta) / 2.0
-    shift = max(e1, e2, e3)
-    a = math.exp(e1 - shift)
-    b = math.exp(e2 - shift)
-    c = math.exp(e3 - shift)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise RangeError(f"Boltzmann factors overflowed at {p}")
-    return a, b, c
+    aj = abs(p.j)
+    r = math.hypot(1.0, p.d)
+    pair = 1.0 + r if p.j > 0.0 else p.d * (p.d / (1.0 + r))
+
+    def weight(height: float) -> float:
+        # min keeps its first argument, which is never NaN, over a NaN
+        return math.exp(-min(height * aj / p.t, height * (aj / p.t)))
+
+    return weight(pair), weight(2.0 * r)
 
 
 def closed_form_mixedness(p: ModelParams) -> float:
     """Analytic 1 - Tr(rho^2) of the thermal state."""
-    a, b, c = _shifted_weights(p)
-    z = 2.0 * a + b + c
-    return (2.0 * a * a + 4.0 * a * b + 4.0 * a * c + 2.0 * b * c) / (z * z)
+    a, f = _shifted_weights(p)
+    z = 1.0 + 2.0 * a + f
+    return (2.0 * a * a + 4.0 * a + 4.0 * a * f + 2.0 * f) / z / z
 
 
 def closed_form_concurrence(p: ModelParams) -> float:
     """Analytic concurrence of the thermal state.
 
     Equals (2/Z) max(|rho23| - sqrt(rho11 rho44), 0) on the unnormalized
-    X-state elements, i.e. (2/Z) max(e^{bJ/2} |sinh(b delta/2)| - e^{-bJ/2}, 0).
+    X-state elements, i.e. (2/Z) max(e^{bJ/2} |sinh(b delta/2)| - e^{-bJ/2}, 0);
+    relative to the ground level's weight, |rho23| is (1 - f) / 2 and
+    rho11 = rho44 is a.
     """
-    a, b, c = _shifted_weights(p)
-    z = 2.0 * a + b + c
-    return max(abs(b - c) - 2.0 * a, 0.0) / z
+    a, f = _shifted_weights(p)
+    return max(1.0 - f - 2.0 * a, 0.0) / (1.0 + 2.0 * a + f)

@@ -165,20 +165,6 @@ def _overlap_constant(pr: np.ndarray, ps: np.ndarray) -> float:
     return float(overlaps.max())
 
 
-def maximal_overlap_c(r: Observable, s: Observable) -> float:
-    """Largest squared overlap between the eigenbases of two observables.
-
-    Both spectra must be nondegenerate after eigenspace merging: the
-    overlap constant is ill-defined for projectors of rank above one.
-    """
-    if r.subsystem != s.subsystem:
-        raise SubsystemError("observables must act on the same subsystem")
-    dim = r.matrix.shape[0]
-    if s.matrix.shape[0] != dim:
-        raise DimensionError(f"observable dims {dim} and {s.matrix.shape[0]} differ")
-    return _overlap_constant(*(dec.projectors for dec in projective_decompositions([r, s])))
-
-
 class EurPlan(NamedTuple):
     """The entropic bound's operators for a pair of observables on qubit 0
     of a two-qubit state: each observable's rank-one eigenprojectors on

@@ -174,9 +174,9 @@ def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
 
 def _columns(d, j, t, setup: MeasurementSetup, checks: Checks) -> dict:
     """Value columns (CSV names, NaN for an undefined ratio) of a batch of
-    model points: their Gibbs states, each decomposed once, through the
-    setup's operators. A setup that cannot be planned on two qubits raises
-    before any point is evaluated."""
+    model points: their Gibbs states, built in closed form and each
+    decomposed once, through the setup's operators. A setup that cannot be
+    planned on two qubits raises before any point is evaluated."""
     plan = vur_plan(setup, (2, 2))
     rho = gibbs_states(d, j, t, checks)
     w, v = eigh_batch(rho, checks)

@@ -13,9 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Z, partial_trace
+from .linalg import I2, SIGMA_X, SIGMA_Z, dagger, partial_trace
 from .measurements import Observable, conditional_stats, sequential_decomposition, variance
-from .model import ModelParams, T_MIN, closed_form_concurrence, closed_form_mixedness, thermal_state
+from .model import (
+    ModelParams,
+    T_MIN,
+    _eigenvectors,
+    _levels,
+    closed_form_concurrence,
+    closed_form_mixedness,
+    hamiltonian,
+    thermal_state,
+)
 from .relations import MeasurementSetup, l_tra, qc_vur, qm_eur, schrodinger_bound, xz_control_setup
 from .states import DensityOperator, concurrence_two_qubit, mixedness
 from .sweep import check_single_valued, evaluate_point, figure_preset, match_mixedness, sweep_columns
@@ -76,8 +85,25 @@ def check_kernel(rng) -> list[Check]:
     return [Check("partial trace chains and preserves trace", dev <= 1e-12, f"dev {dev:.2e}")]
 
 
+def check_hamiltonian() -> Check:
+    """The closed-form eigensystem behind every thermal state, against the
+    Hamiltonian built from its Pauli terms: V diag(E) V^dagger, with E the
+    ground level -j/2 - |j| r plus |j| times each height, reproduces
+    ``hamiltonian(p)`` to a few eps ||H|| (||H|| = max |E|)."""
+    d = np.repeat(GRID_D, len(GRID_J))
+    j = np.tile(GRID_J, len(GRID_D))
+    heights, v = _levels(d, j), _eigenvectors(d, j)
+    energies = (-j / 2.0 - np.abs(j) * np.hypot(1.0, d))[:, None] + np.abs(j)[:, None] * heights
+    rebuilt = (v * energies[:, None, :]) @ dagger(v)
+    worst = max(float(np.max(np.abs(m - hamiltonian(ModelParams(dd, jj, 1.0)))))
+                / (np.finfo(float).eps * float(np.max(np.abs(e))))
+                for m, e, dd, jj in zip(rebuilt, energies, d.tolist(), j.tolist()))
+    return Check("closed-form eigensystem reproduces the Hamiltonian to 4 eps ||H||",
+                 worst <= 4.0, f"max dev {worst:.2f} eps ||H|| over {len(d)} (d, j)")
+
+
 def check_model() -> list[Check]:
-    checks = []
+    checks = [check_hamiltonian()]
     worst_state = worst_gamma = worst_conc = worst_marg = 0.0
     for d in GRID_D:
         for j in GRID_J:

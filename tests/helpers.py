@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from qurel.model import hamiltonian
 from qurel.states import DensityOperator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,6 +104,21 @@ def thermal_matrix(d, j, t):
                      [0, r22, r23, 0],
                      [0, np.conj(r23), r22, 0],
                      [0, 0, 0, r11]], dtype=complex) / z
+
+
+def gibbs_reference(p):
+    """exp(-H/T) / Z and max |E| by np.linalg.eigh of ``hamiltonian(p)``,
+    the matrix route that the closed forms replace, with the weights taken
+    relative to the lowest eigenvalue; (None, None) where H holds a
+    non-finite entry. At extreme inputs the state may be non-finite too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hamiltonian(p)
+        if not np.isfinite(h).all():
+            return None, None
+        w, v = np.linalg.eigh(h)
+        weights = np.exp(-(w - w[0]) / p.t)
+        rho = (v * (weights / weights.sum())) @ v.conj().T
+    return rho, float(np.max(np.abs(w)))
 
 
 def l_tra_oracle(rho, a, b, o, theta):

@@ -38,7 +38,8 @@ def test_criterion_01_gibbs_matches_closed_form():
     checks = verify.check_model()
     elapsed = time.monotonic() - t0
     report(1, elapsed < 1.0, f"model section in {elapsed:.2f} s",
-           checks, ("thermal state matches analytic elements", "both reduced states are I/2",
+           checks, ("closed-form eigensystem reproduces the Hamiltonian to 4 eps ||H||",
+                    "thermal state matches analytic elements", "both reduced states are I/2",
                     "scalars invariant under (j, t) -> (k j, k t)"))
 
 

@@ -212,12 +212,13 @@ class TestSweepCommand:
     def test_streamed_warnings_keep_row_order(self, tmp_path, capsys, monkeypatch):
         """Flagged rows interleave, within one chunk, with rows whose columns
         break an invariant (gamma pushed out of range here); the warnings
-        still come in row order, as the batch of one gives them."""
+        still come in row order, as the batch of one gives them. At d >= 2,
+        j = 1e308 overflows the Hamiltonian's entry j d."""
         monkeypatch.setattr(sweep, "mixedness_batch", lambda rho: 1.0 + mixedness_batch(rho))
-        grid = SweepGrid(d_range=(1.0, 2.0, 2), j_range=(1.0, 1e308, 2), t_range=(1.0, 1.0, 1))
+        grid = SweepGrid(d_range=(2.0, 3.0, 2), j_range=(1.0, 1e308, 2), t_range=(1.0, 1.0, 1))
         oracle = batch_of_one(grid, xz_control_setup(theta=0.5))
         assert [not failed for _, _, failed in oracle] == [True, False, True, False]
-        code, _, err = run_cli(capsys, "sweep", "--d", "1:2:2", "--j", "1:1e308:2", "--t", "1",
+        code, _, err = run_cli(capsys, "sweep", "--d", "2:3:2", "--j", "1:1e308:2", "--t", "1",
                                "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert err == "".join(f"warning: {msg}\n" for _, messages, _ in oracle

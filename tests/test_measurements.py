@@ -8,9 +8,8 @@ from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qurel.measurements import (
     DEGENERACY_TOL,
     Observable,
+    _moments,
     conditional_stats,
-    expectation,
-    projective_decomposition,
     projective_decompositions,
     sequential_decomposition,
     variance,
@@ -29,6 +28,13 @@ from helpers import (
     thermal_elements,
 )
 
+
+def decompose_one(obs):
+    """One observable's ProjectiveDecomposition: projective_decompositions
+    on a list of one."""
+    return projective_decompositions([obs])[0]
+
+
 # frozen at (d, j, t) = (1, 1, 1): <sx sx> and the conditional split for
 # q = o = sigma_x, from the analytic matrix elements
 CXX_REF = -0.5374175239189489
@@ -38,7 +44,7 @@ VOFE_REF = 0.2888175950151741
 
 class TestProjectiveDecomposition:
     def test_sigma_z(self):
-        dec = projective_decomposition(Observable(SIGMA_Z, 0))
+        dec = decompose_one(Observable(SIGMA_Z, 0))
         (w0, p0), (w1, p1) = dec.outcomes
         assert (w0, w1) == (-1.0, 1.0)
         assert np.allclose(p0, np.diag([0.0, 1.0]))
@@ -46,7 +52,7 @@ class TestProjectiveDecomposition:
 
     def test_rank_one_spectral_formula(self):
         obs = Observable(SIGMA_X + SIGMA_Z, 0)
-        dec = projective_decomposition(obs)
+        dec = decompose_one(obs)
         root2 = np.sqrt(2.0)
         assert np.allclose([w for w, _ in dec.outcomes], [-root2, root2])
         for w, proj in dec.outcomes:
@@ -54,7 +60,7 @@ class TestProjectiveDecomposition:
             assert np.max(np.abs(proj - expected)) <= 1e-12
 
     def test_identity_merges_to_single_outcome(self):
-        dec = projective_decomposition(Observable(np.eye(2, dtype=complex), 0))
+        dec = decompose_one(Observable(np.eye(2, dtype=complex), 0))
         assert len(dec.outcomes) == 1
         w, proj = dec.outcomes[0]
         assert np.isclose(w, 1.0)
@@ -63,7 +69,7 @@ class TestProjectiveDecomposition:
     def test_projectors_are_complete_and_orthogonal(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
-            dec = projective_decomposition(Observable(random_hermitian(rng, 3), 0))
+            dec = decompose_one(Observable(random_hermitian(rng, 3), 0))
             total = sum(p for _, p in dec.outcomes)
             assert np.max(np.abs(total - np.eye(3))) <= 1e-10
             for (wi, pi), (wj, pj) in itertools.combinations(dec.outcomes, 2):
@@ -87,7 +93,7 @@ class TestProjectiveDecomposition:
         batch = projective_decompositions(observables)
         assert [len(dec.outcomes) for dec in batch] == [2, 1, 3, 2, 2, 2, 2]
         for obs, dec in zip(observables, batch):
-            single = projective_decomposition(obs)
+            single = decompose_one(obs)
             vals, vecs = np.linalg.eigh(obs.matrix)
             clusters = [[0]]
             for i in range(1, len(vals)):
@@ -119,7 +125,7 @@ class TestProjectiveDecomposition:
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             h = c * I2 + 0.5 * gap * (n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
-            dec = projective_decomposition(Observable(h, 0))
+            dec = decompose_one(Observable(h, 0))
             if factor < 1.0:
                 [(w, p)] = dec.outcomes
                 assert abs(w - c) <= 1e-15 and np.array_equal(p, I2)
@@ -132,7 +138,7 @@ class TestProjectiveDecomposition:
     def test_qubit_gap_is_read_from_the_entries_not_the_rounded_eigenvalues(self):
         """1e8 I + 1e-9 sx has gap 2e-9 >= DEGENERACY_TOL: two outcomes with
         the projectors of sx, though both eigenvalues round to 1e8."""
-        dec = projective_decomposition(Observable(1e8 * I2 + 1e-9 * SIGMA_X, 0))
+        dec = decompose_one(Observable(1e8 * I2 + 1e-9 * SIGMA_X, 0))
         assert [w for w, _ in dec.outcomes] == [1e8, 1e8]
         expected = np.array([I2 - SIGMA_X, I2 + SIGMA_X]) / 2.0
         assert np.max(np.abs(dec.projectors - expected)) <= 1e-15
@@ -146,7 +152,7 @@ class TestProjectiveDecomposition:
         batch = projective_decompositions(observables)
         assert [dec.projectors.shape[1:] for dec in batch] == [(d, d) for d in dims]
         for obs, dec in zip(observables, batch):
-            single = projective_decomposition(obs)
+            single = decompose_one(obs)
             assert len(dec.outcomes) == obs.matrix.shape[0]
             assert np.array_equal(dec.projectors, single.projectors)
             rebuilt = sum(w * p for w, p in dec.outcomes)
@@ -165,7 +171,7 @@ class TestVariance:
     def test_thermal_marginal_variance_is_one(self):
         rho = thermal_state(ModelParams(1.0, 1.0, 1.0))
         assert abs(variance(rho, Observable(SIGMA_Z, 0)) - 1.0) <= 1e-12
-        assert abs(expectation(rho, Observable(SIGMA_Z, 0))) <= 1e-12
+        assert abs(_moments(rho, Observable(SIGMA_Z, 0))[0]) <= 1e-12
 
 
 class TestConditionalStats:
@@ -239,7 +245,7 @@ def chain_oracle(rho, q, controls):
     evaluates every term of the chain rule directly from its definition.
     """
     dims = rho.dims
-    decs = [projective_decomposition(o) for o in controls]
+    decs = [decompose_one(o) for o in controls]
     q_full = embedded(q.matrix, dims, q.subsystem)
 
     branches = []  # (outcome tuple, probability, E[Q|c], E[Q^2|c])
@@ -401,7 +407,7 @@ class TestObservableMustFitState:
 
     @pytest.mark.parametrize("obs, error, message", [WRONG_DIM, NO_SUBSYSTEM])
     def test_moments(self, obs, error, message):
-        for fn in (variance, expectation):
+        for fn in (variance, _moments):
             with pytest.raises(error, match=message):
                 fn(bell_state(), obs)
 

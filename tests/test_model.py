@@ -9,6 +9,8 @@ from qurel.linalg import Checks
 from qurel.model import (
     ModelParams,
     T_MIN,
+    _eigenvectors,
+    _levels,
     closed_form_concurrence,
     closed_form_mixedness,
     gibbs_states,
@@ -16,9 +18,9 @@ from qurel.model import (
     in_domain,
     thermal_state,
 )
-from qurel.states import concurrence_two_qubit, mixedness
+from qurel.states import concurrence_batch, concurrence_two_qubit, mixedness, mixedness_batch
 
-from helpers import GRID, thermal_elements, thermal_matrix
+from helpers import GRID, gibbs_reference, thermal_elements, thermal_matrix
 
 
 class TestModelParams:
@@ -162,6 +164,89 @@ class TestThermalState:
             assert stack[i:i + 1].tobytes() == one.tobytes(), i
         with pytest.raises(RangeError, match=r"Hamiltonian overflowed at ModelParams\(d=1e\+308"):
             thermal_state(ModelParams(1e308, 1.0, 1.0))
+
+
+class TestExtremeInputs:
+    """Seeded points with d up to 1e308, |j| from 1e-300 to 1e308 and t
+    from T_MIN to 1e300, against the eigh route of ``hamiltonian(p)``
+    (``helpers.gibbs_reference``)."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(16002)
+        n = 3000
+        d = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-300.0, 308.0, n))
+        j = np.where(rng.random(n) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-300.0, 308.0, n)
+        t = np.where(rng.random(n) < 0.2, T_MIN, 10.0 ** rng.uniform(-3.0, 300.0, n))
+        # overflow at 2 d, at j d, neither (d^2 would), a |j| / t beyond the
+        # float range with a zero and a subnormal gap, and a ground level
+        # that eigh overflows
+        special = [(1e308, 1e-300, 1.0), (1e200, 1e200, 1.0), (1e200, 1e-200, 1.0),
+                   (0.0, -1e308, T_MIN), (1e-160, -1e308, T_MIN), (1.0, 1e308, 1.0)]
+        d, j, t = (np.concatenate([axis, extra]) for axis, extra in zip((d, j, t), zip(*special)))
+        return d, j, t
+
+    def test_fails_exactly_where_the_hamiltonian_overflows(self):
+        """A point fails exactly where H holds a non-finite entry, with the
+        Hamiltonian overflow error naming it; every other point's state is
+        finite, also where the eigh route's is not, and agrees with a
+        finite reference to within that reference's own error,
+        8 eps (1 + ||H|| / t)."""
+        d, j, t = self.points()
+        checks = Checks(len(d))
+        rho = gibbs_states(d, j, t, checks)
+        overflows = 0
+        for i, point in enumerate(zip(d.tolist(), j.tolist(), t.tolist())):
+            p = ModelParams(*point)
+            reference, norm = gibbs_reference(p)
+            if reference is None:
+                overflows += 1
+                assert checks.failed[i], p
+                assert str(checks.errors[i]) == f"Hamiltonian overflowed at {p}"
+                assert np.array_equal(rho[i], np.eye(4) / 4.0)
+                continue
+            assert not checks.failed[i], (p, checks.errors.get(i))
+            assert np.isfinite(rho[i].view(float)).all(), p
+            if np.isfinite(reference.view(float)).all():
+                bound = 8.0 * self.EPS * (1.0 + norm / p.t)
+                assert np.max(np.abs(rho[i] - reference)) <= bound, p
+        assert overflows >= 300
+        assert checks.failed[-6:].tolist() == [True, True, False, False, False, False]
+        message = r"^Hamiltonian overflowed at ModelParams\(d=1e\+200, j=1e\+200"
+        with pytest.raises(RangeError, match=message):
+            thermal_state(ModelParams(1e200, 1e200, 1.0))
+
+    def test_states_are_diagonal_in_the_closed_form_eigenvectors(self):
+        """Every passing point's state is V diag(w) V^dagger for the
+        unitary V of ``_eigenvectors``, to a few eps, with w ascending in
+        the order of ``_levels``' descending heights."""
+        d, j, t = self.points()
+        checks = Checks(len(d))
+        rho = gibbs_states(d, j, t, checks)
+        ok = ~checks.failed
+        rho, v, heights = rho[ok], _eigenvectors(d[ok], j[ok]), _levels(d[ok], j[ok])
+        eye_dev = np.abs(np.swapaxes(v.conj(), -1, -2) @ v - np.eye(4)).max()
+        diagonal = np.swapaxes(v.conj(), -1, -2) @ rho @ v
+        w = np.diagonal(diagonal, axis1=1, axis2=2).real
+        off_dev = np.abs(diagonal - w[:, :, None] * np.eye(4)).max()
+        assert eye_dev <= 4.0 * self.EPS and off_dev <= 4.0 * self.EPS, (eye_dev, off_dev)
+        assert (np.diff(heights, axis=1) <= 0.0).all()
+        assert (np.diff(w, axis=1) >= -4.0 * self.EPS).all()
+
+    def test_scalar_closed_forms_agree_with_the_stack(self):
+        """Wherever the stack has a state, the scalar closed forms are
+        finite and equal its mixedness and spin-flip concurrence."""
+        d, j, t = self.points()
+        checks = Checks(len(d))
+        rho = gibbs_states(d, j, t, checks)
+        gamma = mixedness_batch(rho)
+        conc = concurrence_batch(*np.linalg.eigh(rho))
+        for i in np.flatnonzero(~checks.failed).tolist():
+            p = ModelParams(float(d[i]), float(j[i]), float(t[i]))
+            assert abs(closed_form_mixedness(p) - gamma[i]) <= 1e-15, p
+            assert abs(closed_form_concurrence(p) - conc[i]) <= 1e-15, p
 
 
 class TestClosedFormMixedness:

@@ -1,0 +1,132 @@
+"""The package's columns against the 50-digit oracle of ``oracle.py``.
+
+Each column has an absolute bound, the worst error measured on these
+points rounded up; an assertion message also gives the relative error.
+The points are every row of the reference CSVs under tests/data, the
+coldest fig3b row at d = 0.06 and seeded points with beta |j| up to
+1000, d up to 1e6 and theta at 0 and pi.
+"""
+
+import csv
+import functools
+import math
+from decimal import Decimal
+from pathlib import Path
+
+import numpy as np
+
+import oracle
+from qurel.model import (
+    ModelParams,
+    T_MIN,
+    closed_form_concurrence,
+    closed_form_mixedness,
+)
+from qurel.relations import xz_control_setup
+from qurel.sweep import evaluate_point
+
+DATA = Path(__file__).parent / "data"
+
+#: absolute bound of each column, for the sweep's values through
+#: ``evaluate_point`` and for the scalar closed forms (``_cf``): the worst
+#: errors measured here are 5.3e-16 (gamma), 8.9e-16 (concurrence, which
+#: also carries the rounding of LAPACK's eigh and svd), 7.1e-16 (l_tra),
+#: 7.9e-16 (lhs), 8.9e-16 (w), 3.6e-16 (gamma_cf) and 2.7e-16
+#: (concurrence_cf)
+BOUNDS = {
+    "gamma": 1e-15,
+    "concurrence": 2e-15,
+    "l_tra": 1e-15,
+    "lhs": 1e-15,
+    "w": 1e-15,
+    "gamma_cf": 5e-16,
+    "concurrence_cf": 5e-16,
+}
+
+
+@functools.cache
+def _setup(theta):
+    return xz_control_setup(theta=theta)
+
+
+def package_row(d, j, t, theta) -> dict:
+    """The package's values of the oracle's columns at one row."""
+    p = ModelParams(d, j, t)
+    rec = evaluate_point(p, _setup(theta))
+    return {"gamma": rec.gamma, "concurrence": rec.concurrence, "l_tra": rec.l_tra,
+            "lhs": rec.lhs, "w": rec.w, "gamma_cf": closed_form_mixedness(p),
+            "concurrence_cf": closed_form_concurrence(p)}
+
+
+def worst_errors(points) -> dict:
+    """Per column, (absolute error, relative error, point) of the point
+    with the largest absolute error against the oracle."""
+    worst = {name: (0.0, 0.0, None) for name in BOUNDS}
+    for point in points:
+        truth = oracle.row(*point)
+        for name, value in package_row(*point).items():
+            exact = truth[name.removesuffix("_cf")]
+            err = abs(Decimal(value) - exact)
+            if err > worst[name][0] or worst[name][2] is None:
+                rel = err / abs(exact) if exact else (Decimal(0) if not err else Decimal("Inf"))
+                worst[name] = (float(err), float(rel), point)
+    return worst
+
+
+def assert_within_bounds(worst: dict) -> None:
+    misses = [f"{name}: abs {err:.3g} > {BOUNDS[name]:.0e} (rel {rel:.3g}) at {point}"
+              for name, (err, rel, point) in worst.items() if not err <= BOUNDS[name]]
+    assert not misses, "; ".join(misses)
+
+
+def reference_points() -> list:
+    """(d, j, t, theta) of every row of the reference CSVs."""
+    points = []
+    for path in sorted(DATA.glob("*.csv")):
+        with open(path, newline="") as fh:
+            points += [tuple(float(row[k]) for k in ("d", "j", "t", "theta"))
+                       for row in csv.DictReader(fh)]
+    return points
+
+
+def seeded_points(n=400, seed=16001) -> list:
+    """Points with beta |j| in [1e-3, 1000] (a tenth of them at 1000), d
+    in [1e-4, 1e6] or 0, t at T_MIN or in [T_MIN, 1e3], either sign and
+    theta at 0 or pi."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        beta_j = 1e3 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 3.0)
+        d = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-4.0, 6.0)
+        t = T_MIN if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 3.0)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        theta = 0.0 if rng.random() < 0.5 else math.pi
+        points.append((d, sign * beta_j * t, t, theta))
+    return points
+
+
+def test_reference_rows_agree_with_the_oracle():
+    points = reference_points()
+    assert len(points) == 2445
+    assert_within_bounds(worst_errors(points))
+
+
+def test_seeded_points_agree_with_the_oracle():
+    assert_within_bounds(worst_errors(seeded_points()))
+
+
+def test_coldest_fig3b_row_agrees_with_the_oracle():
+    """(0.06, -1, T_MIN) sits beta |J| / 2 = 500 above a near-degenerate
+    gap J (1 - r). Formed from its stable form, gamma is within a few
+    ulps, and lhs and w well within the 1.08e-13 of the exponent
+    differences they replaced."""
+    point = (0.06, -1.0, T_MIN, 0.5)
+    truth = oracle.row(*point)
+    got = package_row(*point)
+    ulp = math.ulp(float(truth["gamma"]))
+    for name in ("gamma", "gamma_cf"):
+        err = abs(Decimal(got[name]) - truth["gamma"])
+        assert err <= 4 * ulp, f"{name}: {float(err) / ulp:.1f} ulps"
+    for name in ("lhs", "w"):
+        err = abs(Decimal(got[name]) - truth[name])
+        assert err <= Decimal(BOUNDS[name]), f"{name}: abs {float(err):.3g}"

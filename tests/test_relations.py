@@ -5,7 +5,12 @@ import pytest
 
 from qurel.errors import DegenerateOperator, DegeneracyError, DimensionError, SubsystemError, ValidationError
 from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
-from qurel.measurements import Observable, sequential_decomposition, variance
+from qurel.measurements import (
+    Observable,
+    projective_decompositions,
+    sequential_decomposition,
+    variance,
+)
 from qurel.model import ModelParams, T_MIN, thermal_state
 from qurel import relations
 from qurel.relations import (
@@ -13,7 +18,6 @@ from qurel.relations import (
     eur_plan,
     l_tra,
     l_tra_operators,
-    maximal_overlap_c,
     qc_vur,
     qc_vur_batch,
     qm_eur,
@@ -78,14 +82,21 @@ class TestSchrodingerBound:
             assert lhs >= rhs - 1e-10
 
 
+def maximal_overlap(r, s):
+    """Largest squared overlap of two observables' eigenbases, from their
+    projectors (``relations._overlap_constant``)."""
+    return relations._overlap_constant(
+        *(dec.projectors for dec in projective_decompositions([r, s])))
+
+
 class TestMaximalOverlap:
     def test_mutually_unbiased_qubit_bases(self):
-        c = maximal_overlap_c(Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
+        c = maximal_overlap(Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
         assert np.isclose(c, 0.5)
         assert np.isclose(np.log2(1.0 / c), 1.0)
 
     def test_identical_bases(self):
-        c = maximal_overlap_c(Observable(SIGMA_Z, 0), Observable(SIGMA_Z, 0))
+        c = maximal_overlap(Observable(SIGMA_Z, 0), Observable(SIGMA_Z, 0))
         assert np.isclose(c, 1.0)
 
     @pytest.mark.parametrize("phi", [0.1, 0.5, 1.0, 2.0, 3.0])
@@ -93,23 +104,24 @@ class TestMaximalOverlap:
         """Eigenvectors of cos(phi) sz + sin(phi) sx are the z basis
         rotated by phi/2, so c = max(cos^2, sin^2)(phi/2)."""
         s = Observable(math.cos(phi) * SIGMA_Z + math.sin(phi) * SIGMA_X, 0)
-        c = maximal_overlap_c(Observable(SIGMA_Z, 0), s)
+        c = maximal_overlap(Observable(SIGMA_Z, 0), s)
         expected = max(math.cos(phi / 2.0) ** 2, math.sin(phi / 2.0) ** 2)
         assert abs(c - expected) <= 1e-12
 
     def test_rejects_degenerate_spectrum(self):
         with pytest.raises(DegeneracyError):
-            maximal_overlap_c(Observable(np.eye(2, dtype=complex), 0),
-                              Observable(SIGMA_Z, 0))
+            maximal_overlap(Observable(np.eye(2, dtype=complex), 0), Observable(SIGMA_Z, 0))
+        with pytest.raises(DegeneracyError):
+            eur_plan((2, 2), Observable(np.eye(2, dtype=complex), 0), Observable(SIGMA_Z, 0))
 
     def test_rejects_subsystem_mismatch(self):
         with pytest.raises(SubsystemError):
-            maximal_overlap_c(Observable(SIGMA_X, 0), Observable(SIGMA_Z, 1))
+            eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 1))
 
     def test_rejects_dimension_mismatch(self):
         qutrit = Observable(np.diag([1.0, 2.0, 3.0]), 0)
-        with pytest.raises(DimensionError, match="dims 2 and 3 differ"):
-            maximal_overlap_c(Observable(SIGMA_X, 0), qutrit)
+        with pytest.raises(DimensionError, match="operator dim 3 != subsystem dim 2"):
+            eur_plan((2, 2), Observable(SIGMA_X, 0), qutrit)
 
 
 class TestQmEur:

@@ -5,7 +5,7 @@ import pytest
 
 from qurel.errors import ConvergenceError, DimensionError, QurelError, ValidationError
 from qurel.linalg import SIGMA_X, SIGMA_Z
-from qurel.measurements import Observable, projective_decomposition
+from qurel.measurements import Observable, projective_decompositions
 from qurel.model import ModelParams, T_MIN, thermal_state
 from qurel.relations import qm_eur, xz_control_setup
 from qurel.states import (
@@ -259,7 +259,7 @@ def test_single_state_functionals_equal_the_sweeps_on_thermal_grid():
 
 @pytest.mark.parametrize("make", [
     lambda: Observable(SIGMA_X, 0),
-    lambda: projective_decomposition(Observable(SIGMA_X, 0)),
+    lambda: projective_decompositions([Observable(SIGMA_X, 0)])[0],
     lambda: DensityOperator(np.eye(4) / 4.0, (2, 2)),
     lambda: xz_control_setup(),
 ], ids=["Observable", "ProjectiveDecomposition", "DensityOperator", "MeasurementSetup"])

@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from qurel import sweep
 from qurel.errors import QurelError, RangeError, SubsystemError, UsageError, ValidationError
-from qurel.model import ModelParams, T_MIN, closed_form_concurrence, closed_form_mixedness
-from qurel.relations import optional, xz_control_setup
+from qurel.model import (
+    ModelParams,
+    T_MIN,
+    closed_form_concurrence,
+    closed_form_mixedness,
+    thermal_state,
+)
+from qurel.relations import optional, qc_vur, xz_control_setup
 from qurel.sweep import (
     CHUNK_POINTS,
     CSV_HEADER,
@@ -489,15 +495,29 @@ class TestCheckSingleValued:
             check_single_valued(1.0, [0.5, 1.0], xz_control_setup(), n_targets=n_targets)
 
 
-def test_chunk_makes_three_solver_calls(monkeypatch):
-    """One full chunk of a fresh standard setup: the Hamiltonians' eigh,
-    the states' eigh and the concurrence's svd; the controls' projectors
-    and the measured qubit's spectrum are closed forms."""
+def test_chunk_makes_two_solver_calls(monkeypatch):
+    """One full chunk of a fresh standard setup makes two LAPACK calls, the
+    states' eigh and the concurrence's svd: the Gibbs states come from the
+    closed-form eigensystem, and the controls' projectors and the measured
+    qubit's spectrum are closed forms too."""
     calls = count_solver_calls(monkeypatch)
     grid = SweepGrid(d_range=(0.0, 3.0, 8), j_range=(-1.9, 1.6, 8), t_range=(T_MIN, 4.0, 8))
     cols, errors = sweep_columns(grid, xz_control_setup())
     assert len(cols["gamma"]) == CHUNK_POINTS and not errors
-    assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 1}
+    assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+
+
+def test_matched_point_bound_makes_one_solver_call(monkeypatch):
+    """The op of mixedness matching: a matched temperature, then the
+    assisted bound on the thermal state there, with a setup already
+    planned. The state is built in closed form; its one eigh, when the
+    DensityOperator is made, is the only LAPACK call."""
+    setup = xz_control_setup()
+    qc_vur(thermal_state(ModelParams(1.0, 1.0, 1.0)), setup)
+    calls = count_solver_calls(monkeypatch)
+    t = match_mixedness(1.0, -1.5, closed_form_mixedness(ModelParams(1.0, -1.0, 0.7)))
+    qc_vur(thermal_state(ModelParams(1.0, -1.5, t)), setup)
+    assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 0}
 
 
 class TestFigurePresets:
