@@ -9,13 +9,16 @@ strength D >= 0. Its eigensystem is known in closed form: the levels J/2
 of |00> and |11>, and -J/2 -/+ J r, r = hypot(1, D), of
 (|01> -/+ e^(-i phi) |10>) / sqrt(2) with e^(-i phi) = (1 - iD) / r. So
 its thermal state at temperature T (k = 1) is built with no eigensolver:
-an X-shaped matrix whose only coherence sits between |01> and |10>. Each
+an X-shaped matrix whose only coherence sits between |01> and |10>, which
+carries its eigendecomposition (the normalised weights of the levels and
+those eigenvectors) to every functional that needs a spectrum. Each
 level enters through its height above the ground level, in a form that
 neither cancels nor overflows; the near-degenerate ferromagnetic gap
 J (1 - r) is -J D (D / (1 + r)). Mixedness and concurrence of the state
 have scalar closed forms from the same heights. ``hamiltonian`` builds H
 from its Pauli terms, and ``qurel verify`` checks the closed-form
-eigensystem against it.
+eigensystem against it and the states' decompositions against the
+states.
 """
 
 from __future__ import annotations
@@ -99,13 +102,14 @@ def hamiltonian(p: ModelParams) -> np.ndarray:
 
 
 def thermal_state(p: ModelParams) -> DensityOperator:
-    """Gibbs state exp(-H/T) / Z as a validated two-qubit density operator:
-    ``gibbs_states`` as a batch of one."""
+    """Gibbs state exp(-H/T) / Z as a validated two-qubit density operator
+    that keeps its closed-form eigendecomposition: ``_gibbs_eigensystems``
+    as a batch of one, with no solver call."""
     checks = Checks(1)
-    rho = gibbs_states(np.array([p.d], dtype=float), np.array([p.j], dtype=float),
-                       np.array([p.t], dtype=float), checks)
+    rho, w, v = _gibbs_eigensystems(np.array([p.d], dtype=float), np.array([p.j], dtype=float),
+                                   np.array([p.t], dtype=float), checks)
     checks.raise_first()
-    return DensityOperator(rho[0], (2, 2))
+    return DensityOperator._decomposed(rho[0], (2, 2), w[0], v[0])
 
 
 def _levels(d: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -137,10 +141,14 @@ def _eigenvectors(d: np.ndarray, j: np.ndarray) -> np.ndarray:
     return v
 
 
-def gibbs_states(d: np.ndarray, j: np.ndarray, t: np.ndarray, checks: Checks) -> np.ndarray:
-    """Gibbs states exp(-H/T) / Z of a batch of model points, as an
-    (N, 4, 4) stack built from the closed-form eigensystem (``_levels``,
-    ``_eigenvectors``): no solver call.
+def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
+                       checks: Checks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gibbs states exp(-H/T) / Z of a batch of model points with their
+    eigendecompositions, all from the closed-form eigensystem (``_levels``,
+    ``_eigenvectors``): no solver call. Returns the (N, 4, 4) stack rho,
+    its normalised Boltzmann weights w (N, 4) and the eigenvectors v
+    (N, 4, 4) as columns, in the order of ``_levels``, so w ascends per
+    point, ties included, and rho = v diag(w) v^dagger.
 
     The checks are thermal_state's: the ModelParams domain and a finite
     Hamiltonian. A point fails with "Hamiltonian overflowed" exactly where
@@ -148,7 +156,7 @@ def gibbs_states(d: np.ndarray, j: np.ndarray, t: np.ndarray, checks: Checks) ->
     overflows. Each Boltzmann weight is exp(-|j| height / t) relative to
     the ground level's, which is 1, so arbitrarily large beta*|J| cannot
     overflow and a stable height keeps the near-degenerate ferromagnetic
-    gap accurate. Failed points come back as I/4.
+    gap accurate. A failed point comes back as (I/4, 1/4, I).
     """
     checks.require(in_domain(d, j, t), lambda i: _domain_error(d[i], j[i], t[i]))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,12 +185,19 @@ def gibbs_states(d: np.ndarray, j: np.ndarray, t: np.ndarray, checks: Checks) ->
     rho[:, 1, 1] = rho[:, 2, 2] = 0.5 * (w[:, 0] + w[:, 3])
     rho[:, 1, 2] = coherence + 1j * (coherence * d)
     rho[:, 2, 1] = np.conj(rho[:, 1, 2])
-    return checks.clean(rho, np.eye(4) / 4.0)
+    return (checks.clean(rho, np.eye(4) / 4.0), checks.clean(w, 0.25),
+            checks.clean(_eigenvectors(d, j), np.eye(4)))
+
+
+def gibbs_states(d: np.ndarray, j: np.ndarray, t: np.ndarray, checks: Checks) -> np.ndarray:
+    """The (N, 4, 4) stack of Gibbs states of ``_gibbs_eigensystems``,
+    without their eigendecompositions; a failed point comes back as I/4."""
+    return _gibbs_eigensystems(d, j, t, checks)[0]
 
 
 def _shifted_weights(p: ModelParams) -> tuple[float, float]:
     """The Boltzmann factors of |00> (equal to that of |11>) and of the far
-    level, relative to the ground level's: ``gibbs_states``' weights in
+    level, relative to the ground level's: ``_gibbs_eigensystems``' weights in
     scalar math, from the same heights and in the same two orders.
 
     Every closed form below is a ratio of terms of equal total degree in

@@ -19,8 +19,6 @@ from .linalg import (
 
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-#: eigenvalues below this are treated as exactly zero in entropies
-EIG_ZERO = 1e-14
 
 #: sy x sy is the anti-diagonal (-1, 1, 1, -1): applied to a matrix, it
 #: reverses the rows and negates the first and last of them
@@ -35,9 +33,11 @@ class DensityOperator:
     one) and validates Hermiticity, unit trace and positive
     semidefiniteness eagerly from that decomposition (``check_density``);
     a corrupted state would silently poison every quantity computed
-    downstream, and a solver failure raises ConvergenceError. The
-    ascending eigenvalues and the eigenvectors (as columns) are kept,
-    read-only, for the functionals that need the spectrum
+    downstream, and a solver failure raises ConvergenceError. A thermal
+    state of the model (``model.thermal_state``) brings its closed-form
+    decomposition instead, and the same checks run on that. The ascending
+    eigenvalues and the eigenvectors (as columns) are kept, read-only,
+    for the functionals that need the spectrum
     (``von_neumann_entropy``, ``concurrence_two_qubit``, ``qm_eur``); they
     take no part in ``repr``. Equality and hashing are by identity, as for
     every class with array fields.
@@ -50,19 +50,35 @@ class DensityOperator:
 
     def __post_init__(self):
         m = as_square(self.matrix).copy()
-        dims = tuple(int(d) for d in self.dims)
+        # a non-finite entry fails the Hermiticity check, so the solver only
+        # ever sees finite entries
+        checks = Checks(1)
+        w, v = eigh_batch(np.where(np.isfinite(m), m, 0.0)[None], checks)
+        self._keep(m, self.dims, w[0], v[0], checks)
+
+    @classmethod
+    def _decomposed(cls, matrix, dims, w: np.ndarray, v: np.ndarray) -> "DensityOperator":
+        """A state whose ascending eigenvalues ``w`` and eigenvectors ``v``
+        (as columns) are known already, such as a Gibbs state of the model:
+        construction's checks run on that decomposition, which is kept,
+        with no solver call."""
+        rho = object.__new__(cls)
+        rho._keep(as_square(matrix).copy(), dims, w, v, Checks(1))
+        return rho
+
+    def _keep(self, m: np.ndarray, dims, w: np.ndarray, v: np.ndarray, checks: Checks) -> None:
+        """Checks the dims against the square matrix ``m`` and the matrix
+        against its decomposition (``check_density``), raising the first
+        error, then stores the arrays read-only."""
+        dims = tuple(int(d) for d in dims)
         if any(d < 2 for d in dims):
             raise ValidationError(f"subsystem dims must be >= 2, got {dims}")
         if math.prod(dims) != m.shape[0]:
             raise DimensionError(
                 f"dims {dims} do not multiply to matrix dim {m.shape[0]}")
-        # a non-finite entry fails the Hermiticity check, so the solver only
-        # ever sees finite entries
-        checks = Checks(1)
-        w, v = eigh_batch(np.where(np.isfinite(m), m, 0.0)[None], checks)
-        check_density(m[None], w, checks)
+        check_density(m[None], w[None], checks)
         checks.raise_first()
-        for name, value in (("matrix", m), ("eigenvalues", w[0]), ("eigenvectors", v[0])):
+        for name, value in (("matrix", m), ("eigenvalues", w), ("eigenvectors", v)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "dims", dims)
@@ -105,10 +121,11 @@ def mixedness(rho: DensityOperator) -> float:
 
 
 def spectrum_entropies(w: np.ndarray) -> np.ndarray:
-    """Base-2 entropies of probability spectra along the last axis;
-    0*log(0) = 0, values below EIG_ZERO count as exactly zero."""
+    """Base-2 entropies of probability spectra along the last axis, with
+    0*log(0) = 0: a value <= 0 (rounding noise) counts as exactly zero, and
+    so each entropy is continuous in its spectrum."""
     # log2(1) = 0, so a value set to 1 adds exactly nothing
-    safe = np.where(w > EIG_ZERO, w, 1.0)
+    safe = np.where(w > 0.0, w, 1.0)
     return -np.sum(safe * np.log2(safe), axis=-1)
 
 

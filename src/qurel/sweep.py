@@ -8,13 +8,14 @@ couplings makes the "bound is a function of mixedness" claim a numeric
 statement instead of a visual one.
 
 Points are evaluated in chunks, each as one (N, 4, 4) batch through the
-array kernels of the lower modules, with one eigendecomposition per state;
-``evaluate_point`` is a batch of one. Each chunk comes out as columns, one
-array per CSV column, and the error of each point that failed, whose
-values are NaN. ``sweep_csv`` (behind ``qurel sweep``) writes each chunk's
-rows from those columns as soon as it is evaluated, so a sweep of any size
-holds one chunk at a time; ``sweep_columns`` concatenates them into the
-grid's columns.
+array kernels of the lower modules; every state comes with its
+eigendecomposition in closed form, so a chunk's only solver call is the
+concurrence's batched ``svd``. ``evaluate_point`` is a batch of one.
+Each chunk comes out as columns, one array per CSV column, and the error
+of each point that failed, whose values are NaN. ``sweep_csv`` (behind
+``qurel sweep``) writes each chunk's rows from those columns as soon as
+it is evaluated, so a sweep of any size holds one chunk at a time;
+``sweep_columns`` concatenates them into the grid's columns.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from itertools import repeat
 import numpy as np
 
 from .errors import RangeError, UsageError, ValidationError
-from .linalg import SIGMA_X, SIGMA_Z, Checks, eigh_batch
+from .linalg import SIGMA_X, SIGMA_Z, Checks
 from .measurements import Observable
 from .model import (
     ModelParams,
     T_MIN,
+    _gibbs_eigensystems,
     closed_form_mixedness,
-    gibbs_states,
     thermal_state,
 )
 from .relations import (
@@ -174,12 +175,11 @@ def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
 
 def _columns(d, j, t, setup: MeasurementSetup, checks: Checks) -> dict:
     """Value columns (CSV names, NaN for an undefined ratio) of a batch of
-    model points: their Gibbs states, built in closed form and each
-    decomposed once, through the setup's operators. A setup that cannot be
+    model points: their Gibbs states with their eigendecompositions, all
+    in closed form, through the setup's operators. A setup that cannot be
     planned on two qubits raises before any point is evaluated."""
     plan = vur_plan(setup, (2, 2))
-    rho = gibbs_states(d, j, t, checks)
-    w, v = eigh_batch(rho, checks)
+    rho, w, v = _gibbs_eigensystems(d, j, t, checks)
     check_density(rho, w, checks)
     vur = qc_vur_batch(rho, (2, 2), setup, plan, checks)
     eur = qm_eur_batch(rho, w, _EUR_PLAN)

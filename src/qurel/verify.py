@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SIGMA_X, SIGMA_Z, dagger, partial_trace
+from .linalg import I2, SIGMA_X, SIGMA_Z, Checks, dagger, partial_trace
 from .measurements import Observable, conditional_stats, sequential_decomposition, variance
 from .model import (
     ModelParams,
     T_MIN,
     _eigenvectors,
+    _gibbs_eigensystems,
     _levels,
     closed_form_concurrence,
     closed_form_mixedness,
@@ -102,8 +103,25 @@ def check_hamiltonian() -> Check:
                  worst <= 4.0, f"max dev {worst:.2f} eps ||H|| over {len(d)} (d, j)")
 
 
+def check_decomposition() -> Check:
+    """The closed-form decomposition that every thermal state carries, on
+    the verify grid, against matrix computations on the state: rho V =
+    V diag(w) (Frobenius norm) and w = eigvalsh(rho), both to a few eps
+    (||rho|| <= 1)."""
+    d, j, t = (axis.ravel() for axis in np.meshgrid(GRID_D, GRID_J, GRID_T, indexing="ij"))
+    failures = Checks(len(d))
+    rho, w, v = _gibbs_eigensystems(d, j, t, failures)
+    eps = np.finfo(float).eps
+    residual = float(np.max(np.linalg.norm(rho @ v - v * w[:, None, :], axis=(-2, -1))) / eps)
+    spectrum = float(np.max(np.abs(w - np.linalg.eigvalsh(rho))) / eps)
+    return Check("closed-form decomposition diagonalises the thermal states to 4 eps",
+                 not failures.failed.any() and residual <= 4.0 and spectrum <= 4.0,
+                 f"max ||rho V - V diag(w)|| {residual:.2f} eps, max |w - eigvalsh(rho)| "
+                 f"{spectrum:.2f} eps over {len(d)} states")
+
+
 def check_model() -> list[Check]:
-    checks = [check_hamiltonian()]
+    checks = [check_hamiltonian(), check_decomposition()]
     worst_state = worst_gamma = worst_conc = worst_marg = 0.0
     for d in GRID_D:
         for j in GRID_J:

@@ -39,6 +39,7 @@ def test_criterion_01_gibbs_matches_closed_form():
     elapsed = time.monotonic() - t0
     report(1, elapsed < 1.0, f"model section in {elapsed:.2f} s",
            checks, ("closed-form eigensystem reproduces the Hamiltonian to 4 eps ||H||",
+                    "closed-form decomposition diagonalises the thermal states to 4 eps",
                     "thermal state matches analytic elements", "both reduced states are I/2",
                     "scalars invariant under (j, t) -> (k j, k t)"))
 

@@ -10,6 +10,7 @@ from qurel.model import (
     ModelParams,
     T_MIN,
     _eigenvectors,
+    _gibbs_eigensystems,
     _levels,
     closed_form_concurrence,
     closed_form_mixedness,
@@ -234,6 +235,29 @@ class TestExtremeInputs:
         assert eye_dev <= 4.0 * self.EPS and off_dev <= 4.0 * self.EPS, (eye_dev, off_dev)
         assert (np.diff(heights, axis=1) <= 0.0).all()
         assert (np.diff(w, axis=1) >= -4.0 * self.EPS).all()
+
+    def test_eigensystems_carry_each_states_decomposition(self):
+        """Besides the stack of ``gibbs_states``, the kernel returns each
+        state's weights, ascending exactly (ties included, as at d = 0), and
+        the eigenvectors of ``_eigenvectors``, which rebuild the state to a
+        few eps; a failed point comes back as (I/4, 1/4, I)."""
+        d, j, t = self.points()
+        checks = Checks(len(d))
+        rho, w, v = _gibbs_eigensystems(d, j, t, checks)
+        assert rho.tobytes() == gibbs_states(d, j, t, Checks(len(d))).tobytes()
+        bad = checks.failed
+        assert bad.sum() >= 300
+        assert (rho[bad] == np.eye(4) / 4.0).all() and (w[bad] == 0.25).all()
+        assert (v[bad] == np.eye(4)).all()
+        assert (np.diff(w, axis=1) >= 0.0).all()
+        # d = 0 ties three levels: the far level with the pair for j > 0, the
+        # pair with the ground level for j < 0
+        _, tied, _ = _gibbs_eigensystems(np.zeros(2), np.array([1.0, -1.0]), np.ones(2), Checks(2))
+        assert tied[0, 0] == tied[0, 1] == tied[0, 2] and tied[1, 1] == tied[1, 2] == tied[1, 3]
+        assert np.array_equal(v[~bad], _eigenvectors(d[~bad], j[~bad]))
+        rebuilt = (v * w[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        assert np.abs(rebuilt - rho).max() <= 4.0 * self.EPS
+        assert np.abs(w.sum(axis=1) - 1.0).max() <= 4.0 * self.EPS
 
     def test_scalar_closed_forms_agree_with_the_stack(self):
         """Wherever the stack has a state, the scalar closed forms are

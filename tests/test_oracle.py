@@ -2,6 +2,9 @@
 
 Each column has an absolute bound, the worst error measured on these
 points rounded up; an assertion message also gives the relative error.
+The ratio u_eur is gated as the sweep's reference CSVs gate a ratio: its
+error times |eur_rhs| / (1 + |u_eur|), and it must be undefined exactly
+where |eur_rhs| < RATIO_MIN.
 The points are every row of the reference CSVs under tests/data, the
 coldest fig3b row at d = 0.06 and seeded points with beta |j| up to
 1000, d up to 1e6 and theta at 0 and pi.
@@ -22,7 +25,7 @@ from qurel.model import (
     closed_form_concurrence,
     closed_form_mixedness,
 )
-from qurel.relations import xz_control_setup
+from qurel.relations import RATIO_MIN, xz_control_setup
 from qurel.sweep import evaluate_point
 
 DATA = Path(__file__).parent / "data"
@@ -30,9 +33,12 @@ DATA = Path(__file__).parent / "data"
 #: absolute bound of each column, for the sweep's values through
 #: ``evaluate_point`` and for the scalar closed forms (``_cf``): the worst
 #: errors measured here are 5.3e-16 (gamma), 8.9e-16 (concurrence, which
-#: also carries the rounding of LAPACK's eigh and svd), 7.1e-16 (l_tra),
-#: 7.9e-16 (lhs), 8.9e-16 (w), 3.6e-16 (gamma_cf) and 2.7e-16
-#: (concurrence_cf)
+#: also carries the rounding of LAPACK's svd), 7.1e-16 (l_tra), 7.9e-16
+#: (lhs), 8.9e-16 (w), 3.6e-16 (gamma_cf) and 2.7e-16 (concurrence_cf).
+#: For the entropic columns they are 6.0e-15 (h_rb, an eigenvalue of a
+#: measured state that is 0 in truth and about eps in the package,
+#: weighing in at eps log2(1/eps)), 2.7e-15 (h_sb), 5.2e-16 (h_ab and
+#: eur_rhs) and 1.9e-15 (u_eur, scaled as above).
 BOUNDS = {
     "gamma": 1e-15,
     "concurrence": 2e-15,
@@ -41,6 +47,11 @@ BOUNDS = {
     "w": 1e-15,
     "gamma_cf": 5e-16,
     "concurrence_cf": 5e-16,
+    "h_rb": 1e-14,
+    "h_sb": 5e-15,
+    "h_ab": 1e-15,
+    "eur_rhs": 1e-15,
+    "u_eur": 2e-15,
 }
 
 
@@ -55,20 +66,30 @@ def package_row(d, j, t, theta) -> dict:
     rec = evaluate_point(p, _setup(theta))
     return {"gamma": rec.gamma, "concurrence": rec.concurrence, "l_tra": rec.l_tra,
             "lhs": rec.lhs, "w": rec.w, "gamma_cf": closed_form_mixedness(p),
-            "concurrence_cf": closed_form_concurrence(p)}
+            "concurrence_cf": closed_form_concurrence(p), "h_rb": rec.h_rb,
+            "h_sb": rec.h_sb, "h_ab": rec.h_ab, "eur_rhs": rec.eur_rhs,
+            "u_eur": rec.u_eur}
 
 
 def worst_errors(points) -> dict:
-    """Per column, (absolute error, relative error, point) of the point
-    with the largest absolute error against the oracle."""
+    """Per column, (error, relative error, point) of the point with the
+    largest error against the oracle: the absolute error, or u_eur's
+    scaled one."""
     worst = {name: (0.0, 0.0, None) for name in BOUNDS}
     for point in points:
         truth = oracle.row(*point)
+        rhs = abs(truth["eur_rhs"])
         for name, value in package_row(*point).items():
             exact = truth[name.removesuffix("_cf")]
+            if name == "u_eur":
+                assert (value is None) == (rhs < Decimal(RATIO_MIN)), (point, value, rhs)
+                if value is None:
+                    continue
             err = abs(Decimal(value) - exact)
+            rel = err / abs(exact) if exact else (Decimal(0) if not err else Decimal("Inf"))
+            if name == "u_eur":
+                err *= rhs / (1 + abs(exact))
             if err > worst[name][0] or worst[name][2] is None:
-                rel = err / abs(exact) if exact else (Decimal(0) if not err else Decimal("Inf"))
                 worst[name] = (float(err), float(rel), point)
     return worst
 

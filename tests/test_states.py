@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qurel.errors import ConvergenceError, DimensionError, QurelError, ValidationError
-from qurel.linalg import SIGMA_X, SIGMA_Z
+from qurel.linalg import SIGMA_X, SIGMA_Z, Checks
 from qurel.measurements import Observable, projective_decompositions
-from qurel.model import ModelParams, T_MIN, thermal_state
+from qurel.model import ModelParams, T_MIN, _gibbs_eigensystems, thermal_state
 from qurel.relations import qm_eur, xz_control_setup
 from qurel.states import (
     DensityOperator,
@@ -21,6 +21,7 @@ from helpers import (
     GRID,
     bell_state,
     concurrence_oracle,
+    count_solver_calls,
     pure_state,
     random_density,
     random_pauli_rotation_unitary,
@@ -93,6 +94,31 @@ class TestDensityOperator:
             assert rho == rho
             assert rho != DensityOperator(rho.matrix, rho.dims)
         assert [f.name for f in fields(DensityOperator) if f.init] == ["matrix", "dims"]
+
+    def test_thermal_state_keeps_its_closed_form_decomposition(self, monkeypatch):
+        """A thermal state carries the decomposition of the model's kernel,
+        read-only like eigh's, and is built with no solver call; the
+        private constructor behind it runs construction's checks."""
+        calls = count_solver_calls(monkeypatch)
+        p = ModelParams(0.5, -2.0, 0.3)
+        rho = thermal_state(p)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+        m, w, v = _gibbs_eigensystems(*(np.array([x]) for x in (p.d, p.j, p.t)), Checks(1))
+        assert np.array_equal(rho.eigenvalues, w[0]) and np.array_equal(rho.eigenvectors, v[0])
+        assert np.array_equal(rho.matrix, m[0]) and rho.dims == (2, 2)
+        for array in (rho.matrix, rho.eigenvalues, rho.eigenvectors):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        eye = np.eye(4, dtype=complex)
+        with pytest.raises(ValidationError, match="trace"):
+            DensityOperator._decomposed(np.eye(4) / 2.0, (2, 2), np.full(4, 0.5), eye)
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            DensityOperator._decomposed(np.eye(4) / 4.0, (2, 2), np.array([-1.0, 0, 0, 2]), eye)
+        upper = np.triu(np.ones((4, 4))) / 4.0
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityOperator._decomposed(upper, (2, 2), np.full(4, 0.25), eye)
+        with pytest.raises(DimensionError):
+            DensityOperator._decomposed(np.eye(4) / 4.0, (2, 3), np.full(4, 0.25), eye)
 
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
         """A state the eigensolver rejects raises ConvergenceError, a
@@ -225,8 +251,9 @@ class TestConcurrence:
 
     def test_unchecked_constructor_reaches_functionals(self):
         """The unchecked path exists for oracles: a state built without
-        validation still produces the same functional values."""
-        rho = thermal_state(ModelParams(1.0, 1.0, 1.0))
+        validation still produces the same functional values as the
+        validated constructor, which decomposes the same matrix by eigh."""
+        rho = DensityOperator(thermal_state(ModelParams(1.0, 1.0, 1.0)).matrix, (2, 2))
         raw = unchecked_density(rho.matrix.copy(), (2, 2))
         assert mixedness(raw) == mixedness(rho)
         assert concurrence_two_qubit(raw) == concurrence_two_qubit(rho)

@@ -495,29 +495,29 @@ class TestCheckSingleValued:
             check_single_valued(1.0, [0.5, 1.0], xz_control_setup(), n_targets=n_targets)
 
 
-def test_chunk_makes_two_solver_calls(monkeypatch):
-    """One full chunk of a fresh standard setup makes two LAPACK calls, the
-    states' eigh and the concurrence's svd: the Gibbs states come from the
-    closed-form eigensystem, and the controls' projectors and the measured
-    qubit's spectrum are closed forms too."""
+def test_chunk_makes_one_solver_call(monkeypatch):
+    """One full chunk of a fresh standard setup makes one LAPACK call, the
+    concurrence's svd: the Gibbs states and their eigendecompositions come
+    from the closed-form eigensystem, and the controls' projectors and the
+    measured qubit's spectrum are closed forms too."""
     calls = count_solver_calls(monkeypatch)
     grid = SweepGrid(d_range=(0.0, 3.0, 8), j_range=(-1.9, 1.6, 8), t_range=(T_MIN, 4.0, 8))
     cols, errors = sweep_columns(grid, xz_control_setup())
     assert len(cols["gamma"]) == CHUNK_POINTS and not errors
-    assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
 
 
-def test_matched_point_bound_makes_one_solver_call(monkeypatch):
+def test_matched_point_bound_makes_no_solver_call(monkeypatch):
     """The op of mixedness matching: a matched temperature, then the
     assisted bound on the thermal state there, with a setup already
-    planned. The state is built in closed form; its one eigh, when the
-    DensityOperator is made, is the only LAPACK call."""
+    planned. The state comes with its closed-form eigendecomposition, so
+    the op makes no LAPACK call."""
     setup = xz_control_setup()
     qc_vur(thermal_state(ModelParams(1.0, 1.0, 1.0)), setup)
     calls = count_solver_calls(monkeypatch)
     t = match_mixedness(1.0, -1.5, closed_form_mixedness(ModelParams(1.0, -1.0, 0.7)))
     qc_vur(thermal_state(ModelParams(1.0, -1.5, t)), setup)
-    assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
 
 class TestFigurePresets:
