@@ -121,13 +121,11 @@ def _cmd_sweep(args) -> int:
     else:
         if not (args.d and args.j and args.t):
             raise UsageError("either --preset or all of --d/--j/--t are required")
-        theta = 0.5 if args.theta is None else args.theta
         with _arguments():
             grid = SweepGrid(d_range=_parse_range(args.d, "d"),
                              j_range=_parse_range(args.j, "j"),
-                             t_range=_parse_range(args.t, "t"),
-                             theta=theta)
-            setup = xz_control_setup(theta=theta)
+                             t_range=_parse_range(args.t, "t"))
+            setup = xz_control_setup(theta=0.5 if args.theta is None else args.theta)
     try:
         problems = sweep_csv(grid, setup, args.out)
     except OSError as exc:

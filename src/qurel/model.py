@@ -189,12 +189,6 @@ def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
             checks.clean(_eigenvectors(d, j), np.eye(4)))
 
 
-def gibbs_states(d: np.ndarray, j: np.ndarray, t: np.ndarray, checks: Checks) -> np.ndarray:
-    """The (N, 4, 4) stack of Gibbs states of ``_gibbs_eigensystems``,
-    without their eigendecompositions; a failed point comes back as I/4."""
-    return _gibbs_eigensystems(d, j, t, checks)[0]
-
-
 def _shifted_weights(p: ModelParams) -> tuple[float, float]:
     """The Boltzmann factors of |00> (equal to that of |11>) and of the far
     level, relative to the ground level's: ``_gibbs_eigensystems``' weights in

@@ -1,4 +1,4 @@
-"""Parameter sweeps over (d, j, t, theta) grids and their CSV datasets.
+"""Parameter sweeps over (d, j, t) grids and their CSV datasets.
 
 A sweep evaluates, at every grid point, the thermal state's mixedness and
 concurrence, the control-assisted variance bound with its tightness, and
@@ -66,14 +66,12 @@ _EUR_PLAN = eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis ranges, each a (start, stop, steps) triple, plus the phase,
-    which must lie in [0, 2*pi] and equal the theta of the setup the grid
-    is swept with."""
+    """Axis ranges, each a (start, stop, steps) triple. A sweep's phase
+    theta is that of the setup it is swept with."""
 
     d_range: tuple[float, float, int]
     j_range: tuple[float, float, int]
     t_range: tuple[float, float, int]
-    theta: float = 0.5
 
     def __post_init__(self):
         for name, rng in (("d", self.d_range), ("j", self.j_range), ("t", self.t_range)):
@@ -96,8 +94,6 @@ class SweepGrid:
             raise ValidationError(f"t_range must start at or above {T_MIN}")
         if np.min(np.abs(self.j_values())) < 1e-9:
             raise ValidationError("j_range passes through zero coupling")
-        if not (0.0 <= self.theta <= 2.0 * np.pi):
-            raise ValidationError(f"theta must lie in [0, 2*pi], got {self.theta}")
 
     def d_values(self) -> np.ndarray:
         return np.linspace(*self.d_range[:2], self.d_range[2])
@@ -228,29 +224,21 @@ def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
                                                  u_eur=optional(row["u_eur"])))
 
 
-def _check_theta(grid: SweepGrid, setup: MeasurementSetup) -> None:
-    """The grid's theta column must be the phase the setup evaluates."""
-    if grid.theta != setup.theta:
-        raise ValidationError(
-            f"grid theta {grid.theta} differs from the setup's theta {setup.theta}")
-
-
 def sweep_columns(grid: SweepGrid, setup: MeasurementSetup) -> tuple[dict, dict]:
-    """The grid's columns, one array per CSV_HEADER name (theta too) in
-    row-major (d, j, t) order, evaluated in chunks as ``sweep_csv`` does,
-    and the error of each failed point keyed by its row. A ratio is NaN
-    where it is undefined, and a failed point's values are all NaN: its
-    error, the one its ``evaluate_point`` raises, does not abort the
-    sweep. A grid whose theta is not the setup's, or a setup that cannot
-    be planned on two qubits, raises at once."""
-    _check_theta(grid, setup)
+    """The grid's columns, one array per CSV_HEADER name (theta too, the
+    setup's) in row-major (d, j, t) order, evaluated in chunks as
+    ``sweep_csv`` does, and the error of each failed point keyed by its
+    row. A ratio is NaN where it is undefined, and a failed point's values
+    are all NaN: its error, the one its ``evaluate_point`` raises, does
+    not abort the sweep. A setup that cannot be planned on two qubits
+    raises at once."""
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     chunks, errors = [], {}
     for _, cols, chunk_errors in _chunks(axes, setup):
         errors.update((CHUNK_POINTS * len(chunks) + i, e) for i, e in chunk_errors.items())
         chunks.append(cols)
     n = math.prod(map(len, axes))
-    return {name: np.full(n, grid.theta) if name == "theta"
+    return {name: np.full(n, setup.theta) if name == "theta"
             else np.concatenate([cols[name] for cols in chunks]) for name in CSV_HEADER}, errors
 
 
@@ -297,15 +285,14 @@ def sweep_csv(grid: SweepGrid, setup: MeasurementSetup, destination) -> list[str
     point's one message names its error.
 
     Rows are formatted straight from each chunk's columns; each distinct
-    axis value is formatted once per sweep. A grid whose theta is not the
-    setup's, or a setup that cannot be planned, raises before
-    ``destination`` is opened, so it leaves no file.
+    axis value is formatted once per sweep; the theta column is the
+    setup's. A setup that cannot be planned raises before ``destination``
+    is opened, so it leaves no file.
     """
-    _check_theta(grid, setup)
     vur_plan(setup, (2, 2))  # memoized; raises before the file is opened
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     axis_fields = [[_FIELD % x for x in axis.tolist()] for axis in axes]
-    theta_field = _FIELD % grid.theta
+    theta_field = _FIELD % setup.theta
     problems = []
     with open(destination, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
@@ -453,5 +440,4 @@ def figure_preset(name: str):
         raise UsageError(
             f"unknown preset {name!r}; valid presets: {', '.join(sorted(_PRESETS))}")
     grid_kwargs, columns = _PRESETS[name]
-    grid = SweepGrid(theta=0.5, **grid_kwargs)
-    return grid, xz_control_setup(theta=0.5), columns
+    return SweepGrid(**grid_kwargs), xz_control_setup(theta=0.5), columns

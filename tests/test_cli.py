@@ -50,7 +50,7 @@ def batch_of_one(grid, setup) -> list:
         try:
             rec = evaluate_point(ModelParams(d, j, t), setup)
         except QurelError as exc:
-            oracle.append(((d, j, t, grid.theta) + (None,) * (len(CSV_HEADER) - 4),
+            oracle.append(((d, j, t, setup.theta) + (None,) * (len(CSV_HEADER) - 4),
                            [f"point ({d}, {j}, {t}) failed: {exc}"], True))
         else:
             oracle.append((operator.attrgetter(*CSV_HEADER)(rec), rec.invariant_violations(),
@@ -91,6 +91,15 @@ class TestArgumentDomain:
                                "--theta", "7")
         assert code == 1
         assert "usage error" in err and "theta" in err
+
+    def test_sweep_theta_out_of_range_exits_one(self, tmp_path, capsys):
+        """The sweep's setup rejects theta = 7 before the file is opened."""
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "sweep", "--d", "0:1:2", "--j", "1", "--t", "1",
+                               "--theta", "7", "--out", str(out))
+        assert code == 1
+        assert "usage error: theta must lie in [0, 2*pi], got 7.0" in err
+        assert not out.exists()
 
     def test_zero_step_range_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1:0", "--j", "1", "--t", "1",

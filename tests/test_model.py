@@ -14,7 +14,6 @@ from qurel.model import (
     _levels,
     closed_form_concurrence,
     closed_form_mixedness,
-    gibbs_states,
     hamiltonian,
     in_domain,
     thermal_state,
@@ -137,10 +136,10 @@ class TestThermalState:
         j = np.array([1.0, -0.5, 2.0, 1.0, 0.7, -3.0, -0.5])
         t = np.array([0.5, 1.0, 0.2, T_MIN, 2.0, 0.3, 1.0])
         checks = Checks(len(d))
-        stack = gibbs_states(d, j, t, checks)
+        stack = _gibbs_eigensystems(d, j, t, checks)[0]
         assert not checks.failed.any()
         for i in range(len(d)):
-            one = gibbs_states(d[i:i + 1], j[i:i + 1], t[i:i + 1], Checks(1))
+            one = _gibbs_eigensystems(d[i:i + 1], j[i:i + 1], t[i:i + 1], Checks(1))[0]
             assert stack[i:i + 1].tobytes() == one.tobytes(), i
             assert stack[i].tobytes() == thermal_state(ModelParams(d[i], j[i], t[i])).matrix.tobytes()
 
@@ -152,7 +151,7 @@ class TestThermalState:
         j = np.array([1.0, 1.0, -2.0, 1e200, 1e-200, 1.0])
         t = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0])
         checks = Checks(len(d))
-        stack = gibbs_states(d, j, t, checks)
+        stack = _gibbs_eigensystems(d, j, t, checks)[0]
         assert np.flatnonzero(checks.failed).tolist() == [1, 3]
         for i in (1, 3):
             error = checks.errors[i]
@@ -161,7 +160,7 @@ class TestThermalState:
             assert str(error) == f"Hamiltonian overflowed at {point}"
             assert np.array_equal(stack[i], np.eye(4) / 4.0)
         for i in (0, 2, 4, 5):
-            one = gibbs_states(d[i:i + 1], j[i:i + 1], t[i:i + 1], Checks(1))
+            one = _gibbs_eigensystems(d[i:i + 1], j[i:i + 1], t[i:i + 1], Checks(1))[0]
             assert stack[i:i + 1].tobytes() == one.tobytes(), i
         with pytest.raises(RangeError, match=r"Hamiltonian overflowed at ModelParams\(d=1e\+308"):
             thermal_state(ModelParams(1e308, 1.0, 1.0))
@@ -197,7 +196,7 @@ class TestExtremeInputs:
         8 eps (1 + ||H|| / t)."""
         d, j, t = self.points()
         checks = Checks(len(d))
-        rho = gibbs_states(d, j, t, checks)
+        rho = _gibbs_eigensystems(d, j, t, checks)[0]
         overflows = 0
         for i, point in enumerate(zip(d.tolist(), j.tolist(), t.tolist())):
             p = ModelParams(*point)
@@ -225,7 +224,7 @@ class TestExtremeInputs:
         the order of ``_levels``' descending heights."""
         d, j, t = self.points()
         checks = Checks(len(d))
-        rho = gibbs_states(d, j, t, checks)
+        rho = _gibbs_eigensystems(d, j, t, checks)[0]
         ok = ~checks.failed
         rho, v, heights = rho[ok], _eigenvectors(d[ok], j[ok]), _levels(d[ok], j[ok])
         eye_dev = np.abs(np.swapaxes(v.conj(), -1, -2) @ v - np.eye(4)).max()
@@ -237,14 +236,14 @@ class TestExtremeInputs:
         assert (np.diff(w, axis=1) >= -4.0 * self.EPS).all()
 
     def test_eigensystems_carry_each_states_decomposition(self):
-        """Besides the stack of ``gibbs_states``, the kernel returns each
+        """Besides the stack of Gibbs states, the kernel returns each
         state's weights, ascending exactly (ties included, as at d = 0), and
         the eigenvectors of ``_eigenvectors``, which rebuild the state to a
         few eps; a failed point comes back as (I/4, 1/4, I)."""
         d, j, t = self.points()
         checks = Checks(len(d))
         rho, w, v = _gibbs_eigensystems(d, j, t, checks)
-        assert rho.tobytes() == gibbs_states(d, j, t, Checks(len(d))).tobytes()
+        assert rho.tobytes() == _gibbs_eigensystems(d, j, t, Checks(len(d)))[0].tobytes()
         bad = checks.failed
         assert bad.sum() >= 300
         assert (rho[bad] == np.eye(4) / 4.0).all() and (w[bad] == 0.25).all()
@@ -264,7 +263,7 @@ class TestExtremeInputs:
         finite and equal its mixedness and spin-flip concurrence."""
         d, j, t = self.points()
         checks = Checks(len(d))
-        rho = gibbs_states(d, j, t, checks)
+        rho = _gibbs_eigensystems(d, j, t, checks)[0]
         gamma = mixedness_batch(rho)
         conc = concurrence_batch(*np.linalg.eigh(rho))
         for i in np.flatnonzero(~checks.failed).tolist():

@@ -69,15 +69,14 @@ class TestSweepGrid:
 
     @pytest.mark.parametrize("theta", [math.nan, -0.1, 2.0 * math.pi + 1e-9, math.inf])
     def test_rejects_theta_outside_zero_two_pi(self, theta):
+        """A sweep's phase is its setup's, which takes theta in [0, 2*pi]
+        only."""
         with pytest.raises(ValidationError, match=r"^theta must lie in \[0, 2\*pi\], got "):
-            SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1),
-                      theta=theta)
+            xz_control_setup(theta=theta)
 
     def test_accepts_theta_endpoints(self):
         for theta in (0.0, 2.0 * math.pi):
-            grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1),
-                             t_range=(1.0, 1.0, 1), theta=theta)
-            assert grid.theta == theta
+            assert xz_control_setup(theta=theta).theta == theta
 
     def test_accepts_numpy_integer_step_count(self):
         grid = SweepGrid(d_range=(0.0, 1.0, np.int64(2)), j_range=(1.0, 1.0, 1),
@@ -235,23 +234,23 @@ class TestBatchedSweep:
         assert {i: str(e) for i, e in errors.items()} == \
             {i: str(e) for i, e in expected_errors.items()}
 
-    def test_grid_theta_must_equal_setup_theta(self, tmp_path):
-        """The theta column is the grid's and the bound is the setup's, so
-        a sweep given two different phases raises, naming both, before
-        sweep_csv opens its destination."""
-        grid = SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1),
-                         theta=1.0)
-        setup = xz_control_setup(theta=0.5)
-        message = r"grid theta 1\.0 differs from the setup's theta 0\.5"
-        with pytest.raises(ValidationError, match=message):
-            sweep_columns(grid, setup)
-        with pytest.raises(ValidationError, match=message):
-            sweep_csv(grid, setup, tmp_path / "none.csv")
-        assert not (tmp_path / "none.csv").exists()
-        cols, errors = sweep_columns(grid, xz_control_setup(theta=1.0))
+    @pytest.mark.parametrize("theta", [0.0, math.pi, 2.0 * math.pi])
+    def test_theta_column_is_the_setups_at_its_endpoints(self, tmp_path, theta):
+        """The theta column, in sweep_columns and as 17-digit text in
+        sweep_csv, is the setup's phase, and the standard setup's l_tra is
+        1 + cos(theta) there, at theta's endpoints and at pi."""
+        grid = SweepGrid(d_range=(0.0, 2.0, 2), j_range=(-1.0, 1.5, 2), t_range=(0.5, 2.0, 2))
+        setup = xz_control_setup(theta=theta)
+        cols, errors = sweep_columns(grid, setup)
         assert not errors
-        assert cols["theta"].tolist() == [1.0]
-        assert cols["l_tra"][0] == pytest.approx(1.0 + math.cos(1.0), abs=1e-12)
+        assert cols["theta"].tolist() == [setup.theta] * 8
+        assert np.abs(cols["l_tra"] - (1.0 + math.cos(theta))).max() <= 1e-10
+        path = tmp_path / "theta.csv"
+        assert sweep_csv(grid, setup, path) == []
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[CSV_HEADER.index("theta")] for row in rows] == ["%.17g" % setup.theta] * 8
+        l_tra = np.array([float(row[CSV_HEADER.index("l_tra")]) for row in rows])
+        assert np.abs(l_tra - (1.0 + math.cos(theta))).max() <= 1e-10
 
     def test_setup_every_point_rejects(self, tmp_path):
         """A setup that cannot be planned on two qubits raises once, before
@@ -285,22 +284,24 @@ def _axis(values):
 @st.composite
 def _grids(draw):
     """Grids of up to 2 x 2 x 2 points with d in [0, 1e6], 1e-9 <= |j| <= 1e3,
-    t in [T_MIN, 1e3] and beta |j| <= 1e3 at every point."""
+    t in [T_MIN, 1e3] and beta |j| <= 1e3 at every point, each with a
+    phase in [0, 2 pi] for its setup."""
     d = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=2, unique=True))
     j = draw(st.lists(_couplings, min_size=1, max_size=2, unique=True))
     t_low = max(T_MIN, max(abs(x) for x in j) / 1e3)
     t = draw(st.lists(st.floats(t_low, 1e3), min_size=1, max_size=2, unique=True))
     theta = draw(st.floats(0.0, 2.0 * math.pi))
-    return SweepGrid(d_range=_axis(d), j_range=_axis(j), t_range=_axis(t), theta=theta)
+    return SweepGrid(d_range=_axis(d), j_range=_axis(j), t_range=_axis(t)), theta
 
 
 @seed(20231018)
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_grids())
-def test_batched_records_equal_batch_of_one(grid):
+def test_batched_records_equal_batch_of_one(grid_theta):
     """Every row equals its batch of one and, where defined, holds the row
     invariants and agrees with the closed forms."""
-    setup = xz_control_setup(theta=grid.theta)
+    grid, theta = grid_theta
+    setup = xz_control_setup(theta=theta)
     cols, errors = sweep_columns(grid, setup)
     for i in range(len(cols["d"])):
         expected = _point_or_error(cols, i, setup)
@@ -314,7 +315,7 @@ def test_batched_records_equal_batch_of_one(grid):
         assert -1e-9 <= rec.gamma <= 0.75 + 1e-9
         assert abs(rec.gamma - closed_form_mixedness(params)) <= 1e-10
         assert abs(rec.concurrence - closed_form_concurrence(params)) <= 1e-10
-        assert abs(rec.l_tra - (1.0 + math.cos(grid.theta))) <= 1e-10
+        assert abs(rec.l_tra - (1.0 + math.cos(theta))) <= 1e-10
 
 
 class TestEmitCsv:
