@@ -189,32 +189,34 @@ def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
             checks.clean(_eigenvectors(d, j), np.eye(4)))
 
 
-def _shifted_weights(p: ModelParams) -> tuple[float, float]:
+def _shifted_weights(d: float, j: float, t: float) -> tuple[float, float]:
     """The Boltzmann factors of |00> (equal to that of |11>) and of the far
-    level, relative to the ground level's: ``_gibbs_eigensystems``' weights in
-    scalar math, from the same heights and in the same two orders.
-
-    Every closed form below is a ratio of terms of equal total degree in
-    the factors (1 for the ground level), so no exponential exceeds 1.
-    Scalar math keeps a single point cheap: mixedness matching calls this
-    a few hundred times per match.
+    level relative to the ground level's, at a point of the model's domain
+    that the caller has checked: ``_gibbs_eigensystems``' weights in scalar
+    math, from the same heights and in the same two orders, each at most 1.
+    Every closed form below is a ratio of terms of equal degree in them.
     """
-    aj = abs(p.j)
-    r = math.hypot(1.0, p.d)
-    pair = 1.0 + r if p.j > 0.0 else p.d * (p.d / (1.0 + r))
+    aj = abs(j)
+    r = math.hypot(1.0, d)
+    pair = 1.0 + r if j > 0.0 else d * (d / (1.0 + r))
 
     def weight(height: float) -> float:
         # min keeps its first argument, which is never NaN, over a NaN
-        return math.exp(-min(height * aj / p.t, height * (aj / p.t)))
+        return math.exp(-min(height * aj / t, height * (aj / t)))
 
     return weight(pair), weight(2.0 * r)
 
 
-def closed_form_mixedness(p: ModelParams) -> float:
-    """Analytic 1 - Tr(rho^2) of the thermal state."""
-    a, f = _shifted_weights(p)
+def _mixedness(d: float, j: float, t: float) -> float:
+    """``closed_form_mixedness`` at a point of the model's domain."""
+    a, f = _shifted_weights(d, j, t)
     z = 1.0 + 2.0 * a + f
     return (2.0 * a * a + 4.0 * a + 4.0 * a * f + 2.0 * f) / z / z
+
+
+def closed_form_mixedness(p: ModelParams) -> float:
+    """Analytic 1 - Tr(rho^2) of the thermal state."""
+    return _mixedness(p.d, p.j, p.t)
 
 
 def closed_form_concurrence(p: ModelParams) -> float:
@@ -225,5 +227,5 @@ def closed_form_concurrence(p: ModelParams) -> float:
     relative to the ground level's weight, |rho23| is (1 - f) / 2 and
     rho11 = rho44 is a.
     """
-    a, f = _shifted_weights(p)
+    a, f = _shifted_weights(p.d, p.j, p.t)
     return max(1.0 - f - 2.0 * a, 0.0) / (1.0 + 2.0 * a + f)

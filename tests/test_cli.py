@@ -113,6 +113,13 @@ class TestArgumentDomain:
         assert code == 1
         assert "usage error" in err and "finite" in err
 
+    @pytest.mark.parametrize("d, j, message", [("-1", "1", "d must be finite and >= 0, got -1.0"),
+                                               ("1", "0", "j must be nonzero and finite, got 0.0")])
+    def test_match_gamma_outside_the_model_domain_exits_one(self, capsys, d, j, message):
+        code, out, err = run_cli(capsys, "match-gamma", "--d", d, "--j", j, "--target", "0.3")
+        assert code == 1 and out == ""
+        assert err == f"usage error: {message}\n"
+
     @pytest.mark.parametrize("axis,text", [("d", "0:inf:2"), ("d", "nan"), ("t", "1:-inf:3")])
     def test_non_finite_range_exits_one(self, tmp_path, capsys, axis, text):
         ranges = {"d": "0:1:2", "j": "1", "t": "1"}

@@ -12,6 +12,7 @@ from qurel.model import (
     _eigenvectors,
     _gibbs_eigensystems,
     _levels,
+    _mixedness,
     closed_form_concurrence,
     closed_form_mixedness,
     hamiltonian,
@@ -270,6 +271,13 @@ class TestExtremeInputs:
             p = ModelParams(float(d[i]), float(j[i]), float(t[i]))
             assert abs(closed_form_mixedness(p) - gamma[i]) <= 1e-15, p
             assert abs(closed_form_concurrence(p) - conc[i]) <= 1e-15, p
+
+    def test_float_kernel_is_the_public_closed_form(self):
+        """Mixedness matching calls the float kernel with no ModelParams;
+        at every point it equals closed_form_mixedness bit for bit."""
+        d, j, t = self.points()
+        for point in zip(d.tolist(), j.tolist(), t.tolist()):
+            assert _mixedness(*point) == closed_form_mixedness(ModelParams(*point)), point
 
 
 class TestClosedFormMixedness:

@@ -11,6 +11,7 @@ from qurel.errors import QurelError, RangeError, SubsystemError, UsageError, Val
 from qurel.model import (
     ModelParams,
     T_MIN,
+    _mixedness,
     closed_form_concurrence,
     closed_form_mixedness,
     thermal_state,
@@ -397,6 +398,23 @@ class TestMatchMixedness:
         with pytest.raises(ValidationError, match="finite"):
             match_mixedness(1.0, 1.0, target)
 
+    @pytest.mark.parametrize("d, j, message", [
+        (-1.0, 1.0, "^d must be finite and >= 0, got -1.0"),
+        (math.nan, 1.0, "^d must be finite and >= 0, got nan"),
+        (math.inf, 1.0, "^d must be finite and >= 0, got inf"),
+        (1.0, 0.0, "^j must be nonzero and finite, got 0.0"),
+        (1.0, math.inf, "^j must be nonzero and finite, got inf"),
+        (1.0, -math.inf, "^j must be nonzero and finite, got -inf"),
+        (1.0, math.nan, "^j must be nonzero and finite, got nan"),
+    ])
+    def test_rejects_a_point_outside_the_model_domain(self, d, j, message):
+        with pytest.raises(ValidationError, match=message):
+            match_mixedness(d, j, 0.3)
+
+    def test_reports_a_non_finite_target_before_the_point(self):
+        with pytest.raises(ValidationError, match="^target mixedness must be finite, got nan"):
+            match_mixedness(-1.0, 1.0, math.nan)
+
     def test_matched_gamma_tolerance(self):
         target = 0.42
         t = match_mixedness(0.5, -1.5, target)
@@ -519,6 +537,35 @@ def test_matched_point_bound_makes_no_solver_call(monkeypatch):
     t = match_mixedness(1.0, -1.5, closed_form_mixedness(ModelParams(1.0, -1.0, 0.7)))
     qc_vur(thermal_state(ModelParams(1.0, -1.5, t)), setup)
     assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+
+def test_matching_builds_one_model_point(monkeypatch):
+    """Matching checks (d, j) once, through one ModelParams at T_MIN; its
+    scan and bisection steps call the closed form's float kernel."""
+    target = closed_form_mixedness(ModelParams(1.0, -1.0, 0.7))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ModelParams(*args)
+
+    monkeypatch.setattr(sweep, "ModelParams", counting)
+    t = match_mixedness(1.0, -1.5, target)
+    assert built == [(1.0, -1.5, T_MIN)]
+    assert abs(t / 1.05 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d, j", [(0.0, 1.0), (0.0, -1.0), (1.0, 2.0), (0.5, -1.5),
+                                  (3.0, 0.25), (0.06, -1.0)])
+def test_float_kernel_is_the_public_closed_form_on_the_scan(d, j):
+    """At the scan's temperatures the kernel equals closed_form_mixedness
+    bit for bit, on the numpy scalars the scan passes and on floats, as
+    bisection passes them."""
+    ts = np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX), sweep.SCAN_POINTS)
+    assert ts[0] == T_MIN and ts[-1] == sweep.SCAN_T_MAX
+    for t in ts:
+        gamma = closed_form_mixedness(ModelParams(d, j, t))
+        assert _mixedness(d, j, t) == gamma == _mixedness(d, j, float(t)), t
 
 
 class TestFigurePresets:
