@@ -189,34 +189,45 @@ def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
             checks.clean(_eigenvectors(d, j), np.eye(4)))
 
 
-def _shifted_weights(d: float, j: float, t: float) -> tuple[float, float]:
+def _shifted_weights(d: float, j: float):
     """The Boltzmann factors of |00> (equal to that of |11>) and of the far
-    level relative to the ground level's, at a point of the model's domain
-    that the caller has checked: ``_gibbs_eigensystems``' weights in scalar
-    math, from the same heights and in the same two orders, each at most 1.
-    Every closed form below is a ratio of terms of equal degree in them.
+    level relative to the ground level's at one (d, j) of the model's
+    domain that the caller has checked, as ``weights(t) -> (a, f)`` for any
+    t >= T_MIN: ``_gibbs_eigensystems``' weights in scalar math, from the
+    same heights and in the same two orders, each at most 1. r, the heights
+    and their products with |j| are formed once per (d, j). Every closed
+    form below is a ratio of terms of equal degree in a and f.
     """
     aj = abs(j)
     r = math.hypot(1.0, d)
     pair = 1.0 + r if j > 0.0 else d * (d / (1.0 + r))
+    far = 2.0 * r
+    pair_aj, far_aj = pair * aj, far * aj
 
-    def weight(height: float) -> float:
+    def weights(t: float) -> tuple[float, float]:
         # min keeps its first argument, which is never NaN, over a NaN
-        return math.exp(-min(height * aj / t, height * (aj / t)))
+        q = aj / t
+        return math.exp(-min(pair_aj / t, pair * q)), math.exp(-min(far_aj / t, far * q))
 
-    return weight(pair), weight(2.0 * r)
+    return weights
 
 
-def _mixedness(d: float, j: float, t: float) -> float:
-    """``closed_form_mixedness`` at a point of the model's domain."""
-    a, f = _shifted_weights(d, j, t)
-    z = 1.0 + 2.0 * a + f
-    return (2.0 * a * a + 4.0 * a + 4.0 * a * f + 2.0 * f) / z / z
+def _mixedness_of(d: float, j: float):
+    """``closed_form_mixedness`` at one (d, j) of the model's domain, as
+    gamma(t) on ``_shifted_weights``' kernel."""
+    weights = _shifted_weights(d, j)
+
+    def gamma(t: float) -> float:
+        a, f = weights(t)
+        z = 1.0 + 2.0 * a + f
+        return (2.0 * a * a + 4.0 * a + 4.0 * a * f + 2.0 * f) / z / z
+
+    return gamma
 
 
 def closed_form_mixedness(p: ModelParams) -> float:
     """Analytic 1 - Tr(rho^2) of the thermal state."""
-    return _mixedness(p.d, p.j, p.t)
+    return _mixedness_of(p.d, p.j)(p.t)
 
 
 def closed_form_concurrence(p: ModelParams) -> float:
@@ -227,5 +238,5 @@ def closed_form_concurrence(p: ModelParams) -> float:
     relative to the ground level's weight, |rho23| is (1 - f) / 2 and
     rho11 = rho44 is a.
     """
-    a, f = _shifted_weights(p.d, p.j, p.t)
+    a, f = _shifted_weights(p.d, p.j)(p.t)
     return max(1.0 - f - 2.0 * a, 0.0) / (1.0 + 2.0 * a + f)

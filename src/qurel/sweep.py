@@ -33,7 +33,7 @@ from .model import (
     ModelParams,
     T_MIN,
     _gibbs_eigensystems,
-    _mixedness,
+    _mixedness_of,
     closed_form_mixedness,
     thermal_state,
 )
@@ -329,8 +329,12 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     if not math.isfinite(target_gamma):
         raise ValidationError(f"target mixedness must be finite, got {target_gamma}")
     ModelParams(d, j, T_MIN)  # checks (d, j) once: every step's t lies in [T_MIN, SCAN_T_MAX]
+    gamma = _mixedness_of(d, j)
     ts = np.logspace(np.log10(T_MIN), np.log10(SCAN_T_MAX), SCAN_POINTS)
-    gammas = np.array([_mixedness(d, j, t) for t in ts])
+    # the scan's numpy scalars follow _gibbs_eigensystems: a true overflow
+    # is a weight of 0, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gammas = np.array([gamma(t) for t in ts])
     residues = gammas - target_gamma
     if residues[0] == 0.0:
         return float(ts[0])
@@ -343,7 +347,7 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     lo, hi = float(ts[k]), float(ts[k + 1])
     f_lo, f_hi = float(residues[k]), float(residues[k + 1])
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = _mixedness(d, j, mid) - target_gamma
+        f_mid = gamma(mid) - target_gamma
         if f_mid * f_lo > 0.0:
             lo, f_lo = mid, f_mid
         else:

@@ -14,7 +14,8 @@ sigma_z, phase theta) every column below is a closed form in them:
 * <sz sz> = (2a - b - c) / Z and <sx sx>^2 = (b - c)^2 cos^2 phi / Z^2
   with cos phi = 1 / r; each control explains the square of its
   correlator, so lhs = 2 - <sx sx>^2 - <sz sz>^2 and
-  w = 1 + cos theta - <sx sx>^2 - <sz sz>^2;
+  w = 1 + cos theta - <sx sx>^2 - <sz sz>^2, with the tightness u = lhs /
+  w (None where w is 0);
 * the entropic columns (sigma_x and sigma_z measured on qubit 0, qubit 1
   the memory) are base-2 entropies H of spectra, less S(B) = 1, the
   entropy of the memory's reduced state I/2. rho has the spectrum
@@ -56,9 +57,9 @@ def _cos(x: Decimal) -> Decimal:
 
 
 def row(d: float, j: float, t: float, theta: float) -> dict:
-    """gamma, concurrence, l_tra, lhs, w, h_rb, h_sb, h_ab, eur_rhs and
+    """gamma, concurrence, l_tra, lhs, w, u, h_rb, h_sb, h_ab, eur_rhs and
     u_eur of the row (d, j, t, theta), as Decimals correct to about DIGITS
-    digits (u_eur None where eur_rhs is 0)."""
+    digits (u None where w is 0, u_eur None where eur_rhs is 0)."""
     with localcontext() as ctx:
         ctx.prec = DIGITS + _GUARD
         d, j, t, theta = (Decimal(x) for x in (d, j, t, theta))
@@ -86,12 +87,14 @@ def row(d: float, j: float, t: float, theta: float) -> dict:
         h_sb = entropy((a, ln_a), (m, ln_m), (m, ln_m), (a, ln_a)) - 1
         h_rb = entropy((p, ln_p), (p, ln_p), (q, ln_q), (q, ln_q)) - 1
         rhs = 1 + h_ab
+        lhs, w = 2 - xx2 - zz * zz, l_tra - xx2 - zz * zz
         out = {
             "gamma": (2 * a * a + 4 * a * b + 4 * a * c + 2 * b * c) / (z * z),
             "concurrence": max(abs(b - c) - 2 * a, Decimal(0)) / z,
             "l_tra": l_tra,
-            "lhs": 2 - xx2 - zz * zz,
-            "w": l_tra - xx2 - zz * zz,
+            "lhs": lhs,
+            "w": w,
+            "u": lhs / w if w else None,
             "h_rb": h_rb,
             "h_sb": h_sb,
             "h_ab": h_ab,

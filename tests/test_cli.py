@@ -342,6 +342,16 @@ class TestMatchGammaCommand:
         assert code == 2
         assert "not achieved" in err
 
+    def test_overflowing_weights_exit_two_with_no_warning(self, capsys):
+        """|j| height / t overflows on the scan: the weights are 0, so gamma
+        stays 0 and the target is out of reach, with no RuntimeWarning."""
+        code, out, err = run_cli(capsys, "match-gamma", "--d", "1", "--j", "1e307",
+                                 "--target", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: gamma = 0.3 not achieved for d = 1.0, j = 1e+307; "
+                       "scan reached [0, 0]\n")
+
 
 class TestCheckSingleValuedCommand:
     def test_same_sign_spreads(self, capsys):
@@ -352,6 +362,13 @@ class TestCheckSingleValuedCommand:
         assert float(values["w_spread"]) <= 1e-6
         assert float(values["u_spread"]) <= 1e-6
         assert values["skipped"] == "0"
+
+    def test_overflowing_weights_skip_every_target(self, capsys):
+        """At |j| near the float maximum every match overflows to the gamma
+        = 0 plateau, so each target is skipped, with no RuntimeWarning."""
+        code, out, _ = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1e306,2e306")
+        assert code == 0
+        assert out == "w_spread=0\nu_spread=0\nskipped=20\n"
 
     def test_mixed_signs_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j=-1,1")

@@ -12,7 +12,7 @@ from qurel.model import (
     _eigenvectors,
     _gibbs_eigensystems,
     _levels,
-    _mixedness,
+    _mixedness_of,
     closed_form_concurrence,
     closed_form_mixedness,
     hamiltonian,
@@ -273,11 +273,13 @@ class TestExtremeInputs:
             assert abs(closed_form_concurrence(p) - conc[i]) <= 1e-15, p
 
     def test_float_kernel_is_the_public_closed_form(self):
-        """Mixedness matching calls the float kernel with no ModelParams;
-        at every point it equals closed_form_mixedness bit for bit."""
+        """Mixedness matching builds the float kernel once per (d, j), with
+        no ModelParams; at every point it equals closed_form_mixedness bit
+        for bit."""
         d, j, t = self.points()
         for point in zip(d.tolist(), j.tolist(), t.tolist()):
-            assert _mixedness(*point) == closed_form_mixedness(ModelParams(*point)), point
+            gamma = closed_form_mixedness(ModelParams(*point))
+            assert _mixedness_of(point[0], point[1])(point[2]) == gamma, point
 
 
 class TestClosedFormMixedness:

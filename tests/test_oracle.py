@@ -2,9 +2,10 @@
 
 Each column has an absolute bound, the worst error measured on these
 points rounded up; an assertion message also gives the relative error.
-The ratio u_eur is gated as the sweep's reference CSVs gate a ratio: its
-error times |eur_rhs| / (1 + |u_eur|), and it must be undefined exactly
-where |eur_rhs| < RATIO_MIN.
+The ratios u = lhs / w and u_eur = (h_rb + h_sb) / eur_rhs are gated as
+the sweep's reference CSVs gate a ratio: the error times |den| / (1 +
+|ratio|), with den the oracle's w or eur_rhs, and each must be undefined
+exactly where the oracle's |den| < RATIO_MIN.
 The points are every row of the reference CSVs under tests/data, the
 coldest fig3b row at d = 0.06 and seeded points with beta |j| up to
 1000, d up to 1e6 and theta at 0 and pi.
@@ -34,17 +35,20 @@ DATA = Path(__file__).parent / "data"
 #: ``evaluate_point`` and for the scalar closed forms (``_cf``): the worst
 #: errors measured here are 5.3e-16 (gamma), 8.9e-16 (concurrence, which
 #: also carries the rounding of LAPACK's svd), 7.1e-16 (l_tra), 7.9e-16
-#: (lhs), 8.9e-16 (w), 3.6e-16 (gamma_cf) and 2.7e-16 (concurrence_cf).
+#: (lhs), 8.9e-16 (w), 6.2e-16 (u, scaled as the module docstring says;
+#: undefined at 9 seeded points), 3.6e-16 (gamma_cf) and 2.7e-16
+#: (concurrence_cf).
 #: For the entropic columns they are 6.0e-15 (h_rb, an eigenvalue of a
 #: measured state that is 0 in truth and about eps in the package,
 #: weighing in at eps log2(1/eps)), 2.7e-15 (h_sb), 5.2e-16 (h_ab and
-#: eur_rhs) and 1.9e-15 (u_eur, scaled as above).
+#: eur_rhs) and 1.9e-15 (u_eur, scaled as u).
 BOUNDS = {
     "gamma": 1e-15,
     "concurrence": 2e-15,
     "l_tra": 1e-15,
     "lhs": 1e-15,
     "w": 1e-15,
+    "u": 1e-15,
     "gamma_cf": 5e-16,
     "concurrence_cf": 5e-16,
     "h_rb": 1e-14,
@@ -65,30 +69,34 @@ def package_row(d, j, t, theta) -> dict:
     p = ModelParams(d, j, t)
     rec = evaluate_point(p, _setup(theta))
     return {"gamma": rec.gamma, "concurrence": rec.concurrence, "l_tra": rec.l_tra,
-            "lhs": rec.lhs, "w": rec.w, "gamma_cf": closed_form_mixedness(p),
+            "lhs": rec.lhs, "w": rec.w, "u": rec.u, "gamma_cf": closed_form_mixedness(p),
             "concurrence_cf": closed_form_concurrence(p), "h_rb": rec.h_rb,
             "h_sb": rec.h_sb, "h_ab": rec.h_ab, "eur_rhs": rec.eur_rhs,
             "u_eur": rec.u_eur}
 
 
+#: each ratio column and the column it divides by
+RATIOS = {"u": "w", "u_eur": "eur_rhs"}
+
+
 def worst_errors(points) -> dict:
     """Per column, (error, relative error, point) of the point with the
-    largest error against the oracle: the absolute error, or u_eur's
+    largest error against the oracle: the absolute error, or a ratio's
     scaled one."""
     worst = {name: (0.0, 0.0, None) for name in BOUNDS}
     for point in points:
         truth = oracle.row(*point)
-        rhs = abs(truth["eur_rhs"])
         for name, value in package_row(*point).items():
             exact = truth[name.removesuffix("_cf")]
-            if name == "u_eur":
-                assert (value is None) == (rhs < Decimal(RATIO_MIN)), (point, value, rhs)
+            if name in RATIOS:
+                den = abs(truth[RATIOS[name]])
+                assert (value is None) == (den < Decimal(RATIO_MIN)), (point, name, value, den)
                 if value is None:
                     continue
             err = abs(Decimal(value) - exact)
             rel = err / abs(exact) if exact else (Decimal(0) if not err else Decimal("Inf"))
-            if name == "u_eur":
-                err *= rhs / (1 + abs(exact))
+            if name in RATIOS:
+                err *= den / (1 + abs(exact))
             if err > worst[name][0] or worst[name][2] is None:
                 worst[name] = (float(err), float(rel), point)
     return worst

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qurel import sweep
+from qurel import model, sweep
 from qurel.errors import QurelError, RangeError, SubsystemError, UsageError, ValidationError
 from qurel.model import (
     ModelParams,
     T_MIN,
-    _mixedness,
+    _mixedness_of,
     closed_form_concurrence,
     closed_form_mixedness,
     thermal_state,
@@ -483,6 +484,45 @@ class TestMatchMixedness:
             below = np.nextafter(t, 0.0)
             assert closed_form_mixedness(ModelParams(1.0, 1.0, below)) != target
 
+    @pytest.mark.parametrize("d, j", [(1.0, 1e307), (1e308, 1.0), (0.0, -1e307)])
+    def test_overflowing_weights_are_zero_without_a_warning(self, d, j):
+        """Where |j| height / t overflows on the scan's numpy scalars, the
+        weight is 0, as in the Gibbs states, and no RuntimeWarning is
+        raised: gamma stays on its cold plateau, 0 or (d = 0, j < 0) 2/3,
+        so a target off it is out of reach and one on it matches T_MIN."""
+        plateau = 2.0 / 3.0 if d == 0.0 else 0.0
+        message = (f"gamma = 0.3 not achieved for d = {d}, j = {j}; "
+                   f"scan reached [{plateau:.6g}, {plateau:.6g}]")
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            match_mixedness(d, j, 0.3)
+        assert match_mixedness(d, j, plateau) == T_MIN
+
+    #: (d, j, target) -> repr of the matched temperature, or the RangeError
+    #: text. Matching bisects to adjacent floats, so a change to its search
+    #: or to its gamma kernel that keeps the numerics keeps every one
+    PINNED = [
+        ((1.0, 2.0, 0.3), "1.883799229466196"),
+        ((1.0, 1.0, 0.33479470938479916), "1.0"),  # gamma at (1, 1, 1)
+        ((0.5, -1.5, 0.42), "0.10215551573656355"),
+        ((1.0, -1.0, 0.5), "0.29874195065830994"),
+        ((2.0, 0.5, 0.0), "0.001"),  # the gamma = 0 plateau from T_MIN
+        ((0.0, -1.0, 2.0 / 3.0), "0.001"),  # the cold ferromagnet's 2/3 plateau
+        ((2.0, 0.5, 3.5318013206062414e-14), "0.049999999999999996"),
+        ((1.0, 1.0, 0.7499), "56.49301061734665"),  # near the 3/4 ceiling
+        ((1.0, -2.0, 0.7499), "110.58570881328262"),
+        ((1.0, 1.0, 0.5321431614828891), "1.464971398307286"),  # gamma at scan point 90
+        ((0.0, -1.0, 0.5), "RangeError: gamma = 0.5 not achieved for d = 0.0, j = -1.0; "
+                           "scan reached [0.666667, 0.75]"),
+    ]
+
+    @pytest.mark.parametrize("case, expected", PINNED)
+    def test_matched_temperatures_are_pinned(self, case, expected):
+        try:
+            got = repr(match_mixedness(*case))
+        except RangeError as exc:
+            got = f"RangeError: {exc}"
+        assert got == expected
+
 
 class TestCheckSingleValued:
     def test_single_sample_is_trivially_flat(self):
@@ -555,6 +595,23 @@ def test_matching_builds_one_model_point(monkeypatch):
     assert abs(t / 1.05 - 1.0) <= 1e-12
 
 
+def test_matching_forms_the_heights_once(monkeypatch):
+    """One match builds the weight kernel of its (d, j) once; its scan and
+    bisection steps only call the kernel's weights(t)."""
+    target = closed_form_mixedness(ModelParams(1.0, -1.0, 0.7))
+    built = []
+    shifted_weights = model._shifted_weights
+
+    def counting(d, j):
+        built.append((d, j))
+        return shifted_weights(d, j)
+
+    monkeypatch.setattr(model, "_shifted_weights", counting)
+    t = match_mixedness(1.0, -1.5, target)
+    assert built == [(1.0, -1.5)]
+    assert abs(t / 1.05 - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("d, j", [(0.0, 1.0), (0.0, -1.0), (1.0, 2.0), (0.5, -1.5),
                                   (3.0, 0.25), (0.06, -1.0)])
 def test_float_kernel_is_the_public_closed_form_on_the_scan(d, j):
@@ -563,9 +620,10 @@ def test_float_kernel_is_the_public_closed_form_on_the_scan(d, j):
     bisection passes them."""
     ts = np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX), sweep.SCAN_POINTS)
     assert ts[0] == T_MIN and ts[-1] == sweep.SCAN_T_MAX
+    kernel = _mixedness_of(d, j)
     for t in ts:
         gamma = closed_form_mixedness(ModelParams(d, j, t))
-        assert _mixedness(d, j, t) == gamma == _mixedness(d, j, float(t)), t
+        assert kernel(t) == gamma == kernel(float(t)), t
 
 
 class TestFigurePresets:
