@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QurelError, RangeError, ValidationError
+from .errors import RangeError, ValidationError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
 from .states import DensityOperator
 
@@ -45,20 +45,18 @@ _DM = np.kron(SIGMA_X, SIGMA_Y) - np.kron(SIGMA_Y, SIGMA_X)
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model point (d, j, t): antisymmetric strength, coupling, temperature."""
+    """Model point (d, j, t) as floats, which keep numpy's warnings out of
+    the closed forms: antisymmetric strength, coupling, temperature."""
 
     d: float
     j: float
     t: float
 
     def __post_init__(self):
-        # in_domain below is the same rule over arrays of points
-        if not (math.isfinite(self.d) and self.d >= 0.0):
-            raise ValidationError(f"d must be finite and >= 0, got {self.d}")
-        if self.j == 0.0 or not math.isfinite(self.j):
-            raise ValidationError(f"j must be nonzero and finite, got {self.j}")
-        if not (math.isfinite(self.t) and self.t >= T_MIN):
-            raise ValidationError(f"t must be finite and >= {T_MIN}, got {self.t}")
+        if (error := _domain_error(self.d, self.j, self.t)) is not None:
+            raise error
+        if not type(self.d) is type(self.j) is type(self.t) is float:
+            self.__dict__.update(d=float(self.d), j=float(self.j), t=float(self.t))
 
     @property
     def beta(self) -> float:
@@ -75,19 +73,20 @@ class ModelParams:
         return math.atan(self.d)
 
 
+def _domain_error(d: float, j: float, t: float) -> ValidationError | None:
+    """ModelParams' domain rule: the error of a point outside it, else None."""
+    if not (math.isfinite(d) and d >= 0.0):
+        return ValidationError(f"d must be finite and >= 0, got {d}")
+    if j == 0.0 or not math.isfinite(j):
+        return ValidationError(f"j must be nonzero and finite, got {j}")
+    if not (math.isfinite(t) and t >= T_MIN):
+        return ValidationError(f"t must be finite and >= {T_MIN}, got {t}")
+
+
 def in_domain(d: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
     """ModelParams' validation rule as a mask over arrays of points."""
     return (np.isfinite(d) & (d >= 0.0) & np.isfinite(j) & (j != 0.0)
             & np.isfinite(t) & (t >= T_MIN))
-
-
-def _domain_error(d: float, j: float, t: float) -> QurelError:
-    """The error ModelParams raises for a point outside the domain."""
-    try:
-        ModelParams(d, j, t)
-    except ValidationError as exc:
-        return exc
-    return ValidationError(f"({d}, {j}, {t}) lies outside the model domain")
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:
@@ -106,8 +105,7 @@ def thermal_state(p: ModelParams) -> DensityOperator:
     that keeps its closed-form eigendecomposition: ``_gibbs_eigensystems``
     as a batch of one, with no solver call."""
     checks = Checks(1)
-    rho, w, v = _gibbs_eigensystems(np.array([p.d], dtype=float), np.array([p.j], dtype=float),
-                                   np.array([p.t], dtype=float), checks)
+    rho, w, v = _gibbs_eigensystems(np.array([p.d]), np.array([p.j]), np.array([p.t]), checks)
     checks.raise_first()
     return DensityOperator._decomposed(rho[0], (2, 2), w[0], v[0])
 

@@ -35,13 +35,11 @@ from .model import (
     _gibbs_eigensystems,
     _mixedness_of,
     closed_form_mixedness,
-    thermal_state,
 )
 from .relations import (
     MeasurementSetup,
     eur_plan,
     optional,
-    qc_vur,
     qc_vur_batch,
     qm_eur_batch,
     vur_plan,
@@ -216,7 +214,7 @@ def _chunks(axes, setup: MeasurementSetup):
 def evaluate_point(params: ModelParams, setup: MeasurementSetup) -> SweepRecord:
     """The row of one model point: the sweep's evaluation as a batch of
     one, which raises the error of the first check the point fails."""
-    axes = tuple(np.array([x], dtype=float) for x in (params.d, params.j, params.t))
+    axes = tuple(np.array([x]) for x in (params.d, params.j, params.t))
     [(_, cols, errors)] = _chunks(axes, setup)
     if errors:
         raise errors[0]
@@ -363,52 +361,61 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
 class SingleValuedResult:
     w_spread: float
     u_spread: float
-    skipped: int  # targets dropped because some sample could not match them
+    skipped: int  # targets dropped: a sample could not match them, or a point raised RangeError
+
+
+def _matched_bounds(d: float, j_samples: list, ref_ts: list, setup: MeasurementSetup):
+    """w and u (NaN where undefined), as (target, sample) arrays, of every
+    sample matched to the first one's mixedness at each reference
+    temperature, all points evaluated as one batch, and the number of
+    targets skipped: a sample did not match, or a point raised RangeError.
+    Any other point error is raised, and RangeError if all are skipped."""
+    j0 = j_samples[0]
+    ts = []
+    for t_ref in ref_ts:
+        target = closed_form_mixedness(ModelParams(d, j0, t_ref))
+        try:
+            ts.append([t_ref if j == j0 else match_mixedness(d, j, target) for j in j_samples])
+        except RangeError:
+            pass
+    nothing = RangeError(f"no mixedness target could be compared for d = {d}, "
+                         f"j = {j_samples}: all {len(ref_ts)} targets skipped")
+    if not ts:
+        raise nothing  # a zero-size batch is never evaluated
+    t = np.array(ts)
+    checks = Checks(t.size)
+    cols = _columns(np.full(t.size, d), np.tile(j_samples, len(t)), t.ravel(), setup, checks)
+    if other := [e for _, e in sorted(checks.errors.items()) if not isinstance(e, RangeError)]:
+        raise other[0]
+    kept = ~checks.failed.reshape(t.shape).any(axis=1)
+    if not kept.any():
+        raise nothing
+    w, u = (cols[name].reshape(t.shape)[kept] for name in ("w", "u"))
+    return w, u, len(ref_ts) - len(w)
 
 
 def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
                         n_targets: int = 20) -> SingleValuedResult:
     """Maximum spread of the bound and its tightness across couplings of one
-    sign, compared at matched mixedness.
+    sign, compared at matched mixedness (u where every sample's is defined).
 
     Reference mixedness targets come from the first sample's temperature
     grid; every other sample is brought to the same mixedness and the
-    assisted bound re-evaluated there. A spread at rounding level means
-    the bound depends on (j/t, d) only.
+    assisted bound evaluated there, in one batch. A spread at rounding
+    level means the bound depends on (j/t, d) only.
     """
     if n_targets < 1:
         raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
     j_samples = [float(j) for j in j_samples]
     if len(j_samples) < 2:
         return SingleValuedResult(0.0, 0.0, 0)
-    signs = {np.sign(j) for j in j_samples}
-    if len(signs) != 1:
+    if len({np.sign(j) for j in j_samples}) != 1:
         raise ValidationError(f"coupling samples must share one sign, got {sorted(j_samples)}")
-
-    def w_u_at(j: float, t: float):
-        res = qc_vur(thermal_state(ModelParams(d, j, t)), setup)
-        return res.w, res.u
-
     ref_ts = np.logspace(np.log10(0.1), np.log10(10.0), n_targets) * abs(j_samples[0])
-    w_spread = u_spread = 0.0
-    skipped = 0
-    for t_ref in ref_ts:
-        target = closed_form_mixedness(ModelParams(d, j_samples[0], float(t_ref)))
-        ws, us = [], []
-        try:
-            for j in j_samples:
-                t_match = t_ref if j == j_samples[0] else match_mixedness(d, j, target)
-                w, u = w_u_at(j, float(t_match))
-                ws.append(w)
-                if u is not None:
-                    us.append(u)
-        except RangeError:
-            skipped += 1
-            continue
-        w_spread = max(w_spread, max(ws) - min(ws))
-        if len(us) == len(j_samples):
-            u_spread = max(u_spread, max(us) - min(us))
-    return SingleValuedResult(w_spread=w_spread, u_spread=u_spread, skipped=skipped)
+    w, u, skipped = _matched_bounds(d, j_samples, ref_ts.tolist(), setup)
+    u = u[~np.isnan(u).any(axis=1)]
+    return SingleValuedResult(w_spread=float(np.ptp(w, axis=1).max()),
+                              u_spread=float(np.ptp(u, axis=1).max(initial=0.0)), skipped=skipped)
 
 
 _DJ_GRID = dict(d_range=(0.0, 3.0, 101), j_range=(-2.97, 3.03, 101))

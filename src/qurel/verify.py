@@ -28,7 +28,8 @@ from .model import (
 )
 from .relations import MeasurementSetup, l_tra, qc_vur, qm_eur, schrodinger_bound, xz_control_setup
 from .states import DensityOperator, concurrence_two_qubit, mixedness
-from .sweep import check_single_valued, evaluate_point, figure_preset, match_mixedness, sweep_columns
+from .sweep import (_matched_bounds, check_single_valued, evaluate_point, figure_preset,
+                    match_mixedness, sweep_columns)
 
 GRID_D = (0.0, 0.5, 1.0, 2.0)
 GRID_J = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
@@ -299,25 +300,19 @@ def check_mixedness_matching(setup) -> list[Check]:
     checks.append(Check("matched mixedness respects coupling rescaling", abs(t_back - 2.0) <= 1e-8,
                         f"t = {t_back!r}, expected 2"))
 
-    worst_w = worst_u = 0.0
-    for d in (0.0, 1.0, 2.0):
-        for js in ((0.5, 1.0, 2.0), (-0.5, -1.0, -2.0)):
-            res = check_single_valued(d, js, setup)
-            worst_w = max(worst_w, res.w_spread)
-            worst_u = max(worst_u, res.u_spread)
+    results = [check_single_valued(d, js, setup) for d in (0.0, 1.0, 2.0)
+               for js in ((0.5, 1.0, 2.0), (-0.5, -1.0, -2.0))]
+    worst_w = max(res.w_spread for res in results)
+    worst_u = max(res.u_spread for res in results)
     checks.append(Check("bound single-valued in (mixedness, d) at fixed coupling sign",
                         worst_w <= 1e-12 and worst_u <= 1e-12,
                         f"w spread {worst_w:.2e}, u spread {worst_u:.2e}"))
 
-    spread = 0.0
-    for t_ref in np.logspace(np.log10(0.2), np.log10(5.0), 20):
-        target = closed_form_mixedness(ModelParams(1.0, 1.0, float(t_ref)))
-        w_pos = qc_vur(thermal_state(ModelParams(1.0, 1.0, float(t_ref))), setup).w
-        t_neg = match_mixedness(1.0, -1.0, target)
-        w_neg = qc_vur(thermal_state(ModelParams(1.0, -1.0, t_neg)), setup).w
-        spread = max(spread, abs(w_pos - w_neg))
+    w, _, skipped = _matched_bounds(1.0, [1.0, -1.0],
+                                    np.logspace(np.log10(0.2), np.log10(5.0), 20).tolist(), setup)
+    spread = float(np.max(np.abs(w[:, 0] - w[:, 1])))
     checks.append(Check("opposite coupling signs give different bound at matched mixedness",
-                        spread > 1e-3, f"max spread {spread:.2e}"))
+                        spread > 1e-3 and not skipped, f"max spread {spread:.2e}"))
     return checks
 
 

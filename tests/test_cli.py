@@ -365,10 +365,23 @@ class TestCheckSingleValuedCommand:
 
     def test_overflowing_weights_skip_every_target(self, capsys):
         """At |j| near the float maximum every match overflows to the gamma
-        = 0 plateau, so each target is skipped, with no RuntimeWarning."""
-        code, out, _ = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1e306,2e306")
-        assert code == 0
-        assert out == "w_spread=0\nu_spread=0\nskipped=20\n"
+        = 0 plateau, so each target is skipped, with no RuntimeWarning: a
+        check that compared nothing is a numerical failure, not a pass."""
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1e306,2e306")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: no mixedness target could be compared for d = 1.0, "
+                       "j = [1e+306, 2e+306]: all 20 targets skipped\n")
+
+    def test_overflowing_states_skip_every_target(self, capsys):
+        """At d = 1e308 every target matches, on the gamma = 0 plateau, but
+        every state's Hamiltonian overflows: each target is skipped."""
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1e308", "--j", "1,2",
+                                 "--targets", "4")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: no mixedness target could be compared for d = 1e+308, "
+                       "j = [1.0, 2.0]: all 4 targets skipped\n")
 
     def test_mixed_signs_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j=-1,1")

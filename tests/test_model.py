@@ -66,6 +66,23 @@ class TestModelParams:
             else:
                 assert ok, point
 
+    @pytest.mark.parametrize("point", [
+        (np.float64(1e308), -1.0, 1e-3),
+        (1.0, np.float64(1e307), 1e-3),
+        (1.0, 1e307, np.float64(1e-3)),
+    ])
+    def test_numpy_scalars_are_held_as_floats(self, point):
+        """Each of d, j and t given as a numpy scalar at a point where
+        |j| height / t overflows: the point holds floats, so the closed
+        forms raise no RuntimeWarning (an error under this suite's filter)
+        and equal those of the all-float point."""
+        p = ModelParams(*point)
+        floats = ModelParams(*map(float, point))
+        assert all(type(x) is float for x in (p.d, p.j, p.t))
+        assert repr(p) == repr(floats)
+        assert closed_form_mixedness(p) == closed_form_mixedness(floats) == 0.0
+        assert closed_form_concurrence(p) == closed_form_concurrence(floats)
+
 
 class TestHamiltonian:
     def test_vanishes_in_weak_coupling_limit(self):

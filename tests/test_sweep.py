@@ -8,7 +8,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qurel import model, sweep
-from qurel.errors import QurelError, RangeError, SubsystemError, UsageError, ValidationError
+from qurel.errors import (
+    DegenerateOperator,
+    QurelError,
+    RangeError,
+    SubsystemError,
+    UsageError,
+    ValidationError,
+)
 from qurel.model import (
     ModelParams,
     T_MIN,
@@ -17,7 +24,7 @@ from qurel.model import (
     closed_form_mixedness,
     thermal_state,
 )
-from qurel.relations import optional, qc_vur, xz_control_setup
+from qurel.relations import MeasurementSetup, optional, qc_vur, xz_control_setup
 from qurel.sweep import (
     CHUNK_POINTS,
     CSV_HEADER,
@@ -552,6 +559,83 @@ class TestCheckSingleValued:
     def test_rejects_fewer_than_one_target(self, n_targets):
         with pytest.raises(ValidationError, match="^n_targets must be >= 1"):
             check_single_valued(1.0, [0.5, 1.0], xz_control_setup(), n_targets=n_targets)
+
+    @pytest.mark.parametrize("d", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_spreads_equal_a_point_by_point_reference_bit_for_bit(self, d, sign):
+        """The one batch of matched points gives, bit for bit, the spreads
+        of one qc_vur(thermal_state(...)) per matched sample."""
+        js = [sign * 0.5, sign * 1.0, sign * 2.0]
+        setup = xz_control_setup()
+        w_spread = u_spread = 0.0
+        for t_ref in (np.logspace(np.log10(0.1), np.log10(10.0), 20) * abs(js[0])).tolist():
+            target = closed_form_mixedness(ModelParams(d, js[0], t_ref))
+            ts = [t_ref] + [match_mixedness(d, j, target) for j in js[1:]]
+            results = [qc_vur(thermal_state(ModelParams(d, j, t)), setup) for j, t in zip(js, ts)]
+            ws = [res.w for res in results]
+            us = [res.u for res in results]
+            w_spread = max(w_spread, max(ws) - min(ws))
+            if None not in us:
+                u_spread = max(u_spread, max(us) - min(us))
+        res = check_single_valued(d, js, setup)
+        assert (res.w_spread, res.u_spread, res.skipped) == (w_spread, u_spread, 0)
+
+    def test_zero_weighting_operator_raises(self):
+        setup = MeasurementSetup(pairs=xz_control_setup().pairs, ltra_operator=np.zeros((2, 2)),
+                                 theta=0.5)
+        with pytest.raises(DegenerateOperator, match="numerically zero"):
+            check_single_valued(1.0, [0.5, 1.0], setup, n_targets=3)
+
+    @staticmethod
+    def _failing_row(monkeypatch, row: int, error: Exception):
+        """Makes one row of every batch fail with ``error``, its w and u
+        set far off, as an overflowed state fails in the Gibbs checks."""
+        columns = sweep._columns
+
+        def failing(d, j, t, setup, checks):
+            cols = columns(d, j, t, setup, checks)
+            cols["w"][row] = cols["u"][row] = 1e9
+            checks.require(np.arange(len(d)) != row, lambda i: error)
+            return cols
+
+        monkeypatch.setattr(sweep, "_columns", failing)
+
+    def test_a_point_failing_with_range_error_skips_its_target(self, monkeypatch):
+        """Row 4 is target 1's second sample: its target drops out of both
+        spreads and counts in skipped."""
+        self._failing_row(monkeypatch, 4, RangeError("Hamiltonian overflowed"))
+        res = check_single_valued(1.0, [0.5, 1.0, 2.0], xz_control_setup(), n_targets=4)
+        assert res.skipped == 1
+        assert res.w_spread <= 1e-13 and res.u_spread <= 1e-13
+
+    def test_u_spread_counts_targets_where_every_u_is_defined(self, monkeypatch):
+        """An undefined u (NaN) at row 4 drops target 1 from the u spread
+        only; its w still counts, and nothing is skipped."""
+        columns = sweep._columns
+
+        def undefined(*args):
+            cols = columns(*args)
+            cols["u"][4] = np.nan
+            return cols
+
+        monkeypatch.setattr(sweep, "_columns", undefined)
+        res = check_single_valued(1.0, [0.5, 1.0, 2.0], xz_control_setup(), n_targets=4)
+        assert res.skipped == 0
+        assert res.w_spread <= 1e-13 and res.u_spread <= 1e-13
+
+    def test_any_other_point_error_is_raised(self, monkeypatch):
+        self._failing_row(monkeypatch, 4, ValidationError("forced"))
+        with pytest.raises(ValidationError, match="^forced$"):
+            check_single_valued(1.0, [0.5, 1.0, 2.0], xz_control_setup(), n_targets=4)
+
+    @pytest.mark.parametrize("d, js", [(1.0, [1e306, 2e306]), (1e308, [1.0, 2.0])])
+    def test_comparing_nothing_raises(self, d, js):
+        """Every match failing (at |j| = 1e306 gamma stays on its 0 plateau)
+        or every state overflowing (d = 1e308) leaves nothing compared."""
+        message = (f"no mixedness target could be compared for d = {d}, j = {js}: "
+                   "all 4 targets skipped")
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            check_single_valued(d, js, xz_control_setup(), n_targets=4)
 
 
 def test_chunk_makes_one_solver_call(monkeypatch):
