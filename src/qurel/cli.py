@@ -24,6 +24,7 @@ from .relations import xz_control_setup
 from .sweep import (
     CSV_HEADER,
     SweepGrid,
+    _check_first_coupling,
     check_single_valued,
     evaluate_point,
     figure_preset,
@@ -170,6 +171,7 @@ def _cmd_check_single_valued(args) -> int:
         raise UsageError(f"--targets must be >= 1, got {args.targets}")
     with _arguments():
         ModelParams(args.d, samples[0], T_MIN)  # d lies in the model's domain
+        _check_first_coupling(samples[0])
     result = check_single_valued(args.d, samples, xz_control_setup(), n_targets=args.targets)
     print(f"w_spread={format_value(result.w_spread)}")
     print(f"u_spread={format_value(result.u_spread)}")

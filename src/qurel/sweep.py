@@ -308,12 +308,15 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     """Lowest temperature at which the model reaches a target mixedness.
 
     A log-spaced scan over [T_MIN, 1e4] finds the first temperature where
-    gamma - target is zero or has changed sign. A zero at T_MIN returns
-    T_MIN; otherwise the bracket it closes, [previous scan point, it], is
-    bisected until its ends are adjacent floats, keeping gamma - target of
-    the lower end's sign at the lower end. The end nearer the target in
-    gamma is returned. No tolerance on gamma stops the bisection early: on
-    a flat stretch of gamma a small gamma gap is a large temperature gap.
+    gamma - target is zero or has changed sign, and stops there: only a
+    target the scan never reaches evaluates all of its points, for the
+    range its RangeError reports. A zero at T_MIN returns T_MIN; otherwise
+    the bracket it closes, [previous scan point, it], is bisected until
+    its ends are adjacent floats, keeping gamma - target of the lower
+    end's sign at the lower end; signs are compared, never products of two
+    residues, which underflow for tiny targets. The end nearer the target
+    in gamma is returned. No tolerance on gamma stops the bisection early:
+    on a flat stretch of gamma a small gamma gap is a large temperature gap.
 
     So a target that gamma equals exactly on a stretch of temperatures (a
     plateau, such as gamma = 0 while the excited Boltzmann factors
@@ -330,23 +333,27 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     gamma = _mixedness_of(d, j)
     ts = np.logspace(np.log10(T_MIN), np.log10(SCAN_T_MAX), SCAN_POINTS)
     # the scan's numpy scalars follow _gibbs_eigensystems: a true overflow
-    # is a weight of 0, with no warning
+    # is a weight of 0, with no warning. gamma - target is never 0 at a
+    # bracket's lower end, so its sign is (f_lo < 0); a product of two
+    # residues would underflow to 0 for targets below about 1e-162
+    gammas = []
     with np.errstate(over="ignore", invalid="ignore"):
-        gammas = np.array([gamma(t) for t in ts])
-    residues = gammas - target_gamma
-    if residues[0] == 0.0:
+        for k, t in enumerate(ts):
+            gammas.append(gamma(t))
+            f_hi = gammas[-1] - target_gamma
+            if f_hi == 0.0 or (k and (f_hi < 0.0) != (f_lo < 0.0)):
+                break
+            f_lo = f_hi
+        else:
+            raise RangeError(
+                f"gamma = {target_gamma} not achieved for d = {d}, j = {j}; "
+                f"scan reached [{min(gammas):.6g}, {max(gammas):.6g}]")
+    if k == 0:
         return float(ts[0])
-    reached = (residues[1:] == 0.0) | (residues[:-1] * residues[1:] < 0.0)
-    if not reached.any():
-        raise RangeError(
-            f"gamma = {target_gamma} not achieved for d = {d}, j = {j}; "
-            f"scan reached [{gammas.min():.6g}, {gammas.max():.6g}]")
-    k = int(np.argmax(reached))
-    lo, hi = float(ts[k]), float(ts[k + 1])
-    f_lo, f_hi = float(residues[k]), float(residues[k + 1])
+    lo, hi = float(ts[k - 1]), float(ts[k])
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = gamma(mid) - target_gamma
-        if f_mid * f_lo > 0.0:
+        if f_mid != 0.0 and (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
@@ -394,6 +401,14 @@ def _matched_bounds(d: float, j_samples: list, ref_ts: list, setup: MeasurementS
     return w, u, len(ref_ts) - len(w)
 
 
+def _check_first_coupling(j0: float) -> None:
+    """check_single_valued's reference temperatures, 0.1 |j0| to 10 |j0|,
+    start at or above T_MIN."""
+    if abs(j0) < 10 * T_MIN:
+        raise ValidationError(f"first coupling j0 = {j0} puts the reference temperatures "
+                              f"0.1 |j0| .. 10 |j0| below T_MIN: |j0| must be >= {10 * T_MIN}")
+
+
 def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
                         n_targets: int = 20) -> SingleValuedResult:
     """Maximum spread of the bound and its tightness across couplings of one
@@ -411,6 +426,7 @@ def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
         return SingleValuedResult(0.0, 0.0, 0)
     if len({np.sign(j) for j in j_samples}) != 1:
         raise ValidationError(f"coupling samples must share one sign, got {sorted(j_samples)}")
+    _check_first_coupling(j_samples[0])
     ref_ts = np.logspace(np.log10(0.1), np.log10(10.0), n_targets) * abs(j_samples[0])
     w, u, skipped = _matched_bounds(d, j_samples, ref_ts.tolist(), setup)
     u = u[~np.isnan(u).any(axis=1)]

@@ -352,6 +352,15 @@ class TestMatchGammaCommand:
         assert err == ("error: gamma = 0.3 not achieved for d = 1.0, j = 1e+307; "
                        "scan reached [0, 0]\n")
 
+    def test_tiny_target_is_matched(self, capsys):
+        """gamma rises from 0 to 0.75 at (1, 1), so 1e-300 is reached, though
+        a product of two residues that small underflows to 0."""
+        code, out, err = run_cli(capsys, "match-gamma", "--d", "1", "--j", "1",
+                                 "--target", "1e-300")
+        assert code == 0 and err == ""
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert abs(float(values["gamma"]) - 1e-300) <= sweep.GAMMA_TOL
+
 
 class TestCheckSingleValuedCommand:
     def test_same_sign_spreads(self, capsys):
@@ -387,6 +396,15 @@ class TestCheckSingleValuedCommand:
         code, _, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j=-1,1")
         assert code == 1
         assert "sign" in err
+
+    def test_first_coupling_below_the_limit_exits_one(self, capsys):
+        """The reference temperatures start at 0.1 |j0|: 0.0005 here, which
+        the user never gave, so the coupling is the usage error."""
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "0.005,0.01")
+        assert code == 1
+        assert out == ""
+        assert err == ("usage error: first coupling j0 = 0.005 puts the reference temperatures "
+                       "0.1 |j0| .. 10 |j0| below T_MIN: |j0| must be >= 0.01\n")
 
     def test_single_sample_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1")

@@ -504,6 +504,60 @@ class TestMatchMixedness:
             match_mixedness(d, j, 0.3)
         assert match_mixedness(d, j, plateau) == T_MIN
 
+    @pytest.mark.parametrize("target", [1e-170, 1e-300])
+    def test_tiny_target_matches_the_first_float_reaching_it(self, target):
+        """At (1, 1) gamma rises from 0 to 0.75; between scan points 15 and
+        16 it goes from about 3e-311 to 5e-287. A product of two residues
+        there underflows to 0, so the scan and the bisection compare their
+        signs: the match is the first float reaching the target, or the one
+        below it."""
+        gamma = _mixedness_of(1.0, 1.0)
+        t = match_mixedness(1.0, 1.0, target)
+        assert abs(gamma(t) - target) <= sweep.GAMMA_TOL
+        assert gamma(np.nextafter(t, 0.0)) < target
+        assert max(gamma(t), gamma(np.nextafter(t, np.inf))) >= target  # the bracket closed
+
+    @staticmethod
+    def _count_scan_evaluations(monkeypatch) -> list:
+        """Wraps ``_mixedness_of`` so that every gamma it returns counts its
+        evaluations at the scan's temperatures in the list returned."""
+        scan = set(np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX),
+                               sweep.SCAN_POINTS).tolist())
+        calls = []
+        mixedness_of = sweep._mixedness_of
+
+        def counting(d, j):
+            gamma = mixedness_of(d, j)
+
+            def counted(t):
+                if float(t) in scan:
+                    calls.append(t)
+                return gamma(t)
+
+            return counted
+
+        monkeypatch.setattr(sweep, "_mixedness_of", counting)
+        return calls
+
+    @pytest.mark.parametrize("d, j, k", [(0.1, 0.01, 1), (1.0, 1.0, 16), (1.0, 1.0, 90),
+                                         (1.0, 1.0, 199)])
+    def test_scan_stops_at_the_point_closing_the_bracket(self, monkeypatch, d, j, k):
+        ts = np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX), sweep.SCAN_POINTS)
+        gamma = _mixedness_of(d, j)
+        below, above = gamma(float(ts[k - 1])), gamma(float(ts[k]))
+        assert below < above
+        calls = self._count_scan_evaluations(monkeypatch)
+        t = match_mixedness(d, j, below + 0.5 * (above - below))
+        assert ts[k - 1] < t < ts[k]
+        assert len(calls) == k + 1
+
+    def test_unreached_target_evaluates_the_whole_scan(self, monkeypatch):
+        calls = self._count_scan_evaluations(monkeypatch)
+        message = "gamma = 0.9 not achieved for d = 1.0, j = 1.0; scan reached [0, 0.75]"
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            match_mixedness(1.0, 1.0, 0.9)
+        assert len(calls) == sweep.SCAN_POINTS
+
     #: (d, j, target) -> repr of the matched temperature, or the RangeError
     #: text. Matching bisects to adjacent floats, so a change to its search
     #: or to its gamma kernel that keeps the numerics keeps every one
@@ -520,6 +574,11 @@ class TestMatchMixedness:
         ((1.0, 1.0, 0.5321431614828891), "1.464971398307286"),  # gamma at scan point 90
         ((0.0, -1.0, 0.5), "RangeError: gamma = 0.5 not achieved for d = 0.0, j = -1.0; "
                            "scan reached [0.666667, 0.75]"),
+        ((1.0, 1.0, 0.7499999965998086), "9587.392538691875"),  # in the last scan interval
+        ((0.1, 0.01, 1.1574441119271892e-08), "0.001"),  # gamma(T_MIN), off any plateau
+        ((1.0, 1.0, 0.7499999999), "RangeError: gamma = 0.7499999999 not achieved for d = 1.0, "
+                                   "j = 1.0; scan reached [0, 0.75]"),  # above gamma at 1e4
+        ((0.1, 0.01, 3e-08), "0.0010498283787484682"),  # first interval, gamma(T_MIN) > 0
     ]
 
     @pytest.mark.parametrize("case, expected", PINNED)
@@ -559,6 +618,22 @@ class TestCheckSingleValued:
     def test_rejects_fewer_than_one_target(self, n_targets):
         with pytest.raises(ValidationError, match="^n_targets must be >= 1"):
             check_single_valued(1.0, [0.5, 1.0], xz_control_setup(), n_targets=n_targets)
+
+    @pytest.mark.parametrize("j0", [0.005, -0.009999999999999998])
+    def test_rejects_a_first_coupling_whose_reference_temperatures_start_below_t_min(
+            self, monkeypatch, j0):
+        """The reference temperatures run from 0.1 |j0| to 10 |j0|: below
+        |j0| = 10 T_MIN the first lies outside the model's domain. The
+        coupling is rejected before any matching."""
+        monkeypatch.setattr(sweep, "match_mixedness", None)
+        message = (f"first coupling j0 = {j0} puts the reference temperatures "
+                   f"0.1 |j0| .. 10 |j0| below T_MIN: |j0| must be >= 0.01")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check_single_valued(1.0, [j0, 2 * j0], xz_control_setup())
+
+    def test_accepts_a_first_coupling_at_the_limit(self):
+        res = check_single_valued(1.0, [0.01, 0.02], xz_control_setup(), n_targets=3)
+        assert res.skipped == 0 and res.w_spread <= 1e-13
 
     @pytest.mark.parametrize("d", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
