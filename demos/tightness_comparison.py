@@ -9,7 +9,7 @@ import csv
 
 from qurel import figure_preset, sweep_csv
 
-grid, setup, _ = figure_preset("fig7b")
+grid, setup = figure_preset("fig7b")
 print(f"evaluating a {len(grid.d_values())} x {len(grid.j_values())} (d, j) map at t = 1 ...")
 sweep_csv(grid, setup, "tightness_map.csv")
 print(f"wrote tightness_map.csv  (columns u = variance-based, u_eur = entropic)")

@@ -19,12 +19,12 @@ import sys
 from contextlib import contextmanager
 
 from .errors import QurelError, UsageError, ValidationError
-from .model import ModelParams, T_MIN, closed_form_mixedness
+from .model import ModelParams, closed_form_mixedness
 from .relations import xz_control_setup
 from .sweep import (
     CSV_HEADER,
     SweepGrid,
-    _check_first_coupling,
+    _check_couplings,
     check_single_valued,
     evaluate_point,
     figure_preset,
@@ -118,7 +118,7 @@ def _cmd_sweep(args) -> int:
             raise UsageError("--preset cannot be combined with explicit ranges")
         if args.theta is not None:
             raise UsageError("--preset fixes theta at 0.5; --theta needs explicit ranges")
-        grid, setup, _ = figure_preset(args.preset)
+        grid, setup = figure_preset(args.preset)
     else:
         if not (args.d and args.j and args.t):
             raise UsageError("either --preset or all of --d/--j/--t are required")
@@ -164,14 +164,10 @@ def _cmd_check_single_valued(args) -> int:
         raise UsageError(f"--j expects comma-separated numbers, got {args.j!r}")
     if len(samples) < 2:
         raise UsageError("--j needs at least two couplings")
-    signs = {s > 0 for s in samples}
-    if len(signs) != 1 or any(s == 0 for s in samples):
-        raise UsageError("couplings must be nonzero and share one sign")
     if args.targets < 1:
         raise UsageError(f"--targets must be >= 1, got {args.targets}")
     with _arguments():
-        ModelParams(args.d, samples[0], T_MIN)  # d lies in the model's domain
-        _check_first_coupling(samples[0])
+        _check_couplings(args.d, samples)
     result = check_single_valued(args.d, samples, xz_control_setup(), n_targets=args.targets)
     print(f"w_spread={format_value(result.w_spread)}")
     print(f"u_spread={format_value(result.u_spread)}")

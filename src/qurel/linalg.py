@@ -43,9 +43,9 @@ def hermitian_residual(m: np.ndarray) -> np.ndarray:
     return diff.reshape(diff.shape[:-2] + (-1,)).max(axis=-1)
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    """max |m[i,j] - conj(m[j,i])| <= tol."""
-    return bool(hermitian_residual(as_square(m)) <= tol)
+def is_hermitian(m) -> bool:
+    """max |m[i,j] - conj(m[j,i])| <= HERMITICITY_TOL."""
+    return bool(hermitian_residual(as_square(m)) <= HERMITICITY_TOL)
 
 
 class Checks:

@@ -83,10 +83,6 @@ class DensityOperator:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def reduced(self, keep) -> "DensityOperator":
         """Reduced state over the kept subsystems."""
         if isinstance(keep, (int, np.integer)):

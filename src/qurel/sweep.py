@@ -32,6 +32,7 @@ from .measurements import Observable
 from .model import (
     ModelParams,
     T_MIN,
+    _domain_error,
     _gibbs_eigensystems,
     _mixedness_of,
     closed_form_mixedness,
@@ -87,6 +88,9 @@ class SweepGrid:
                     f"{name}_range has one step but start {start} != stop {stop}")
             if start > stop:
                 raise ValidationError(f"{name}_range has start {start} > stop {stop}")
+            if not math.isfinite(float(stop) - float(start)):
+                raise ValidationError(
+                    f"{name}_range's span stop - start overflows, from {start} to {stop}")
         if self.d_range[0] < 0.0:
             raise ValidationError("d_range must start at or above 0")
         if self.t_range[0] < T_MIN:
@@ -401,12 +405,22 @@ def _matched_bounds(d: float, j_samples: list, ref_ts: list, setup: MeasurementS
     return w, u, len(ref_ts) - len(w)
 
 
-def _check_first_coupling(j0: float) -> None:
-    """check_single_valued's reference temperatures, 0.1 |j0| to 10 |j0|,
-    start at or above T_MIN."""
+def _check_couplings(d: float, j_samples: list) -> None:
+    """check_single_valued's argument rules: every (d, j) lies in the
+    model's domain, the couplings share one sign, and the reference
+    temperatures 0.1 |j0| .. 10 |j0| of the first coupling j0 lie in
+    [T_MIN, the float maximum]."""
+    for j in j_samples:
+        if (error := _domain_error(d, j, T_MIN)) is not None:
+            raise error
+    if len({j > 0.0 for j in j_samples}) != 1:
+        raise ValidationError(f"coupling samples must share one sign, got {sorted(j_samples)}")
+    j0 = j_samples[0]
+    reference = f"first coupling j0 = {j0} puts the reference temperatures 0.1 |j0| .. 10 |j0|"
     if abs(j0) < 10 * T_MIN:
-        raise ValidationError(f"first coupling j0 = {j0} puts the reference temperatures "
-                              f"0.1 |j0| .. 10 |j0| below T_MIN: |j0| must be >= {10 * T_MIN}")
+        raise ValidationError(f"{reference} below T_MIN: |j0| must be >= {10 * T_MIN}")
+    if not math.isfinite(10 * abs(j0)):
+        raise ValidationError(f"{reference} above the float maximum: 10 |j0| must be finite")
 
 
 def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
@@ -424,9 +438,7 @@ def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
     j_samples = [float(j) for j in j_samples]
     if len(j_samples) < 2:
         return SingleValuedResult(0.0, 0.0, 0)
-    if len({np.sign(j) for j in j_samples}) != 1:
-        raise ValidationError(f"coupling samples must share one sign, got {sorted(j_samples)}")
-    _check_first_coupling(j_samples[0])
+    _check_couplings(d, j_samples)
     ref_ts = np.logspace(np.log10(0.1), np.log10(10.0), n_targets) * abs(j_samples[0])
     w, u, skipped = _matched_bounds(d, j_samples, ref_ts.tolist(), setup)
     u = u[~np.isnan(u).any(axis=1)]
@@ -434,35 +446,25 @@ def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
                               u_spread=float(np.ptp(u, axis=1).max(initial=0.0)), skipped=skipped)
 
 
-_DJ_GRID = dict(d_range=(0.0, 3.0, 101), j_range=(-2.97, 3.03, 101))
-_T_SCAN = dict(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(T_MIN, 5.0, 401))
+_DJ_MAP = dict(d_range=(0.0, 3.0, 101), j_range=(-2.97, 3.03, 101))
+_D_SCAN = dict(d_range=(0.0, 3.0, 101), t_range=(T_MIN, 10.0, 101))
 
-_PRESETS = {
-    # (d, j) maps at fixed temperature; the j axis is offset half a step
-    # so the zero-coupling line is never sampled
-    "fig1a": (dict(_DJ_GRID, t_range=(0.5, 0.5, 1)), ("concurrence", "gamma", "w")),
-    "fig1b": (dict(_DJ_GRID, t_range=(1.0, 1.0, 1)), ("concurrence", "gamma", "w")),
-    "fig2": (dict(_T_SCAN), ("w", "concurrence", "gamma")),
-    "fig3a": (dict(d_range=(0.0, 3.0, 101), j_range=(1.0, 1.0, 1),
-                   t_range=(T_MIN, 10.0, 101)), ("gamma", "w")),
-    "fig3b": (dict(d_range=(0.0, 3.0, 101), j_range=(-1.0, -1.0, 1),
-                   t_range=(T_MIN, 10.0, 101)), ("gamma", "w")),
-    "fig4a": (dict(_DJ_GRID, t_range=(0.5, 0.5, 1)), ("u",)),
-    "fig4b": (dict(_DJ_GRID, t_range=(1.0, 1.0, 1)), ("u",)),
-    "fig5": (dict(_T_SCAN), ("u", "concurrence", "gamma")),
-    "fig6a": (dict(d_range=(0.0, 3.0, 101), j_range=(1.0, 1.0, 1),
-                   t_range=(T_MIN, 10.0, 101)), ("gamma", "u")),
-    "fig6b": (dict(d_range=(0.0, 3.0, 101), j_range=(-1.0, -1.0, 1),
-                   t_range=(T_MIN, 10.0, 101)), ("gamma", "u")),
-    "fig7a": (dict(_DJ_GRID, t_range=(1.0, 1.0, 1)), ("u_eur",)),
-    "fig7b": (dict(_DJ_GRID, t_range=(1.0, 1.0, 1)), ("u",)),
-}
+#: each distinct preset grid once, under the names of the figures drawn
+#: from it; the (d, j) maps offset j half a step so the zero-coupling line
+#: is never sampled
+_PRESETS = {name: grid for names, grid in (
+    (("fig1a", "fig4a"), dict(_DJ_MAP, t_range=(0.5, 0.5, 1))),
+    (("fig1b", "fig4b", "fig7a", "fig7b"), dict(_DJ_MAP, t_range=(1.0, 1.0, 1))),
+    (("fig2", "fig5"), dict(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1),
+                            t_range=(T_MIN, 5.0, 401))),
+    (("fig3a", "fig6a"), dict(_D_SCAN, j_range=(1.0, 1.0, 1))),
+    (("fig3b", "fig6b"), dict(_D_SCAN, j_range=(-1.0, -1.0, 1))),
+) for name in names}
 
 
 def figure_preset(name: str):
-    """Grid, measurement setup and plotted-column subset for a named map."""
+    """Grid and measurement setup of a named figure."""
     if name not in _PRESETS:
         raise UsageError(
             f"unknown preset {name!r}; valid presets: {', '.join(sorted(_PRESETS))}")
-    grid_kwargs, columns = _PRESETS[name]
-    return SweepGrid(**grid_kwargs), xz_control_setup(theta=0.5), columns
+    return SweepGrid(**_PRESETS[name]), xz_control_setup(theta=0.5)

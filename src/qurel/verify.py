@@ -317,7 +317,7 @@ def check_mixedness_matching(setup) -> list[Check]:
 
 
 def check_tightness_trend() -> list[Check]:
-    grid, setup, _ = figure_preset("fig7b")
+    grid, setup = figure_preset("fig7b")
     cols, _ = sweep_columns(grid, setup)
     # a failed row is NaN throughout, so neither count includes it
     defined = int(np.count_nonzero(~np.isnan(cols["u"]) & ~np.isnan(cols["u_eur"])))
@@ -326,7 +326,7 @@ def check_tightness_trend() -> list[Check]:
                   frac > 0.5, f"fraction {frac:.4f} over {defined} points")]
 
 
-def run_all(verbose_print=print) -> int:
+def run_all() -> int:
     """Run the whole suite; returns 0 on success, 2 on any failure."""
     t0 = time.time()
     rng = np.random.default_rng(20240817)
@@ -342,14 +342,14 @@ def run_all(verbose_print=print) -> int:
     ]
     all_ok = True
     for title, fn in sections:
-        verbose_print(f"-- {title}")
+        print(f"-- {title}")
         checks, notes = fn()
         for chk in checks:
             all_ok &= chk.ok
-            verbose_print(f"  [{'PASS' if chk.ok else 'FAIL'}] {chk.name}  ({chk.detail})")
+            print(f"  [{'PASS' if chk.ok else 'FAIL'}] {chk.name}  ({chk.detail})")
         for note in notes:
-            verbose_print(f"  {note}")
+            print(f"  {note}")
 
-    verbose_print(f"{'all checks passed' if all_ok else 'FAILURES detected'} "
-                  f"in {time.time() - t0:.1f} s")
+    print(f"{'all checks passed' if all_ok else 'FAILURES detected'} "
+          f"in {time.time() - t0:.1f} s")
     return 0 if all_ok else 2

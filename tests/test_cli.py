@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import math
 import operator
@@ -12,7 +13,7 @@ import pytest
 
 from qurel import sweep, verify
 from qurel.cli import main
-from qurel.errors import QurelError
+from qurel.errors import QurelError, ValidationError
 from qurel.model import T_MIN, ModelParams
 from qurel.relations import xz_control_setup
 from qurel.states import mixedness_batch
@@ -128,6 +129,14 @@ class TestArgumentDomain:
         code, _, err = run_cli(capsys, "sweep", *argv, "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert f"usage error: {axis}_range needs a finite start and stop" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_overflowing_range_span_exits_one(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--d", "0:1:2", "--j=-1e308:1e308:2",
+                                 "--t", "1", "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and out == ""
+        assert err == ("usage error: j_range's span stop - start overflows, "
+                       "from -1e+308 to 1e+308\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_negative_d_range_start_exits_one(self, tmp_path, capsys):
@@ -292,6 +301,18 @@ class TestSweepCommand:
         worst = csv_gate(CSV_HEADER, reference[1:], rows)
         assert all(share <= 1.0 for _, share in worst.values()), worst
 
+    def test_alias_presets_write_their_grids_csv(self, tmp_path, capsys):
+        """The 12 preset names are 5 grids: every name of one grid writes
+        the same bytes."""
+        digests = {}
+        for name in sorted(sweep._PRESETS):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(capsys, "sweep", "--preset", name, "--out", str(out))[0] == 0
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            digests.setdefault(sweep.figure_preset(name)[0], set()).add(digest)
+        assert len(digests) == 5
+        assert all(len(d) == 1 for d in digests.values())
+
     def test_bad_range_syntax_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1", "--j", "1", "--t", "1",
                                "--out", str(tmp_path / "x.csv"))
@@ -406,6 +427,43 @@ class TestCheckSingleValuedCommand:
         assert err == ("usage error: first coupling j0 = 0.005 puts the reference temperatures "
                        "0.1 |j0| .. 10 |j0| below T_MIN: |j0| must be >= 0.01\n")
 
+    #: the largest first coupling whose 10 |j0| is finite
+    J0_MAX = 1.7976931348623158e+307
+
+    @pytest.mark.parametrize("d, j, message", [
+        ("1", "1,inf", "j must be nonzero and finite, got inf"),
+        ("1", "1,nan", "j must be nonzero and finite, got nan"),
+        ("1", "0,1", "j must be nonzero and finite, got 0.0"),
+        ("-1", "1,2", "d must be finite and >= 0, got -1.0"),
+        ("1", "-1,1", "coupling samples must share one sign, got [-1.0, 1.0]"),
+        ("1", "0.005,0.01", "first coupling j0 = 0.005 puts the reference temperatures "
+                            "0.1 |j0| .. 10 |j0| below T_MIN: |j0| must be >= 0.01"),
+        ("1", "1e308,2e307", "first coupling j0 = 1e+308 puts the reference temperatures "
+                             "0.1 |j0| .. 10 |j0| above the float maximum: 10 |j0| must be "
+                             "finite"),
+        ("1", f"{math.nextafter(J0_MAX, math.inf)!r},1",
+         "first coupling j0 = 1.797693134862316e+307 puts the reference temperatures "
+         "0.1 |j0| .. 10 |j0| above the float maximum: 10 |j0| must be finite"),
+    ])
+    def test_coupling_rules_are_usage_errors(self, capsys, d, j, message):
+        """check_single_valued's argument rules, one function for the
+        library and the command line: the same message, and exit 1."""
+        with pytest.raises(ValidationError) as err:
+            sweep._check_couplings(float(d), [float(x) for x in j.split(",")])
+        assert str(err.value) == message
+        code, out, err = run_cli(capsys, "check-single-valued", f"--d={d}", f"--j={j}")
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+    def test_largest_first_coupling_is_accepted(self, capsys):
+        """10 |j0| is finite, so every reference temperature is: no
+        RuntimeWarning, and every match overflows to gamma = 0."""
+        sweep._check_couplings(1.0, [self.J0_MAX, 1e307])
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1",
+                                 "--j", f"{self.J0_MAX!r},1e307", "--targets", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: no mixedness target could be compared for d = 1.0, "
+                       "j = [1.7976931348623158e+307, 1e+307]: all 3 targets skipped\n")
+
     def test_single_sample_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1")
         assert code == 1
@@ -423,8 +481,8 @@ class TestVerifyCommand:
     def test_failing_check_exits_two(self, monkeypatch, capsys):
         failing = verify.Check("forced failure", False, "stub detail")
         monkeypatch.setattr(verify, "check_tightness_trend", lambda: [failing])
-        lines = []
-        assert verify.run_all(lines.append) == 2
+        assert verify.run_all() == 2
+        lines = capsys.readouterr().out.splitlines()
         assert "  [FAIL] forced failure  (stub detail)" in lines
         assert lines[-1].startswith("FAILURES detected")
         code, out, _ = run_cli(capsys, "verify")

@@ -39,7 +39,7 @@ ENTROPY_REF = 1.006063249014958
 class TestDensityOperator:
     def test_accepts_valid_state(self):
         rho = DensityOperator(np.eye(4) / 4.0, (2, 2))
-        assert rho.dim == 4
+        assert rho.matrix.shape == (4, 4)
         assert rho.dims == (2, 2)
 
     def test_rejects_bad_trace(self):

@@ -66,6 +66,21 @@ class TestSweepGrid:
         with pytest.raises(ValidationError, match="^t_range needs a finite start and stop"):
             SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=t_range)
 
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308),
+                                             (np.float64(-1e308), np.float64(1e308))])
+    def test_rejects_a_span_that_overflows(self, start, stop):
+        """linspace would form stop - start = inf and fill the grid with
+        NaN, warning twice on the way."""
+        with pytest.raises(ValidationError) as err:
+            SweepGrid(d_range=(0.0, 1.0, 2), j_range=(start, stop, 2), t_range=(1.0, 1.0, 1))
+        assert str(err.value) == (
+            "j_range's span stop - start overflows, from -1e+308 to 1e+308")
+
+    def test_accepts_a_span_near_the_float_maximum(self):
+        grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(-1e308, 7e307, 2),
+                         t_range=(1.0, 1.0, 1))
+        assert grid.j_values().tolist() == [-1e308, 7e307]
+
     def test_rejects_one_step_that_drops_stop(self):
         with pytest.raises(ValidationError, match="^t_range"):
             SweepGrid(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(0.5, 2.0, 1))
@@ -791,18 +806,27 @@ class TestFigurePresets:
             figure_preset("fig9")
         assert "fig1a" in str(err.value)
 
+    #: the five distinct grids, each under the figures drawn from it
+    GRIDS = (("fig1a", "fig4a"), ("fig1b", "fig4b", "fig7a", "fig7b"), ("fig2", "fig5"),
+             ("fig3a", "fig6a"), ("fig3b", "fig6b"))
+
+    def test_twelve_names_are_five_grids(self):
+        assert sorted(sweep._PRESETS) == sorted(name for names in self.GRIDS for name in names)
+        grids = [{figure_preset(name)[0] for name in names} for names in self.GRIDS]
+        assert all(len(g) == 1 for g in grids)
+        assert len(set.union(*grids)) == 5
+
     def test_temperature_scan_preset(self):
-        grid, setup, cols = figure_preset("fig2")
+        grid, setup = figure_preset("fig2")
         assert grid.d_values().tolist() == [1.0]
         assert grid.j_values().tolist() == [1.0]
         assert len(grid.t_values()) == 401
         assert grid.t_values()[0] == T_MIN
-        assert "w" in cols and "gamma" in cols
         assert setup.theta == 0.5
 
     def test_map_presets_have_no_zero_coupling(self):
         for name in ("fig1a", "fig1b", "fig4a", "fig4b", "fig7a", "fig7b"):
-            grid, _, _ = figure_preset(name)
+            grid, _ = figure_preset(name)
             assert np.min(np.abs(grid.j_values())) >= 1e-2
             assert len(grid.d_values()) == 101 and len(grid.j_values()) == 101
 
