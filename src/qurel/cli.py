@@ -162,8 +162,6 @@ def _cmd_check_single_valued(args) -> int:
         samples = [float(x) for x in args.j.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"--j expects comma-separated numbers, got {args.j!r}")
-    if len(samples) < 2:
-        raise UsageError("--j needs at least two couplings")
     if args.targets < 1:
         raise UsageError(f"--targets must be >= 1, got {args.targets}")
     with _arguments():

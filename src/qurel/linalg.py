@@ -86,27 +86,14 @@ class Checks:
         return np.where(self.failed.reshape((-1,) + (1,) * (stack.ndim - 1)), fill, stack)
 
 
-def eigh_batch(m: np.ndarray, checks: Checks) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a stack of Hermitian matrices, eigenvalues
-    ascending; the caller checks Hermiticity. When the solver rejects the
-    stack, each matrix is solved again on its own; one that still fails is
-    flagged with ConvergenceError and comes back as eigenvalues 0 and
-    eigenvectors I."""
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of one Hermitian matrix, eigenvalues ascending;
+    the caller checks Hermiticity. A matrix the solver rejects raises
+    ConvergenceError."""
     try:
         return np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        pass
-    w = np.zeros(m.shape[:-1])
-    v = np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
-    failures = {}
-    for i, matrix in enumerate(m):
-        try:
-            w[i], v[i] = np.linalg.eigh(matrix)
-        except np.linalg.LinAlgError as exc:
-            failures[i] = exc
-    checks.require(~np.isin(np.arange(len(m)), list(failures)),
-                   lambda i: ConvergenceError(f"eigensolver failed: {failures[i]}"))
-    return w, v
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
 
 def _centre_2x2(m: np.ndarray):

@@ -13,8 +13,8 @@ which this module computes term by term from the joint outcome table.
 Measurements on disjoint subsystems commute, so that table is
 well-defined. Observables are decomposed a list at a time
 (``projective_decompositions``): qubit observables in closed form
-(``linalg.spectral_2x2``), with no solver call, and larger ones in one
-eigensolver call per matrix dimension; nothing is memoized here. The
+(``linalg.spectral_2x2``), with no solver call, and each larger one in
+its own eigensolver call (``linalg.eigh``); nothing is memoized here. The
 table's operators are built once per setup and control layout
 (``chain_plan``), stacked over the pairs that share it, and traced
 against a stack of states in one einsum (``chain_table``). ``qc_vur``
@@ -32,9 +32,8 @@ import numpy as np
 from .errors import DimensionError, SubsystemError, ValidationError
 from .linalg import (
     I2,
-    Checks,
     as_square,
-    eigh_batch,
+    eigh,
     is_hermitian,
     partial_trace,
     spectral_2x2,
@@ -114,51 +113,38 @@ def projective_decompositions(observables) -> list[ProjectiveDecomposition]:
     """Eigenvalues and eigenprojectors of every observable in a list, in
     input order.
 
-    The matrices of each dimension are decomposed as one stack. Eigenspaces
-    whose eigenvalues differ by less than DEGENERACY_TOL are merged into a
-    single outcome, so degenerate (coarse) observables are legitimate
-    controls; the observables that share a pattern of merged eigenspaces
-    then form each outcome's projectors together. Qubit observables take
-    their spectra and projectors in closed form (``spectral_2x2``): a gap
-    2r below DEGENERACY_TOL leaves one outcome, the mean with projector I.
-    Larger matrices go through one ``eigh_batch`` per dimension.
+    Eigenspaces whose eigenvalues differ by less than DEGENERACY_TOL are
+    merged into a single outcome, so degenerate (coarse) observables are
+    legitimate controls. Qubit observables take their spectra and
+    projectors in closed form (``spectral_2x2``), as one stack: a gap 2r
+    below DEGENERACY_TOL leaves one outcome, the mean with projector I.
+    Each larger observable is decomposed on its own (``eigh``).
     """
     observables = list(observables)
     found = [None] * len(observables)
-    by_dim = {}
+    qubits = [i for i, o in enumerate(observables) if o.matrix.shape[0] == 2]
+    if qubits:
+        means, radii, projectors = spectral_2x2(np.array([observables[i].matrix for i in qubits]))
+        projectors.flags.writeable = False
+        for i, mean, radius, projs in zip(qubits, means.tolist(), radii.tolist(), projectors):
+            found[i] = (ProjectiveDecomposition(((mean, I2),), I2[None])
+                        if 2.0 * radius < DEGENERACY_TOL else
+                        ProjectiveDecomposition(((mean - radius, projs[0]),
+                                                 (mean + radius, projs[1])), projs))
     for i, o in enumerate(observables):
-        by_dim.setdefault(o.matrix.shape[0], []).append(i)
-    for dim, index in by_dim.items():
-        matrices = np.array([observables[i].matrix for i in index])
-        if dim == 2:
-            means, radii, projectors = spectral_2x2(matrices)
-            projectors.flags.writeable = False
-            for i, mean, radius, projs in zip(index, means.tolist(), radii.tolist(), projectors):
-                found[i] = (ProjectiveDecomposition(((mean, I2),), I2[None])
-                            if 2.0 * radius < DEGENERACY_TOL else
-                            ProjectiveDecomposition(((mean - radius, projs[0]),
-                                                     (mean + radius, projs[1])), projs))
+        if o.matrix.shape[0] == 2:
             continue
         # Observable has checked Hermiticity; each cluster becomes one
         # projector, so eigenvector phases and the order within it do not matter
-        checks = Checks(len(index))
-        w, v = eigh_batch(matrices, checks)
-        checks.raise_first()
-        patterns = {}
-        for row, starts in enumerate((w[:, 1:] - w[:, :-1] >= DEGENERACY_TOL).tolist()):
-            patterns.setdefault(tuple(starts), []).append(row)
-        for starts, rows in patterns.items():
-            w_rows, v_rows = (w, v) if len(rows) == len(w) else (w[rows], v[rows])
-            edges = [0] + [i + 1 for i, new in enumerate(starts) if new] + [len(starts) + 1]
-            # each cluster's mean eigenvalue, and every eigenvector's rank-one
-            # projector summed over its cluster
-            values = (np.add.reduceat(w_rows, edges[:-1], axis=1) / np.diff(edges)).tolist()
-            vecs = np.swapaxes(v_rows, -1, -2)  # (row, eigenvector, d)
-            projectors = np.add.reduceat(vecs[..., :, None] * vecs[..., None, :].conj(),
-                                         edges[:-1], axis=1)  # (row, outcome, d, d)
-            projectors.flags.writeable = False
-            for row, vals, projs in zip(rows, values, projectors):
-                found[index[row]] = ProjectiveDecomposition(tuple(zip(vals, projs)), projs)
+        w, v = eigh(o.matrix)
+        starts = np.flatnonzero(np.append(True, np.diff(w) >= DEGENERACY_TOL))
+        # each cluster's mean eigenvalue, and every eigenvector's rank-one
+        # projector summed over its cluster
+        values = (np.add.reduceat(w, starts) / np.diff(starts, append=len(w))).tolist()
+        vecs = v.T  # (eigenvector, d)
+        projectors = np.add.reduceat(vecs[:, :, None] * vecs[:, None, :].conj(), starts)
+        projectors.flags.writeable = False
+        found[i] = ProjectiveDecomposition(tuple(zip(values, projectors)), projectors)
     return found
 
 

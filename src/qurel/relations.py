@@ -349,12 +349,9 @@ def qc_vur(rho: DensityOperator, setup: MeasurementSetup) -> QcVurResult:
                        w=cols["w"], u=optional(cols["u"]))
 
 
-def xz_control_setup(theta: float = 0.5, controls=(1,)) -> MeasurementSetup:
-    """The standard sweep configuration, measured on qubit 0: K = 2 with
-    Q1 = O1 = sigma_x, Q2 = O2 = sigma_z on every control, O = sigma_x + sigma_z."""
-    pairs = []
-    for q_matrix in (SIGMA_X, SIGMA_Z):
-        q = Observable(q_matrix, 0)
-        ctrl = tuple(Observable(q_matrix, c) for c in controls)
-        pairs.append((q, ctrl))
-    return MeasurementSetup(pairs=tuple(pairs), ltra_operator=SIGMA_X + SIGMA_Z, theta=theta)
+def xz_control_setup(theta: float = 0.5) -> MeasurementSetup:
+    """The standard sweep configuration, measured on qubit 0 with qubit 1
+    as the control: K = 2 with Q1 = O1 = sigma_x, Q2 = O2 = sigma_z,
+    O = sigma_x + sigma_z."""
+    pairs = tuple((Observable(m, 0), (Observable(m, 1),)) for m in (SIGMA_X, SIGMA_Z))
+    return MeasurementSetup(pairs=pairs, ltra_operator=SIGMA_X + SIGMA_Z, theta=theta)

@@ -12,7 +12,7 @@ from .linalg import (
     HERMITICITY_TOL,
     Checks,
     as_square,
-    eigh_batch,
+    eigh,
     hermitian_residual,
     partial_trace,
 )
@@ -29,8 +29,8 @@ _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 class DensityOperator:
     """A quantum state over a declared list of subsystem dimensions.
 
-    Construction decomposes the matrix once (``eigh_batch``, as a batch of
-    one) and validates Hermiticity, unit trace and positive
+    Construction checks the dims first, then decomposes the matrix once
+    (``eigh``) and validates Hermiticity, unit trace and positive
     semidefiniteness eagerly from that decomposition (``check_density``);
     a corrupted state would silently poison every quantity computed
     downstream, and a solver failure raises ConvergenceError. A thermal
@@ -50,11 +50,10 @@ class DensityOperator:
 
     def __post_init__(self):
         m = as_square(self.matrix).copy()
+        dims = _subsystem_dims(self.dims, m)
         # a non-finite entry fails the Hermiticity check, so the solver only
         # ever sees finite entries
-        checks = Checks(1)
-        w, v = eigh_batch(np.where(np.isfinite(m), m, 0.0)[None], checks)
-        self._keep(m, self.dims, w[0], v[0], checks)
+        self._keep(m, dims, *eigh(np.where(np.isfinite(m), m, 0.0)))
 
     @classmethod
     def _decomposed(cls, matrix, dims, w: np.ndarray, v: np.ndarray) -> "DensityOperator":
@@ -63,19 +62,15 @@ class DensityOperator:
         construction's checks run on that decomposition, which is kept,
         with no solver call."""
         rho = object.__new__(cls)
-        rho._keep(as_square(matrix).copy(), dims, w, v, Checks(1))
+        m = as_square(matrix).copy()
+        rho._keep(m, _subsystem_dims(dims, m), w, v)
         return rho
 
-    def _keep(self, m: np.ndarray, dims, w: np.ndarray, v: np.ndarray, checks: Checks) -> None:
-        """Checks the dims against the square matrix ``m`` and the matrix
-        against its decomposition (``check_density``), raising the first
-        error, then stores the arrays read-only."""
-        dims = tuple(int(d) for d in dims)
-        if any(d < 2 for d in dims):
-            raise ValidationError(f"subsystem dims must be >= 2, got {dims}")
-        if math.prod(dims) != m.shape[0]:
-            raise DimensionError(
-                f"dims {dims} do not multiply to matrix dim {m.shape[0]}")
+    def _keep(self, m: np.ndarray, dims: tuple, w: np.ndarray, v: np.ndarray) -> None:
+        """Checks the square matrix ``m`` against its decomposition
+        (``check_density``), raising the first error, then stores the
+        arrays read-only."""
+        checks = Checks(1)
         check_density(m[None], w[None], checks)
         checks.raise_first()
         for name, value in (("matrix", m), ("eigenvalues", w), ("eigenvectors", v)):
@@ -90,6 +85,17 @@ class DensityOperator:
         keep = sorted(set(int(k) for k in keep))
         sub = partial_trace(self.matrix, self.dims, keep)
         return DensityOperator(sub, tuple(self.dims[k] for k in keep))
+
+
+def _subsystem_dims(dims, m: np.ndarray) -> tuple[int, ...]:
+    """The subsystem dims as ints, checked against the square matrix
+    ``m``: each at least 2, and their product m's dimension."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 2 for d in dims):
+        raise ValidationError(f"subsystem dims must be >= 2, got {dims}")
+    if math.prod(dims) != m.shape[0]:
+        raise DimensionError(f"dims {dims} do not multiply to matrix dim {m.shape[0]}")
+    return dims
 
 
 def check_density(m: np.ndarray, w: np.ndarray, checks: Checks) -> None:
@@ -151,7 +157,7 @@ def concurrence_two_qubit(rho: DensityOperator) -> float:
 def concurrence_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Concurrence of every validated two-qubit state in a stack, from the
     states' eigendecompositions: ascending eigenvalues w (N, 4) and
-    eigenvectors v (N, 4, 4), as ``eigh_batch`` returns them.
+    eigenvectors v (N, 4, 4), as ``eigh`` returns them, stacked.
 
     With sqrt(rho) = V S V^dagger and S = diag sqrt(w) (tiny negative
     eigenvalues are rounding noise and are clamped to 0),

@@ -406,10 +406,12 @@ def _matched_bounds(d: float, j_samples: list, ref_ts: list, setup: MeasurementS
 
 
 def _check_couplings(d: float, j_samples: list) -> None:
-    """check_single_valued's argument rules: every (d, j) lies in the
-    model's domain, the couplings share one sign, and the reference
-    temperatures 0.1 |j0| .. 10 |j0| of the first coupling j0 lie in
+    """check_single_valued's argument rules: at least two couplings, every
+    (d, j) in the model's domain, the couplings of one sign, and the
+    reference temperatures 0.1 |j0| .. 10 |j0| of the first coupling j0 in
     [T_MIN, the float maximum]."""
+    if len(j_samples) < 2:
+        raise ValidationError(f"at least two coupling samples are needed, got {j_samples}")
     for j in j_samples:
         if (error := _domain_error(d, j, T_MIN)) is not None:
             raise error
@@ -436,8 +438,6 @@ def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
     if n_targets < 1:
         raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
     j_samples = [float(j) for j in j_samples]
-    if len(j_samples) < 2:
-        return SingleValuedResult(0.0, 0.0, 0)
     _check_couplings(d, j_samples)
     ref_ts = np.logspace(np.log10(0.1), np.log10(10.0), n_targets) * abs(j_samples[0])
     w, u, skipped = _matched_bounds(d, j_samples, ref_ts.tolist(), setup)

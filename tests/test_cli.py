@@ -465,8 +465,9 @@ class TestCheckSingleValuedCommand:
                        "j = [1.7976931348623158e+307, 1e+307]: all 3 targets skipped\n")
 
     def test_single_sample_exits_one(self, capsys):
-        code, _, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1")
-        assert code == 1
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1")
+        assert (code, out, err) == \
+            (1, "", "usage error: at least two coupling samples are needed, got [1.0]\n")
 
     @pytest.mark.parametrize("targets", ["0", "-2"])
     def test_targets_below_one_exit_one(self, capsys, targets):

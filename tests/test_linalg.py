@@ -8,7 +8,7 @@ from qurel.errors import ConvergenceError, DimensionError, ValidationError
 from qurel.linalg import (
     I2,
     Checks,
-    eigh_batch,
+    eigh,
     eigvalsh_2x2,
     is_hermitian,
     partial_trace,
@@ -145,30 +145,27 @@ class TestChecks:
             checks.raise_first()
 
 
-def test_eigh_batch_flags_only_the_matrix_the_solver_rejects(monkeypatch):
-    """A stack the solver rejects is solved matrix by matrix: the matrix
-    that still fails is flagged with ConvergenceError (eigenvalues 0,
-    eigenvectors I), every other one gets exactly np.linalg.eigh's result."""
+def test_eigh_raises_convergence_error_only_for_the_matrix_the_solver_rejects(monkeypatch):
+    """A matrix the solver rejects raises ConvergenceError, a QurelError
+    (CLI exit code 2), not numpy's LinAlgError; every other one gets
+    exactly np.linalg.eigh's arrays."""
     rng = np.random.default_rng(52)
-    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
-    sentinel = stack[2].copy()
-    eigh = np.linalg.eigh
+    matrices = [random_hermitian(rng, 3) for _ in range(4)]
+    sentinel = matrices[2].copy()
+    solver = np.linalg.eigh
 
     def rejects_sentinel(m, *args, **kwargs):
-        if any(np.array_equal(x, sentinel) for x in np.reshape(m, (-1, 3, 3))):
+        if np.array_equal(m, sentinel):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(m, *args, **kwargs)
+        return solver(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", rejects_sentinel)
-    checks = Checks(4)
-    w, v = eigh_batch(stack, checks)
-    assert checks.failed.tolist() == [False, False, True, False]
-    assert list(checks.errors) == [2]
-    assert isinstance(checks.errors[2], ConvergenceError)
-    assert np.array_equal(w[2], np.zeros(3)) and np.array_equal(v[2], np.eye(3))
+    with pytest.raises(ConvergenceError, match="^eigensolver failed: Eigenvalues did not converge$"):
+        eigh(sentinel)
     for i in (0, 1, 3):
-        expected_w, expected_v = eigh(stack[i])
-        assert np.array_equal(w[i], expected_w) and np.array_equal(v[i], expected_v)
+        w, v = eigh(matrices[i])
+        expected_w, expected_v = solver(matrices[i])
+        assert np.array_equal(w, expected_w) and np.array_equal(v, expected_v)
 
 
 def qubit_hermitians():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qurel.errors import DimensionError, SubsystemError, ValidationError
+from qurel.errors import ConvergenceError, DimensionError, SubsystemError, ValidationError
 from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qurel.measurements import (
     DEGENERACY_TOL,
@@ -157,6 +157,24 @@ class TestProjectiveDecomposition:
             assert np.array_equal(dec.projectors, single.projectors)
             rebuilt = sum(w * p for w, p in dec.outcomes)
             assert np.max(np.abs(rebuilt - obs.matrix)) <= 1e-12
+
+    def test_solver_failure_in_a_mixed_list_raises_convergence_error(self, monkeypatch):
+        """Qutrit and 4 x 4 observables in one list, the solver rejecting
+        one of them: ConvergenceError, a QurelError, not LinAlgError."""
+        rng = np.random.default_rng(75)
+        observables = [Observable(random_hermitian(rng, d), 0) for d in (3, 4, 3, 4)]
+        sentinel = observables[3].matrix
+        solver = np.linalg.eigh
+
+        def rejects_sentinel(m, *args, **kwargs):
+            if np.array_equal(m, sentinel):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solver(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", rejects_sentinel)
+        assert len(projective_decompositions(observables[:3])) == 3
+        with pytest.raises(ConvergenceError, match="^eigensolver failed: "):
+            projective_decompositions(observables)
 
 
 class TestVariance:

@@ -434,7 +434,10 @@ class TestNoSolverForQubits:
                       for _ in range(3))
         setup = MeasurementSetup(pairs=pairs, ltra_operator=random_hermitian(rng, 2), theta=0.7)
         qc_vur(rho, setup)
-        qc_vur(rho, xz_control_setup(controls=tuple(range(1, n_qubits))))
+        # the standard sigma_x / sigma_z setup on qubit 0, every other qubit a control
+        xz_pairs = tuple((Observable(m, 0), tuple(Observable(m, c) for c in range(1, n_qubits)))
+                         for m in (SIGMA_X, SIGMA_Z))
+        qc_vur(rho, MeasurementSetup(pairs=xz_pairs, ltra_operator=SIGMA_X + SIGMA_Z, theta=0.5))
         assert calls == self.NONE
 
     def test_qm_eur(self, monkeypatch):

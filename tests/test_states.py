@@ -132,6 +132,21 @@ class TestDensityOperator:
             DensityOperator(np.eye(4) / 4.0, (2, 2))
         assert isinstance(info.value, QurelError)
 
+    def test_dims_are_checked_before_the_solver_runs(self, monkeypatch):
+        """Wrong dims raise DimensionError (or ValidationError for a dim
+        below 2) even where the eigensolver would reject the matrix: the
+        dims are checked first."""
+        def rejects(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", rejects)
+        with pytest.raises(DimensionError, match="do not multiply"):
+            DensityOperator(np.eye(4) / 4.0, (2, 3))
+        with pytest.raises(ValidationError, match="must be >= 2"):
+            DensityOperator(np.eye(4) / 4.0, (4, 1))
+        with pytest.raises(ConvergenceError):
+            DensityOperator(np.eye(4) / 4.0, (2, 2))
+
     def test_reduced_bell_is_maximally_mixed(self):
         rho = bell_state().reduced(0)
         assert np.allclose(rho.matrix, np.eye(2) / 2.0)

@@ -16,6 +16,8 @@ from qurel.errors import (
     UsageError,
     ValidationError,
 )
+from qurel.linalg import SIGMA_X, SIGMA_Z
+from qurel.measurements import Observable
 from qurel.model import (
     ModelParams,
     T_MIN,
@@ -281,7 +283,10 @@ class TestBatchedSweep:
         any point is evaluated, as qc_vur does, and before sweep_csv opens
         its destination."""
         grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
-        setup = xz_control_setup(controls=(2,))  # no third qubit in the model
+        # sigma_x / sigma_z controls on a third qubit, which the model lacks
+        setup = MeasurementSetup(pairs=tuple((Observable(m, 0), (Observable(m, 2),))
+                                             for m in (SIGMA_X, SIGMA_Z)),
+                                 ltra_operator=SIGMA_X + SIGMA_Z, theta=0.5)
         with pytest.raises(SubsystemError, match="out of range"):
             sweep_columns(grid, setup)
         with pytest.raises(SubsystemError, match="out of range"):
@@ -606,9 +611,16 @@ class TestMatchMixedness:
 
 
 class TestCheckSingleValued:
-    def test_single_sample_is_trivially_flat(self):
-        res = check_single_valued(1.0, [1.0], xz_control_setup())
-        assert res.w_spread == 0.0 and res.u_spread == 0.0
+    @pytest.mark.parametrize("j", [math.inf, 0.0, 1.0, -5.0])
+    def test_single_sample_is_rejected(self, monkeypatch, j):
+        """One coupling has nothing to compare against: a ValidationError
+        naming it, before its (d, j) is checked and before any matching."""
+        monkeypatch.setattr(sweep, "match_mixedness", None)
+        message = f"at least two coupling samples are needed, got [{j!r}]"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check_single_valued(1.0, [j], xz_control_setup())
+        with pytest.raises(ValidationError, match=r"^at least two coupling samples are needed, got \[\]$"):
+            check_single_valued(1.0, [], xz_control_setup())
 
     def test_same_sign_samples_are_single_valued(self):
         res = check_single_valued(1.0, [0.5, 1.0, 2.0], xz_control_setup(), n_targets=8)
