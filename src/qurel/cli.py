@@ -162,10 +162,8 @@ def _cmd_check_single_valued(args) -> int:
         samples = [float(x) for x in args.j.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"--j expects comma-separated numbers, got {args.j!r}")
-    if args.targets < 1:
-        raise UsageError(f"--targets must be >= 1, got {args.targets}")
     with _arguments():
-        _check_couplings(args.d, samples)
+        _check_couplings(args.d, samples, args.targets)
     result = check_single_valued(args.d, samples, xz_control_setup(), n_targets=args.targets)
     print(f"w_spread={format_value(result.w_spread)}")
     print(f"u_spread={format_value(result.u_spread)}")

@@ -83,12 +83,6 @@ def _domain_error(d: float, j: float, t: float) -> ValidationError | None:
         return ValidationError(f"t must be finite and >= {T_MIN}, got {t}")
 
 
-def in_domain(d: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """ModelParams' validation rule as a mask over arrays of points."""
-    return (np.isfinite(d) & (d >= 0.0) & np.isfinite(j) & (j != 0.0)
-            & np.isfinite(t) & (t >= T_MIN))
-
-
 def hamiltonian(p: ModelParams) -> np.ndarray:
     """4x4 Hermitian matrix of the model, built from its Pauli terms.
 
@@ -148,22 +142,21 @@ def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
     (N, 4, 4) as columns, in the order of ``_levels``, so w ascends per
     point, ties included, and rho = v diag(w) v^dagger.
 
-    The checks are thermal_state's: the ModelParams domain and a finite
-    Hamiltonian. A point fails with "Hamiltonian overflowed" exactly where
-    ``hamiltonian`` would hold a non-finite entry, where 2d or (j/2)(2d)
-    overflows. Each Boltzmann weight is exp(-|j| height / t) relative to
-    the ground level's, which is 1, so arbitrarily large beta*|J| cannot
-    overflow and a stable height keeps the near-degenerate ferromagnetic
-    gap accurate. A failed point comes back as (I/4, 1/4, I).
+    Every point is in the ModelParams domain, which its callers check.
+    The one check is a finite Hamiltonian: a point fails with "Hamiltonian
+    overflowed" exactly where ``hamiltonian`` would hold a non-finite
+    entry, where 2d or (j/2)(2d) overflows. Each Boltzmann weight is
+    exp(-|j| height / t) relative to the ground level's, which is 1, so
+    arbitrarily large beta*|J| cannot overflow and a stable height keeps
+    the near-degenerate ferromagnetic gap accurate. A failed point comes
+    back as (I/4, 1/4, I).
     """
-    checks.require(in_domain(d, j, t), lambda i: _domain_error(d[i], j[i], t[i]))
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite((j / 2.0) * (2.0 * d))
     checks.require(finite, lambda i: RangeError(
         f"Hamiltonian overflowed at {ModelParams(float(d[i]), float(j[i]), float(t[i]))}"))
     d = checks.clean(d, 0.0)
     j = checks.clean(j, 1.0)
-    t = checks.clean(t, 1.0)
     heights = _levels(d, j)
     aj = np.abs(j)[:, None]
     t = t[:, None]

@@ -18,8 +18,8 @@ reported unclamped.
 Each evaluator on a DensityOperator is a batch of one of a kernel over a
 stack of states (N, d, d) (``qc_vur_batch``, ``l_tra_batch``,
 ``qm_eur_batch``), whose setup-dependent operators are built once
-(``vur_plan``, ``l_tra_operators``, ``eur_plan``); the sweeps call the
-same kernels.
+(``vur_plan``, memoized on the setup and read by ``qc_vur_batch`` itself;
+``l_tra_operators``; ``eur_plan``); the sweeps call the same kernels.
 """
 
 from __future__ import annotations
@@ -309,18 +309,17 @@ def vur_plan(setup: MeasurementSetup, dims) -> tuple[ChainPlan, ...]:
     return plan
 
 
-def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup,
-                 plan: tuple[ChainPlan, ...], checks: Checks) -> dict:
+def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup, checks: Checks) -> dict:
     """The assisted bound's columns (lhs, l_tra, subtracted, w, u; u NaN
     where undefined) for a stack of validated states (N, D, D); the reduced
     measured states are validated as DensityOperator validates them, a
-    qubit's from its closed-form spectrum (``eigvalsh_2x2``). Each
-    control layout's plan is traced in one einsum, and each pair's
-    residual and explained total (``chain_totals``) are summed into lhs
-    and subtracted."""
+    qubit's from its closed-form spectrum (``eigvalsh_2x2``). Each control
+    layout of the setup's memoized ``vur_plan`` for ``dims`` is traced in
+    one einsum, and each pair's residual and explained total
+    (``chain_totals``) are summed into lhs and subtracted."""
     lhs = 0.0
     subtracted = 0.0
-    for chain in plan:
+    for chain in vur_plan(setup, dims):
         residual, explained = chain_totals(*chain_table(rho, chain))
         lhs = lhs + residual.sum(axis=1)
         subtracted = subtracted + explained.sum(axis=1)
@@ -342,7 +341,7 @@ def qc_vur(rho: DensityOperator, setup: MeasurementSetup) -> QcVurResult:
     variances.
     """
     checks = Checks(1)
-    cols = qc_vur_batch(rho.matrix[None], rho.dims, setup, vur_plan(setup, rho.dims), checks)
+    cols = qc_vur_batch(rho.matrix[None], rho.dims, setup, checks)
     checks.raise_first()
     cols = {k: float(v[0]) for k, v in cols.items()}
     return QcVurResult(lhs=cols["lhs"], l_tra=cols["l_tra"], subtracted=cols["subtracted"],

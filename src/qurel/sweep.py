@@ -66,8 +66,8 @@ _EUR_PLAN = eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axis ranges, each a (start, stop, steps) triple. A sweep's phase
-    theta is that of the setup it is swept with."""
+    """Axis ranges, each a (start, stop, steps) triple, whose every point
+    is in the model's domain. A sweep's phase theta is its setup's."""
 
     d_range: tuple[float, float, int]
     j_range: tuple[float, float, int]
@@ -95,17 +95,25 @@ class SweepGrid:
             raise ValidationError("d_range must start at or above 0")
         if self.t_range[0] < T_MIN:
             raise ValidationError(f"t_range must start at or above {T_MIN}")
-        if np.min(np.abs(self.j_values())) < 1e-9:
-            raise ValidationError("j_range passes through zero coupling")
+        j = self.j_values()
+        if (weak := j[np.abs(j) < 1e-9]).size:
+            raise ValidationError(f"j_range samples the coupling j = {weak[0].item()}; every "
+                                  f"sampled coupling needs |j| >= 1e-9")
+
+    def _values(self, rng) -> np.ndarray:
+        # the span is finite, so only the last point's step * (steps - 1) can
+        # overflow, and linspace then overwrites it with stop
+        with np.errstate(over="ignore"):
+            return np.linspace(*rng[:2], rng[2])
 
     def d_values(self) -> np.ndarray:
-        return np.linspace(*self.d_range[:2], self.d_range[2])
+        return self._values(self.d_range)
 
     def j_values(self) -> np.ndarray:
-        return np.linspace(*self.j_range[:2], self.j_range[2])
+        return self._values(self.j_range)
 
     def t_values(self) -> np.ndarray:
-        return np.linspace(*self.t_range[:2], self.t_range[2])
+        return self._values(self.t_range)
 
 
 @dataclass(frozen=True)
@@ -174,13 +182,12 @@ def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
 
 def _columns(d, j, t, setup: MeasurementSetup, checks: Checks) -> dict:
     """Value columns (CSV names, NaN for an undefined ratio) of a batch of
-    model points: their Gibbs states with their eigendecompositions, all
-    in closed form, through the setup's operators. A setup that cannot be
-    planned on two qubits raises before any point is evaluated."""
-    plan = vur_plan(setup, (2, 2))
+    model points, which the caller has checked: their Gibbs states with
+    their eigendecompositions, all in closed form, through the setup's
+    operators. A setup that cannot be planned on two qubits raises."""
     rho, w, v = _gibbs_eigensystems(d, j, t, checks)
     check_density(rho, w, checks)
-    vur = qc_vur_batch(rho, (2, 2), setup, plan, checks)
+    vur = qc_vur_batch(rho, (2, 2), setup, checks)
     eur = qm_eur_batch(rho, w, _EUR_PLAN)
     return dict(gamma=mixedness_batch(rho), concurrence=concurrence_batch(w, v),
                 l_tra=vur["l_tra"], lhs=vur["lhs"], w=vur["w"], u=vur["u"],
@@ -234,7 +241,7 @@ def sweep_columns(grid: SweepGrid, setup: MeasurementSetup) -> tuple[dict, dict]
     row. A ratio is NaN where it is undefined, and a failed point's values
     are all NaN: its error, the one its ``evaluate_point`` raises, does
     not abort the sweep. A setup that cannot be planned on two qubits
-    raises at once."""
+    raises from the first chunk."""
     axes = (grid.d_values(), grid.j_values(), grid.t_values())
     chunks, errors = [], {}
     for _, cols, chunk_errors in _chunks(axes, setup):
@@ -255,12 +262,8 @@ _ERROR_ROW = ",".join(["%s"] * 4 + [""] * (len(CSV_HEADER) - 4))
 
 
 def format_value(x) -> str:
-    return "" if x is None else _FIELD % float(x)
-
-
-def _ratio_field(x: float) -> str:
-    """A ratio's field: empty when it is undefined (NaN)."""
-    return "" if x != x else _FIELD % x
+    """A field: empty where undefined (None or NaN), else 17 digits."""
+    return "" if x is None or x != x else _FIELD % x
 
 
 def _column_rows(index, axis_fields, theta_field: str, cols: dict, errors: dict) -> list[str]:
@@ -271,7 +274,7 @@ def _column_rows(index, axis_fields, theta_field: str, cols: dict, errors: dict)
     fields.append(repeat(theta_field))
     for k, name in enumerate(CSV_HEADER[4:], 4):
         values = cols[name].tolist()
-        fields.append(list(map(_ratio_field, values)) if k in _RATIOS else values)
+        fields.append(list(map(format_value, values)) if k in _RATIOS else values)
     rows = list(map(_COLUMN_ROW.__mod__, zip(*fields)))
     for i in errors:
         rows[i] = _ERROR_ROW % (fields[0][i], fields[1][i], fields[2][i], theta_field)
@@ -405,16 +408,22 @@ def _matched_bounds(d: float, j_samples: list, ref_ts: list, setup: MeasurementS
     return w, u, len(ref_ts) - len(w)
 
 
-def _check_couplings(d: float, j_samples: list) -> None:
-    """check_single_valued's argument rules: at least two couplings, every
-    (d, j) in the model's domain, the couplings of one sign, and the
-    reference temperatures 0.1 |j0| .. 10 |j0| of the first coupling j0 in
-    [T_MIN, the float maximum]."""
+def _check_couplings(d: float, j_samples: list, n_targets: int) -> None:
+    """check_single_valued's argument rules, for the library and the CLI,
+    in order: at least one target and two couplings, every (d, j) in the
+    model's domain, no coupling repeated (it would be compared with
+    itself), one sign, and the reference temperatures 0.1 |j0| .. 10 |j0|
+    of the first coupling j0 in [T_MIN, the float maximum]."""
+    if n_targets < 1:
+        raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
     if len(j_samples) < 2:
         raise ValidationError(f"at least two coupling samples are needed, got {j_samples}")
     for j in j_samples:
         if (error := _domain_error(d, j, T_MIN)) is not None:
             raise error
+    if repeated := sorted({j for j in j_samples if j_samples.count(j) > 1}):
+        raise ValidationError(f"coupling samples must be distinct, got {repeated} "
+                              f"more than once in {j_samples}")
     if len({j > 0.0 for j in j_samples}) != 1:
         raise ValidationError(f"coupling samples must share one sign, got {sorted(j_samples)}")
     j0 = j_samples[0]
@@ -435,10 +444,8 @@ def check_single_valued(d: float, j_samples, setup: MeasurementSetup,
     assisted bound evaluated there, in one batch. A spread at rounding
     level means the bound depends on (j/t, d) only.
     """
-    if n_targets < 1:
-        raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
     j_samples = [float(j) for j in j_samples]
-    _check_couplings(d, j_samples)
+    _check_couplings(d, j_samples, n_targets)
     ref_ts = np.logspace(np.log10(0.1), np.log10(10.0), n_targets) * abs(j_samples[0])
     w, u, skipped = _matched_bounds(d, j_samples, ref_ts.tolist(), setup)
     u = u[~np.isnan(u).any(axis=1)]

@@ -139,6 +139,15 @@ class TestArgumentDomain:
                        "from -1e+308 to 1e+308\n")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("j, coupling", [("-1:1:3", "0.0"), ("1e-10", "1e-10")])
+    def test_zero_coupling_names_the_coupling(self, tmp_path, capsys, j, coupling):
+        code, out, err = run_cli(capsys, "sweep", "--d", "0:1:2", f"--j={j}", "--t", "1",
+                                 "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: j_range samples the coupling j = {coupling}; every "
+                       f"sampled coupling needs |j| >= 1e-9\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_negative_d_range_start_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--d=-1:1:3", "--j", "1", "--t", "1",
                                "--out", str(tmp_path / "x.csv"))
@@ -313,6 +322,22 @@ class TestSweepCommand:
         assert len(digests) == 5
         assert all(len(d) == 1 for d in digests.values())
 
+    def test_range_near_the_float_maximum_exits_two(self, tmp_path, capsys):
+        """linspace overflows on the last d only and overwrites it with
+        stop, so no RuntimeWarning escapes: the two points whose 2d
+        overflows are the sweep's only warnings."""
+        path = tmp_path / "nearmax.csv"
+        code, out, err = run_cli(capsys, "sweep", "--d=0:1.7976931348623157e308:4", "--j", "1",
+                                 "--t", "1", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"warning: point ({d}, 1.0, 1.0) failed: Hamiltonian overflowed at "
+            f"ModelParams(d={d}, j=1.0, t=1.0)"
+            for d in ("1.1984620899082105e+308", "1.7976931348623157e+308")]
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            "0", "5.9923104495410527e+307", "1.1984620899082105e+308", "1.7976931348623157e+308"]
+
     def test_bad_range_syntax_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "sweep", "--d", "0:1", "--j", "1", "--t", "1",
                                "--out", str(tmp_path / "x.csv"))
@@ -436,6 +461,10 @@ class TestCheckSingleValuedCommand:
         ("1", "0,1", "j must be nonzero and finite, got 0.0"),
         ("-1", "1,2", "d must be finite and >= 0, got -1.0"),
         ("1", "-1,1", "coupling samples must share one sign, got [-1.0, 1.0]"),
+        ("1", "1,1", "coupling samples must be distinct, got [1.0] more than once in [1.0, 1.0]"),
+        ("1", "2,0.5,1,0.5,2", "coupling samples must be distinct, got [0.5, 2.0] more than "
+                               "once in [2.0, 0.5, 1.0, 0.5, 2.0]"),
+        ("1", "1,1,0", "j must be nonzero and finite, got 0.0"),
         ("1", "0.005,0.01", "first coupling j0 = 0.005 puts the reference temperatures "
                             "0.1 |j0| .. 10 |j0| below T_MIN: |j0| must be >= 0.01"),
         ("1", "1e308,2e307", "first coupling j0 = 1e+308 puts the reference temperatures "
@@ -449,7 +478,7 @@ class TestCheckSingleValuedCommand:
         """check_single_valued's argument rules, one function for the
         library and the command line: the same message, and exit 1."""
         with pytest.raises(ValidationError) as err:
-            sweep._check_couplings(float(d), [float(x) for x in j.split(",")])
+            sweep._check_couplings(float(d), [float(x) for x in j.split(",")], 20)
         assert str(err.value) == message
         code, out, err = run_cli(capsys, "check-single-valued", f"--d={d}", f"--j={j}")
         assert (code, out, err) == (1, "", f"usage error: {message}\n")
@@ -457,7 +486,7 @@ class TestCheckSingleValuedCommand:
     def test_largest_first_coupling_is_accepted(self, capsys):
         """10 |j0| is finite, so every reference temperature is: no
         RuntimeWarning, and every match overflows to gamma = 0."""
-        sweep._check_couplings(1.0, [self.J0_MAX, 1e307])
+        sweep._check_couplings(1.0, [self.J0_MAX, 1e307], 3)
         code, out, err = run_cli(capsys, "check-single-valued", "--d", "1",
                                  "--j", f"{self.J0_MAX!r},1e307", "--targets", "3")
         assert (code, out) == (2, "")
@@ -475,7 +504,7 @@ class TestCheckSingleValuedCommand:
                                  "--j", "0.5,1", "--targets", targets)
         assert code == 1
         assert out == ""
-        assert f"usage error: --targets must be >= 1, got {targets}" in err
+        assert err == f"usage error: n_targets must be >= 1, got {targets}\n"
 
 
 class TestVerifyCommand:

@@ -16,7 +16,6 @@ from qurel.model import (
     closed_form_concurrence,
     closed_form_mixedness,
     hamiltonian,
-    in_domain,
     thermal_state,
 )
 from qurel.states import concurrence_batch, concurrence_two_qubit, mixedness, mixedness_batch
@@ -52,19 +51,6 @@ class TestModelParams:
     def test_rejects_non_finite_d_and_t(self, field, args):
         with pytest.raises(ValidationError, match=f"^{field} must be finite"):
             ModelParams(*args)
-
-    def test_domain_mask_follows_the_same_rule(self):
-        values = (-1.0, 0.0, T_MIN / 2, T_MIN, 1.0, 1e308, math.inf, -math.inf, math.nan)
-        points = [(d, j, t) for d in values for j in values for t in values]
-        d, j, t = (np.array(axis) for axis in zip(*points))
-        mask = in_domain(d, j, t)
-        for ok, point in zip(mask, points):
-            try:
-                ModelParams(*point)
-            except ValidationError:
-                assert not ok, point
-            else:
-                assert ok, point
 
     @pytest.mark.parametrize("point", [
         (np.float64(1e308), -1.0, 1e-3),

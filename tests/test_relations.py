@@ -291,7 +291,7 @@ class TestLTra:
             joint = [random_density(rng, dims) for _ in range(6)]
             reduced = [rho.reduced(0) for rho in joint]
             column = qc_vur_batch(np.array([rho.matrix for rho in joint]), dims, setup,
-                                  vur_plan(setup, dims), Checks(len(joint)))["l_tra"]
+                                  Checks(len(joint)))["l_tra"]
             for rho_a, got in zip(reduced, column):
                 expected = l_tra_oracle(rho_a.matrix, a.matrix, b.matrix, o, theta)
                 assert abs(l_tra(rho_a, a, b, o, theta) - expected) <= 1e-12
@@ -396,13 +396,12 @@ class TestQcVur:
                    (2, 2, 2)),
                   (_mixed_layout_setup(rng), (2, 2, 2, 2))]
         for setup, dims in setups:
-            plan = vur_plan(setup, dims)
             rho = np.array([random_density(rng, dims).matrix for _ in range(9)])
             checks = Checks(len(rho))
-            batch = qc_vur_batch(rho, dims, setup, plan, checks)
+            batch = qc_vur_batch(rho, dims, setup, checks)
             assert not checks.failed.any()
             for i in range(len(rho)):
-                one = qc_vur_batch(rho[i:i + 1], dims, setup, plan, Checks(1))
+                one = qc_vur_batch(rho[i:i + 1], dims, setup, Checks(1))
                 for name, column in batch.items():
                     assert column[i:i + 1].tobytes() == one[name].tobytes(), name
 

@@ -1,10 +1,12 @@
+import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from qurel import model, sweep
@@ -43,6 +45,9 @@ from qurel.sweep import (
 
 from helpers import count_solver_calls
 
+#: the largest float
+MAX = sys.float_info.max
+
 
 class TestSweepGrid:
     def test_single_point_grid(self):
@@ -51,8 +56,14 @@ class TestSweepGrid:
         assert list(grid.j_values()) == [1.0]
 
     def test_rejects_zero_coupling_grid_point(self):
-        with pytest.raises(ValidationError):
-            SweepGrid(d_range=(0.0, 1.0, 2), j_range=(-1.0, 1.0, 3), t_range=(1.0, 1.0, 1))
+        """Every sampled coupling needs |j| >= 1e-9: the message names the
+        first that does not, whether the range crosses zero or not."""
+        for j_range, j in [((-1.0, 1.0, 3), "0.0"), ((1e-10, 1e-10, 1), "1e-10"),
+                           ((-1.0, 1e-10, 2), "1e-10"), ((-5e-10, 1.0, 4), "-5e-10")]:
+            with pytest.raises(ValidationError) as err:
+                SweepGrid(d_range=(0.0, 1.0, 2), j_range=j_range, t_range=(1.0, 1.0, 1))
+            assert str(err.value) == (f"j_range samples the coupling j = {j}; every sampled "
+                                      f"coupling needs |j| >= 1e-9")
 
     def test_rejects_cold_start(self):
         with pytest.raises(ValidationError):
@@ -79,9 +90,22 @@ class TestSweepGrid:
             "j_range's span stop - start overflows, from -1e+308 to 1e+308")
 
     def test_accepts_a_span_near_the_float_maximum(self):
-        grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(-1e308, 7e307, 2),
-                         t_range=(1.0, 1.0, 1))
-        assert grid.j_values().tolist() == [-1e308, 7e307]
+        """On the last three spans linspace's last product, step
+        (steps - 1), overflows, and linspace then overwrites it with stop:
+        each axis holds these values, bit for bit, and no RuntimeWarning
+        (an error under this suite's filter) escapes, also from the
+        zero-coupling check."""
+        for axis, rng, values in [
+            ("j", (-1e308, 7e307, 2), [-1e308, 7e307]),
+            ("d", (0.0, MAX, 4), [0.0, 5.992310449541053e+307, 1.1984620899082105e+308, MAX]),
+            ("j", (-MAX / 2, MAX / 2, 4),
+             [-MAX / 2, -2.996155224770526e+307, 2.996155224770527e+307, MAX / 2]),
+            ("t", (T_MIN, MAX, 4),
+             [T_MIN, 5.992310449541053e+307, 1.1984620899082105e+308, MAX]),
+        ]:
+            ranges = dict(d_range=(1.0, 1.0, 1), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
+            grid = SweepGrid(**dict(ranges, **{f"{axis}_range": rng}))
+            assert getattr(grid, f"{axis}_values")().tolist() == values, axis
 
     def test_rejects_one_step_that_drops_stop(self):
         with pytest.raises(ValidationError, match="^t_range"):
@@ -240,26 +264,6 @@ class TestBatchedSweep:
         values = np.array([cols[name] for name in CSV_HEADER[4:]])
         assert np.isnan(values[:, 1]).all() and not np.isnan(values[:, 0]).any()
 
-    def test_solver_failure_reruns_the_chunk_point_by_point(self, monkeypatch):
-        grid = SweepGrid(d_range=(0.0, 2.0, 3), j_range=(-1.0, 1.5, 4),
-                         t_range=(0.5, 0.5, 1))
-        setup = xz_control_setup()
-        expected, expected_errors = sweep_columns(grid, setup)
-        eigh = np.linalg.eigh
-
-        def fails_on_batches(m, *args, **kwargs):
-            if np.ndim(m) == 3 and len(m) > 1:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", fails_on_batches)
-        cols, errors = sweep_columns(grid, setup)
-        assert list(cols) == list(expected)
-        for name in expected:
-            np.testing.assert_array_equal(cols[name], expected[name], err_msg=name)
-        assert {i: str(e) for i, e in errors.items()} == \
-            {i: str(e) for i, e in expected_errors.items()}
-
     @pytest.mark.parametrize("theta", [0.0, math.pi, 2.0 * math.pi])
     def test_theta_column_is_the_setups_at_its_endpoints(self, tmp_path, theta):
         """The theta column, in sweep_columns and as 17-digit text in
@@ -279,9 +283,9 @@ class TestBatchedSweep:
         assert np.abs(l_tra - (1.0 + math.cos(theta))).max() <= 1e-10
 
     def test_setup_every_point_rejects(self, tmp_path):
-        """A setup that cannot be planned on two qubits raises once, before
-        any point is evaluated, as qc_vur does, and before sweep_csv opens
-        its destination."""
+        """A setup that cannot be planned on two qubits raises once, from
+        the first chunk's qc_vur_batch, as qc_vur does, and before
+        sweep_csv opens its destination."""
         grid = SweepGrid(d_range=(0.0, 1.0, 2), j_range=(1.0, 1.0, 1), t_range=(1.0, 1.0, 1))
         # sigma_x / sigma_z controls on a third qubit, which the model lacks
         setup = MeasurementSetup(pairs=tuple((Observable(m, 0), (Observable(m, 2),))
@@ -299,6 +303,47 @@ class TestBatchedSweep:
         assert kept.read_bytes() == b"earlier contents\n"
         with pytest.raises(SubsystemError, match="out of range"):
             evaluate_point(ModelParams(1.0, 1.0, 1.0), setup)
+
+
+#: range ends at the edges of the model's domain and of the float range
+_EDGES = (0.0, -0.0, T_MIN, 1e-9, -1e-9, 1.0, -1.0, MAX / 2, -MAX / 2, MAX, -MAX,
+          math.inf, -math.inf, math.nan)
+_ONE = (1.0, 1.0, 1)
+_NEAR_MAX = ((0.0, MAX, 4), (-MAX / 2, MAX / 2, 4), (T_MIN, MAX, 4))
+
+
+@st.composite
+def _ranges(draw):
+    """A (start, stop, steps) range of up to 5 steps whose ends are edge
+    values or any finite floats, reversed one time in four; or, half the
+    time, the one point 1, so that the other axes' ranges meet an accepted
+    grid more often."""
+    if draw(st.booleans()):
+        return _ONE
+    ends = st.one_of(st.sampled_from(_EDGES), st.floats(-MAX, MAX))
+    start, stop = sorted([draw(ends), draw(ends)], reverse=draw(st.integers(0, 3)) == 0)
+    steps = draw(st.integers(1, 5))
+    return (start, start, 1) if steps == 1 else (start, stop, steps)
+
+
+@seed(20261020)
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_ranges(), _ranges(), _ranges())
+@example(_NEAR_MAX[0], _ONE, _ONE)
+@example(_ONE, _NEAR_MAX[1], _ONE)
+@example(_ONE, _ONE, _NEAR_MAX[2])
+@example(_ONE, (-MAX, MAX, 2), _ONE)
+def test_every_point_of_an_accepted_grid_is_in_the_model_domain(d_range, j_range, t_range):
+    """The Gibbs kernel does not check the model's domain: a grid that
+    SweepGrid accepts must hold only valid ModelParams points, with no
+    RuntimeWarning (an error under this suite's filter) on the way."""
+    try:
+        grid = SweepGrid(d_range=d_range, j_range=j_range, t_range=t_range)
+    except ValidationError:
+        return
+    axes = (grid.d_values(), grid.j_values(), grid.t_values())
+    for point in itertools.product(*(axis.tolist() for axis in axes)):
+        ModelParams(*point)
 
 
 _couplings = st.builds(lambda m, sign: sign * m, st.floats(1e-9, 1e3),
@@ -645,6 +690,23 @@ class TestCheckSingleValued:
     def test_rejects_fewer_than_one_target(self, n_targets):
         with pytest.raises(ValidationError, match="^n_targets must be >= 1"):
             check_single_valued(1.0, [0.5, 1.0], xz_control_setup(), n_targets=n_targets)
+        # the first rule: before the count of couplings is checked
+        with pytest.raises(ValidationError, match=f"^n_targets must be >= 1, got {n_targets}$"):
+            check_single_valued(1.0, [1.0], xz_control_setup(), n_targets=n_targets)
+
+    @pytest.mark.parametrize("js, repeated", [
+        ([1.0, 1.0], [1.0]),
+        ([-0.5, -1.0, -0.5], [-0.5]),
+        ([2.0, 0.5, 1.0, 0.5, 2.0], [0.5, 2.0]),
+    ])
+    def test_repeated_couplings_are_rejected(self, monkeypatch, js, repeated):
+        """A repeated coupling would be compared with itself at equal
+        mixedness, a spread of 0 that shows nothing: a ValidationError
+        naming it, before any matching."""
+        monkeypatch.setattr(sweep, "match_mixedness", None)
+        message = f"coupling samples must be distinct, got {repeated} more than once in {js}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check_single_valued(1.0, js, xz_control_setup())
 
     @pytest.mark.parametrize("j0", [0.005, -0.009999999999999998])
     def test_rejects_a_first_coupling_whose_reference_temperatures_start_below_t_min(
