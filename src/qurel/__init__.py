@@ -9,6 +9,7 @@ entropic bound used for comparison.
 """
 
 from .errors import (
+    ArgumentError,
     ConvergenceError,
     DegenerateOperator,
     DegeneracyError,

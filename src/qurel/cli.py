@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 
-from .errors import QurelError, UsageError, ValidationError
+from .errors import ArgumentError, QurelError, UsageError
 from .model import ModelParams, closed_form_mixedness
 from .relations import xz_control_setup
 from .sweep import (
     CSV_HEADER,
     SweepGrid,
-    _check_couplings,
     check_single_valued,
     evaluate_point,
     figure_preset,
@@ -52,16 +50,6 @@ class _Parser(argparse.ArgumentParser):
                 message += (f" (a range with a negative start needs the = form, "
                             f"--{name}=START:STOP:STEPS)")
         raise UsageError(message)
-
-
-@contextmanager
-def _arguments():
-    """Turns a ValidationError raised while building inputs from the
-    command line into a usage error."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _parse_range(text: str, name: str) -> tuple[float, float, int]:
@@ -122,11 +110,10 @@ def _cmd_sweep(args) -> int:
     else:
         if not (args.d and args.j and args.t):
             raise UsageError("either --preset or all of --d/--j/--t are required")
-        with _arguments():
-            grid = SweepGrid(d_range=_parse_range(args.d, "d"),
-                             j_range=_parse_range(args.j, "j"),
-                             t_range=_parse_range(args.t, "t"))
-            setup = xz_control_setup(theta=0.5 if args.theta is None else args.theta)
+        grid = SweepGrid(d_range=_parse_range(args.d, "d"),
+                         j_range=_parse_range(args.j, "j"),
+                         t_range=_parse_range(args.t, "t"))
+        setup = xz_control_setup(theta=0.5 if args.theta is None else args.theta)
     try:
         problems = sweep_csv(grid, setup, args.out)
     except OSError as exc:
@@ -138,19 +125,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_point(args) -> int:
-    with _arguments():
-        params = ModelParams(args.d, args.j, args.t)
-        setup = xz_control_setup(theta=args.theta)
-    record = evaluate_point(params, setup)
+    record = evaluate_point(ModelParams(args.d, args.j, args.t), xz_control_setup(theta=args.theta))
     for col in CSV_HEADER:
         print(f"{col}={format_value(getattr(record, col))}")
     return EXIT_OK
 
 
 def _cmd_match_gamma(args) -> int:
-    # match_mixedness raises ValidationError only for its arguments
-    with _arguments():
-        t = match_mixedness(args.d, args.j, args.target)
+    t = match_mixedness(args.d, args.j, args.target)
     gamma = closed_form_mixedness(ModelParams(args.d, args.j, t))
     print(f"t={format_value(t)}")
     print(f"gamma={format_value(gamma)}")
@@ -162,8 +144,6 @@ def _cmd_check_single_valued(args) -> int:
         samples = [float(x) for x in args.j.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"--j expects comma-separated numbers, got {args.j!r}")
-    with _arguments():
-        _check_couplings(args.d, samples, args.targets)
     result = check_single_valued(args.d, samples, xz_control_setup(), n_targets=args.targets)
     print(f"w_spread={format_value(result.w_spread)}")
     print(f"u_spread={format_value(result.u_spread)}")
@@ -187,7 +167,7 @@ def main(argv=None) -> int:
             from . import verify  # the suite is large; only this command needs it
             return verify.run_all()
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, ArgumentError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QurelError as exc:

@@ -17,6 +17,14 @@ class ValidationError(QurelError):
     """A value object violates its invariants."""
 
 
+class ArgumentError(ValidationError):
+    """An argument breaks its rule where it enters the package: a model
+    point outside the domain, a sweep range, a measurement setup, the
+    arguments of check-single-valued or a mixedness target. The CLI
+    reports it as a usage error; a numerical check that fails raises a
+    plain ValidationError."""
+
+
 class RangeError(QurelError):
     """A numerical result left the representable/achievable range."""
 

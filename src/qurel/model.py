@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, ValidationError
+from .errors import ArgumentError, RangeError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
 from .states import DensityOperator
 
@@ -73,14 +73,14 @@ class ModelParams:
         return math.atan(self.d)
 
 
-def _domain_error(d: float, j: float, t: float) -> ValidationError | None:
+def _domain_error(d: float, j: float, t: float) -> ArgumentError | None:
     """ModelParams' domain rule: the error of a point outside it, else None."""
     if not (math.isfinite(d) and d >= 0.0):
-        return ValidationError(f"d must be finite and >= 0, got {d}")
+        return ArgumentError(f"d must be finite and >= 0, got {d}")
     if j == 0.0 or not math.isfinite(j):
-        return ValidationError(f"j must be nonzero and finite, got {j}")
+        return ArgumentError(f"j must be nonzero and finite, got {j}")
     if not (math.isfinite(t) and t >= T_MIN):
-        return ValidationError(f"t must be finite and >= {T_MIN}, got {t}")
+        return ArgumentError(f"t must be finite and >= {T_MIN}, got {t}")
 
 
 def hamiltonian(p: ModelParams) -> np.ndarray:

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateOperator, DegeneracyError, DimensionError, SubsystemError, ValidationError
+from .errors import (ArgumentError, DegenerateOperator, DegeneracyError, DimensionError,
+                     SubsystemError, ValidationError)
 from .linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -80,15 +81,15 @@ class MeasurementSetup:
     def __post_init__(self):
         pairs = tuple((q, tuple(controls)) for q, controls in self.pairs)
         if len(pairs) < 2:
-            raise ValidationError("at least two measurement pairs are required")
+            raise ArgumentError("at least two measurement pairs are required")
         measured = {q.subsystem for q, _ in pairs}
         if len(measured) != 1:
-            raise ValidationError(f"all measured observables must share a subsystem, got {measured}")
+            raise ArgumentError(f"all measured observables must share a subsystem, got {measured}")
         if not (0.0 <= self.theta <= 2.0 * np.pi):
-            raise ValidationError(f"theta must lie in [0, 2*pi], got {self.theta}")
+            raise ArgumentError(f"theta must lie in [0, 2*pi], got {self.theta}")
         op = as_square(self.ltra_operator).copy()
         if not np.isfinite(op).all():
-            raise ValidationError("ltra_operator has a non-finite entry")
+            raise ArgumentError("ltra_operator has a non-finite entry")
         op.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "ltra_operator", op)

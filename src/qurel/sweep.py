@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import RangeError, UsageError, ValidationError
+from .errors import ArgumentError, RangeError, UsageError
 from .linalg import SIGMA_X, SIGMA_Z, Checks
 from .measurements import Observable
 from .model import (
@@ -51,6 +51,7 @@ from .states import check_density, concurrence_batch, mixedness_batch
 #: matched-mixedness targets are located on this log-spaced scan
 SCAN_T_MAX = 1e4
 SCAN_POINTS = 200
+_SCAN_TS = tuple(np.logspace(np.log10(T_MIN), np.log10(SCAN_T_MAX), SCAN_POINTS).tolist())
 #: a matched temperature's mixedness is this close to the target, or
 #: matching raises RangeError
 GAMMA_TOL = 1e-10
@@ -77,28 +78,28 @@ class SweepGrid:
         for name, rng in (("d", self.d_range), ("j", self.j_range), ("t", self.t_range)):
             start, stop, steps = rng
             if not isinstance(steps, (int, np.integer)):
-                raise ValidationError(f"{name}_range needs an integer step count, got {steps!r}")
+                raise ArgumentError(f"{name}_range needs an integer step count, got {steps!r}")
             if steps < 1:
-                raise ValidationError(f"{name}_range needs steps >= 1, got {steps}")
+                raise ArgumentError(f"{name}_range needs steps >= 1, got {steps}")
             if not (math.isfinite(start) and math.isfinite(stop)):
-                raise ValidationError(
+                raise ArgumentError(
                     f"{name}_range needs a finite start and stop, got {start} and {stop}")
             if steps == 1 and start != stop:
-                raise ValidationError(
+                raise ArgumentError(
                     f"{name}_range has one step but start {start} != stop {stop}")
             if start > stop:
-                raise ValidationError(f"{name}_range has start {start} > stop {stop}")
+                raise ArgumentError(f"{name}_range has start {start} > stop {stop}")
             if not math.isfinite(float(stop) - float(start)):
-                raise ValidationError(
+                raise ArgumentError(
                     f"{name}_range's span stop - start overflows, from {start} to {stop}")
         if self.d_range[0] < 0.0:
-            raise ValidationError("d_range must start at or above 0")
+            raise ArgumentError("d_range must start at or above 0")
         if self.t_range[0] < T_MIN:
-            raise ValidationError(f"t_range must start at or above {T_MIN}")
+            raise ArgumentError(f"t_range must start at or above {T_MIN}")
         j = self.j_values()
         if (weak := j[np.abs(j) < 1e-9]).size:
-            raise ValidationError(f"j_range samples the coupling j = {weak[0].item()}; every "
-                                  f"sampled coupling needs |j| >= 1e-9")
+            raise ArgumentError(f"j_range samples the coupling j = {weak[0].item()}; every "
+                                f"sampled coupling needs |j| >= 1e-9")
 
     def _values(self, rng) -> np.ndarray:
         # the span is finite, so only the last point's step * (steps - 1) can
@@ -335,29 +336,27 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     RangeError as well.
     """
     if not math.isfinite(target_gamma):
-        raise ValidationError(f"target mixedness must be finite, got {target_gamma}")
-    ModelParams(d, j, T_MIN)  # checks (d, j) once: every step's t lies in [T_MIN, SCAN_T_MAX]
-    gamma = _mixedness_of(d, j)
-    ts = np.logspace(np.log10(T_MIN), np.log10(SCAN_T_MAX), SCAN_POINTS)
-    # the scan's numpy scalars follow _gibbs_eigensystems: a true overflow
-    # is a weight of 0, with no warning. gamma - target is never 0 at a
-    # bracket's lower end, so its sign is (f_lo < 0); a product of two
-    # residues would underflow to 0 for targets below about 1e-162
+        raise ArgumentError(f"target mixedness must be finite, got {target_gamma}")
+    p = ModelParams(d, j, T_MIN)  # checks (d, j) once: every step's t lies in [T_MIN, SCAN_T_MAX]
+    gamma = _mixedness_of(p.d, p.j)
+    # the match runs on Python floats, so a true overflow is a weight of 0
+    # with no warning. gamma - target is never 0 at a bracket's lower end,
+    # so its sign is (f_lo < 0); a product of two residues would underflow
+    # to 0 for targets below about 1e-162
     gammas = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(ts):
-            gammas.append(gamma(t))
-            f_hi = gammas[-1] - target_gamma
-            if f_hi == 0.0 or (k and (f_hi < 0.0) != (f_lo < 0.0)):
-                break
-            f_lo = f_hi
-        else:
-            raise RangeError(
-                f"gamma = {target_gamma} not achieved for d = {d}, j = {j}; "
-                f"scan reached [{min(gammas):.6g}, {max(gammas):.6g}]")
+    for k, t in enumerate(_SCAN_TS):
+        gammas.append(gamma(t))
+        f_hi = gammas[-1] - target_gamma
+        if f_hi == 0.0 or (k and (f_hi < 0.0) != (f_lo < 0.0)):
+            break
+        f_lo = f_hi
+    else:
+        raise RangeError(
+            f"gamma = {target_gamma} not achieved for d = {d}, j = {j}; "
+            f"scan reached [{min(gammas):.6g}, {max(gammas):.6g}]")
     if k == 0:
-        return float(ts[0])
-    lo, hi = float(ts[k - 1]), float(ts[k])
+        return _SCAN_TS[0]
+    lo, hi = _SCAN_TS[k - 1], _SCAN_TS[k]
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = gamma(mid) - target_gamma
         if f_mid != 0.0 and (f_mid < 0.0) == (f_lo < 0.0):
@@ -409,29 +408,29 @@ def _matched_bounds(d: float, j_samples: list, ref_ts: list, setup: MeasurementS
 
 
 def _check_couplings(d: float, j_samples: list, n_targets: int) -> None:
-    """check_single_valued's argument rules, for the library and the CLI,
-    in order: at least one target and two couplings, every (d, j) in the
+    """check_single_valued's argument rules, each an ArgumentError, in
+    order: at least one target and two couplings, every (d, j) in the
     model's domain, no coupling repeated (it would be compared with
     itself), one sign, and the reference temperatures 0.1 |j0| .. 10 |j0|
     of the first coupling j0 in [T_MIN, the float maximum]."""
     if n_targets < 1:
-        raise ValidationError(f"n_targets must be >= 1, got {n_targets}")
+        raise ArgumentError(f"n_targets must be >= 1, got {n_targets}")
     if len(j_samples) < 2:
-        raise ValidationError(f"at least two coupling samples are needed, got {j_samples}")
+        raise ArgumentError(f"at least two coupling samples are needed, got {j_samples}")
     for j in j_samples:
         if (error := _domain_error(d, j, T_MIN)) is not None:
             raise error
     if repeated := sorted({j for j in j_samples if j_samples.count(j) > 1}):
-        raise ValidationError(f"coupling samples must be distinct, got {repeated} "
-                              f"more than once in {j_samples}")
+        raise ArgumentError(f"coupling samples must be distinct, got {repeated} "
+                            f"more than once in {j_samples}")
     if len({j > 0.0 for j in j_samples}) != 1:
-        raise ValidationError(f"coupling samples must share one sign, got {sorted(j_samples)}")
+        raise ArgumentError(f"coupling samples must share one sign, got {sorted(j_samples)}")
     j0 = j_samples[0]
     reference = f"first coupling j0 = {j0} puts the reference temperatures 0.1 |j0| .. 10 |j0|"
     if abs(j0) < 10 * T_MIN:
-        raise ValidationError(f"{reference} below T_MIN: |j0| must be >= {10 * T_MIN}")
+        raise ArgumentError(f"{reference} below T_MIN: |j0| must be >= {10 * T_MIN}")
     if not math.isfinite(10 * abs(j0)):
-        raise ValidationError(f"{reference} above the float maximum: 10 |j0| must be finite")
+        raise ArgumentError(f"{reference} above the float maximum: 10 |j0| must be finite")
 
 
 def check_single_valued(d: float, j_samples, setup: MeasurementSetup,

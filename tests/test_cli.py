@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qurel import sweep, verify
+from qurel import cli, sweep, verify
 from qurel.cli import main
-from qurel.errors import QurelError, ValidationError
+from qurel.errors import ArgumentError, QurelError, ValidationError
 from qurel.model import T_MIN, ModelParams
 from qurel.relations import xz_control_setup
-from qurel.states import mixedness_batch
+from qurel.states import check_density, mixedness_batch
 from qurel.sweep import CSV_HEADER, SweepGrid, evaluate_point
 
 from helpers import csv_gate
@@ -159,6 +159,45 @@ class TestArgumentDomain:
         code, _, err = run_cli(capsys, "point", "--d", "inf", "--j", "1", "--t", "1")
         assert code == 1
         assert "d must be finite" in err
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModelParams(-1.0, 1.0, 1.0),
+        lambda: ModelParams(1.0, 1.0, 0.0),
+        lambda: SweepGrid((0.0, 1.0, 0), (1.0, 1.0, 1), (1.0, 1.0, 1)),
+        lambda: SweepGrid((0.0, 1.0, 2), (-1.0, 1.0, 3), (1.0, 1.0, 1)),
+        lambda: xz_control_setup(theta=7.0),
+        lambda: sweep.match_mixedness(1.0, 1.0, math.nan),
+        lambda: sweep.match_mixedness(1.0, 0.0, 0.3),
+        lambda: sweep.check_single_valued(1.0, [1.0, 1.0], xz_control_setup()),
+        lambda: sweep.check_single_valued(1.0, [1.0, 2.0], xz_control_setup(), n_targets=0),
+    ])
+    def test_every_argument_rule_raises_an_argument_error(self, build):
+        """Each argument rule raises ArgumentError, which a library
+        caller's ``except ValidationError`` still catches."""
+        try:
+            build()
+        except ValidationError as exc:
+            assert type(exc) is ArgumentError
+        else:
+            pytest.fail("no ValidationError raised")
+
+    @staticmethod
+    def _fail_every_density_check(monkeypatch):
+        """Makes every state of a sweep batch fail the density check, a
+        numerical ValidationError, not an argument error."""
+        monkeypatch.setattr(sweep, "check_density",
+                            lambda m, w, checks: check_density(m, w - 1.0, checks))
+
+    def test_numerical_validation_error_exits_two(self, monkeypatch, capsys):
+        """A failed density check is a plain ValidationError: exit 2 where
+        the command evaluates, with every argument accepted."""
+        self._fail_every_density_check(monkeypatch)
+        message = "error: density matrix has a negative eigenvalue\n"
+        code, out, err = run_cli(capsys, "point", "--d", "1", "--j", "1", "--t", "1")
+        assert (code, out, err) == (2, "", message)
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1",
+                                 "--j", "0.5,1,2", "--targets", "3")
+        assert (code, out, err) == (2, "", message)
 
 
 class TestSweepCommand:
@@ -492,6 +531,26 @@ class TestCheckSingleValuedCommand:
         assert (code, out) == (2, "")
         assert err == ("error: no mixedness target could be compared for d = 1.0, "
                        "j = [1.7976931348623158e+307, 1e+307]: all 3 targets skipped\n")
+
+    def test_rules_run_once(self, monkeypatch, capsys):
+        """The command leaves every argument rule to check_single_valued,
+        which checks them once: one call, counted in every module that
+        binds the rules' function."""
+        calls = []
+        check_couplings = sweep._check_couplings
+
+        def counting(*args):
+            calls.append(args)
+            return check_couplings(*args)
+
+        for module in (sweep, cli):
+            if hasattr(module, "_check_couplings"):
+                monkeypatch.setattr(module, "_check_couplings", counting)
+        code, out, err = run_cli(capsys, "check-single-valued", "--d", "1",
+                                 "--j", "0.5,1,2", "--targets", "3")
+        assert (code, err) == (0, "")
+        assert out.startswith("w_spread=")
+        assert calls == [(1.0, [0.5, 1.0, 2.0], 3)]
 
     def test_single_sample_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "check-single-valued", "--d", "1", "--j", "1")

@@ -558,10 +558,10 @@ class TestMatchMixedness:
 
     @pytest.mark.parametrize("d, j", [(1.0, 1e307), (1e308, 1.0), (0.0, -1e307)])
     def test_overflowing_weights_are_zero_without_a_warning(self, d, j):
-        """Where |j| height / t overflows on the scan's numpy scalars, the
-        weight is 0, as in the Gibbs states, and no RuntimeWarning is
-        raised: gamma stays on its cold plateau, 0 or (d = 0, j < 0) 2/3,
-        so a target off it is out of reach and one on it matches T_MIN."""
+        """Where |j| height / t overflows on the scan's floats, the weight
+        is 0, as in the Gibbs states, and no RuntimeWarning is raised:
+        gamma stays on its cold plateau, 0 or (d = 0, j < 0) 2/3, so a
+        target off it is out of reach and one on it matches T_MIN."""
         plateau = 2.0 / 3.0 if d == 0.0 else 0.0
         message = (f"gamma = 0.3 not achieved for d = {d}, j = {j}; "
                    f"scan reached [{plateau:.6g}, {plateau:.6g}]")
@@ -582,10 +582,48 @@ class TestMatchMixedness:
         assert gamma(np.nextafter(t, 0.0)) < target
         assert max(gamma(t), gamma(np.nextafter(t, np.inf))) >= target  # the bracket closed
 
+    def test_scan_grid_is_the_log_spaced_scan(self):
+        """The scan's temperatures are built once, as Python floats, equal
+        element by element to the log-spaced grid over [T_MIN, SCAN_T_MAX]."""
+        ts = np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX), sweep.SCAN_POINTS)
+        assert len(sweep._SCAN_TS) == sweep.SCAN_POINTS
+        assert all(type(t) is float for t in sweep._SCAN_TS)
+        assert all(a == b for a, b in zip(sweep._SCAN_TS, ts, strict=True))
+
+    @pytest.mark.parametrize("case, expected", [
+        ((1.0, 2.0, 0.3), "1.883799229466196"),
+        ((0.5, -1.5, 0.42), "0.10215551573656355"),
+        ((0.0, -1.0, 2.0 / 3.0), "0.001"),
+        ((1.0, 1.0, 1e-300), "0.0034879322793226189"),
+    ])
+    def test_numpy_scalar_point_matches_as_floats(self, case, expected):
+        """A numpy-scalar (d, j) enters the match as floats: the same
+        matched temperature, bit for bit, as float arguments."""
+        d, j, target = case
+        t = match_mixedness(np.float64(d), np.float64(j), target)
+        assert type(t) is float
+        assert t == float(expected) == match_mixedness(d, j, target)
+
+    @pytest.mark.parametrize("d, j, target", [(1.0, 1e306, 0.3), (0.0, -1e306, 0.6),
+                                              (1.0, 1e308, 0.3), (0.0, -1e308, 0.6)])
+    def test_numpy_scalar_overflow_raises_no_warning(self, d, j, target):
+        """|j| / t overflows on the scan, and at d = 0, j < 0 the zero
+        height times that infinite |j| / t is NaN, which the kernel's min
+        drops; at 1e308 the far height times |j| overflows too, before the
+        scan. On floats each is a weight of 0 with no RuntimeWarning under
+        the suite's filter, so the target, off the cold plateau, is out of
+        reach."""
+        plateau = 2.0 / 3.0 if d == 0.0 else 0.0
+        message = (f"gamma = {target} not achieved for d = {d}, j = {j}; "
+                   f"scan reached [{plateau:.6g}, {plateau:.6g}]")
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            match_mixedness(np.float64(d), np.float64(j), target)
+
     @staticmethod
     def _count_scan_evaluations(monkeypatch) -> list:
         """Wraps ``_mixedness_of`` so that every gamma it returns counts its
-        evaluations at the scan's temperatures in the list returned."""
+        evaluations at the scan's temperatures in the list returned, and
+        fails unless every temperature it is given is a Python float."""
         scan = set(np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX),
                                sweep.SCAN_POINTS).tolist())
         calls = []
@@ -595,6 +633,7 @@ class TestMatchMixedness:
             gamma = mixedness_of(d, j)
 
             def counted(t):
+                assert type(t) is float, repr(t)
                 if float(t) in scan:
                     calls.append(t)
                 return gamma(t)
@@ -864,14 +903,48 @@ def test_matching_forms_the_heights_once(monkeypatch):
                                   (3.0, 0.25), (0.06, -1.0)])
 def test_float_kernel_is_the_public_closed_form_on_the_scan(d, j):
     """At the scan's temperatures the kernel equals closed_form_mixedness
-    bit for bit, on the numpy scalars the scan passes and on floats, as
-    bisection passes them."""
+    bit for bit, on numpy scalars and on the floats that the scan and the
+    bisection pass."""
     ts = np.logspace(np.log10(T_MIN), np.log10(sweep.SCAN_T_MAX), sweep.SCAN_POINTS)
     assert ts[0] == T_MIN and ts[-1] == sweep.SCAN_T_MAX
     kernel = _mixedness_of(d, j)
     for t in ts:
         gamma = closed_form_mixedness(ModelParams(d, j, t))
         assert kernel(t) == gamma == kernel(float(t)), t
+
+
+class TestExactLaws:
+    """Two exact laws of the thermal states under the standard setup. Both
+    marginals are I/2, so each measured variance is 1 and l_tra = 1 +
+    cos(theta); the bridge identity then gives w = lhs - (1 - cos(theta)).
+    At d = 0 three weights tie at some a, so <zz> = 4a - 1 = +-<xx> and
+    gamma = 6a - 12a^2, which make lhs = 8 gamma / 3."""
+
+    def test_bound_is_lhs_less_one_minus_cos_theta_on_every_preset(self):
+        """On the five distinct preset grids (41,205 points), |w - (lhs -
+        (1 - cos theta))| measured at most 4.44e-16 (2 eps); the bound is
+        4.5e-16."""
+        for name in ("fig1a", "fig1b", "fig2", "fig3a", "fig3b"):
+            grid, setup = figure_preset(name)
+            cols, errors = sweep_columns(grid, setup)
+            assert not errors
+            law = cols["lhs"] - (1.0 - math.cos(setup.theta))
+            assert np.abs(cols["w"] - law).max() <= 4.5e-16, name
+
+    @pytest.mark.parametrize("j_range", [(0.05, 3.0, 60), (-3.0, -0.05, 60)])
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_lhs_is_eight_thirds_gamma_at_zero_d(self, j_range, theta):
+        """On d = 0 lines of 60 couplings of one sign by 200 temperatures,
+        |lhs - 8 gamma / 3| measured at most 1.41e-15 and |w - (8 gamma / 3
+        - (1 - cos theta))| at most 1.62e-15; the bounds are 1.5e-15 and
+        1.7e-15. The antiferromagnet spans gamma in [0, 3/4], the
+        ferromagnet [2/3, 3/4]."""
+        grid = SweepGrid(d_range=(0.0, 0.0, 1), j_range=j_range, t_range=(T_MIN, 10.0, 200))
+        cols, errors = sweep_columns(grid, xz_control_setup(theta=theta))
+        assert not errors
+        law = 8.0 * cols["gamma"] / 3.0
+        assert np.abs(cols["lhs"] - law).max() <= 1.5e-15
+        assert np.abs(cols["w"] - (law - (1.0 - math.cos(theta)))).max() <= 1.7e-15
 
 
 class TestFigurePresets:
