@@ -7,6 +7,7 @@ axis runs over points. All functions are pure; nothing mutates its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -39,8 +40,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def hermitian_residual(m: np.ndarray) -> np.ndarray:
     """max |m[i,j] - conj(m[j,i])| of every matrix in a stack (NaN if any
     entry is not finite)."""
-    diff = np.abs(m - dagger(m))
-    return diff.reshape(diff.shape[:-2] + (-1,)).max(axis=-1)
+    return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
 
 
 def is_hermitian(m) -> bool:
@@ -96,6 +96,16 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
 
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of every matrix in a
+    stack; the caller checks Hermiticity. A matrix the solver rejects
+    raises ConvergenceError."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+
+
 def _centre_2x2(m: np.ndarray):
     """Mean (m00 + m11)/2, half gap (m00 - m11)/2 and radius
     hypot(half gap, |m01|) of a stack (..., 2, 2) of Hermitian matrices."""
@@ -109,7 +119,10 @@ def eigvalsh_2x2(m: np.ndarray) -> np.ndarray:
     matrices, in closed form: mean -/+ hypot(half the diagonal gap, |m01|).
     Reads the diagonal and the upper off-diagonal entry only."""
     mean, _, radius = _centre_2x2(m)
-    return np.stack([mean - radius, mean + radius], axis=-1)
+    w = np.empty(mean.shape + (2,))
+    np.subtract(mean, radius, out=w[..., 0])
+    np.add(mean, radius, out=w[..., 1])
+    return w
 
 
 #: the projector pair 1/2 I -/+ N/2 of ``spectral_2x2``, as the real and
@@ -174,12 +187,22 @@ def partial_trace(m, dims, keep) -> np.ndarray:
         raise DimensionError(f"keep indices {keep} out of range for {n} subsystems")
 
     lead = m.shape[:-2]
-    # label s is subsystem s's row, n + s a kept subsystem's column
-    columns = [n + s if s in keep else s for s in range(n)]
-    reduced = np.einsum(m.reshape(lead + dims + dims), [..., *range(n), *columns],
-                        [..., *keep, *(n + s for s in keep)])
-    d_kept = math.prod(dims[s] for s in keep)
-    return reduced.reshape(lead + (d_kept, d_kept))
+    subscripts, d_kept = _trace_subscripts(dims, tuple(keep))
+    return np.einsum(subscripts, m.reshape(lead + dims + dims)).reshape(lead + (d_kept, d_kept))
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_subscripts(dims: tuple, keep: tuple) -> tuple[str, int]:
+    """``partial_trace``'s einsum subscripts for checked ``dims`` and
+    sorted ``keep``, and the kept dimension. Letter s labels subsystem s's
+    row, letter n + s a kept subsystem's column; a traced subsystem's
+    column repeats its row's letter."""
+    n = len(dims)
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    rows = letters[:n]
+    columns = "".join(letters[n + s] if s in keep else letters[s] for s in range(n))
+    kept = "".join(letters[s] for s in keep) + "".join(letters[n + s] for s in keep)
+    return f"...{rows}{columns}->...{kept}", math.prod(dims[s] for s in keep)
 
 
 def trace_product(a, b) -> complex:
@@ -192,5 +215,5 @@ def trace_products(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     of operators (K, d, d), as an (N, K) table. Summed over flattened
     entries, a state's row does not depend on the rest of the stack; an
     unflattened einsum orders a batch of one's sum differently."""
-    return np.einsum("nx,kx->nk", np.swapaxes(rho, -1, -2).reshape((len(rho), -1)),
+    return np.einsum("nx,kx->nk", rho.swapaxes(-1, -2).reshape((len(rho), -1)),
                      ops.reshape((len(ops), -1)))

@@ -24,6 +24,7 @@ chain into its terms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -190,9 +191,13 @@ def chain_plan(dims, pairs, decompositions) -> ChainPlan:
             _check_fits(o.matrix.shape[0], dims, o.subsystem)
     # one factor stack (pairs, k, d, d) per subsystem: I, q, q^2 on q's,
     # each control's projectors on its own, I elsewhere
-    factors = [np.eye(d, dtype=complex)[None, None] for d in dims]
-    factors[order[0]] = np.array([[np.eye(dims[order[0]]), q.matrix, q.matrix @ q.matrix]
-                                  for q, _ in pairs])
+    factors = [_identity(d) for d in dims]
+    qs = np.array([q.matrix for q, _ in pairs])
+    moments = np.empty((len(qs), 3) + qs.shape[1:], dtype=complex)
+    moments[:, 0] = _identity(qs.shape[-1])
+    moments[:, 1] = qs
+    np.matmul(qs, qs, out=moments[:, 2])
+    factors[order[0]] = moments
     for k, s in enumerate(order[1:]):
         factors[s] = np.array([decs[k].projectors for decs in decompositions])
     # Each factor stack is prepended to the block built so far, so the
@@ -215,6 +220,14 @@ def chain_plan(dims, pairs, decompositions) -> ChainPlan:
     return ChainPlan(ops=ops, shape=tuple(len(dec.outcomes) for dec in decompositions[0]))
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(d: int) -> np.ndarray:
+    """The read-only identity factor stack (1, 1, d, d) of ``chain_plan``."""
+    eye = np.eye(d, dtype=complex)[None, None]
+    eye.flags.writeable = False
+    return eye
+
+
 def chain_table(rho: np.ndarray, plan: ChainPlan):
     """Branch probabilities p and first and second moments s1, s2 of q
     (N, pairs, *shape) of every pair of a plan and state of a stack
@@ -222,7 +235,8 @@ def chain_table(rho: np.ndarray, plan: ChainPlan):
     dim = plan.ops.shape[-1]
     table = trace_products(rho, plan.ops.reshape((-1, dim, dim))).real
     table = table.reshape((len(rho), len(plan.ops), 3) + plan.shape)
-    return np.where(table[:, :, 0] >= P_MIN, np.moveaxis(table, 2, 0), 0.0)
+    moved = table.transpose((2, 0, 1) + tuple(range(3, table.ndim)))
+    return np.where(table[:, :, 0] >= P_MIN, moved, 0.0)
 
 
 def _explained(p_sum, s1_sum):
@@ -238,7 +252,7 @@ def chain_totals(p, s1, s2):
     axes = tuple(range(2, p.ndim))
     full = _explained(p, s1)
     mean = s1.sum(axis=axes)
-    return np.sum(s2 - full, axis=axes), full.sum(axis=axes) - mean * mean
+    return (s2 - full).sum(axis=axes), full.sum(axis=axes) - mean * mean
 
 
 def chain_terms(p, s1):

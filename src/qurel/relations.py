@@ -37,12 +37,15 @@ from .linalg import (
     SIGMA_Z,
     Checks,
     as_square,
+    eigvalsh,
     eigvalsh_2x2,
     partial_trace,
+    spectral_2x2,
     trace_product,
     trace_products,
 )
 from .measurements import (
+    DEGENERACY_TOL,
     ChainPlan,
     Observable,
     _check_fits,
@@ -162,16 +165,18 @@ def _overlap_constant(pr: np.ndarray, ps: np.ndarray) -> float:
     dim = pr.shape[-1]
     if len(pr) != dim or len(ps) != dim:
         raise DegeneracyError("overlap constant needs nondegenerate spectra")
-    overlaps = np.sum(pr[:, None] * np.swapaxes(ps, -1, -2), axis=(-2, -1)).real
+    overlaps = (pr[:, None] * ps.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
     return float(overlaps.max())
 
 
 class EurPlan(NamedTuple):
     """The entropic bound's operators for a pair of observables on qubit 0
-    of a two-qubit state: each observable's rank-one eigenprojectors on
-    qubit 0, and the overlap term log2(1/c)."""
+    of a two-qubit state: the coefficients that take a state's 2 x 2
+    blocks to the memory blocks of each observable's rank-one
+    eigenprojectors on qubit 0, to the memory's reduced state and to a
+    zero block (see ``qm_eur_batch``), and the overlap term log2(1/c)."""
 
-    projectors: np.ndarray  # (observable, outcome, 2, 2)
+    coefficients: np.ndarray  # (6, 4): [(o, k), rho_B, zero] x [(x, y)]
     overlap_bound: float
 
 
@@ -184,11 +189,18 @@ def eur_plan(dims, r: Observable, s: Observable) -> EurPlan:
         raise SubsystemError("both observables must act on the measured qubit 0")
     for o in (r, s):
         _check_fits(o.matrix.shape[0], (2, 2), o.subsystem)
-    projectors = [dec.projectors for dec in projective_decompositions([r, s])]
-    # _overlap_constant rejects a degenerate spectrum, so both stacks hold two
-    # projectors
+    # both projector pairs in one closed-form call, as
+    # projective_decompositions takes them; it would merge a gap below
+    # DEGENERACY_TOL into one outcome, which has no overlap constant
+    _, radii, projectors = spectral_2x2(np.array([r.matrix, s.matrix]))
+    if (2.0 * radii < DEGENERACY_TOL).any():
+        raise DegeneracyError("overlap constant needs nondegenerate spectra")
     overlap_bound = float(np.log2(1.0 / _overlap_constant(*projectors)))
-    return EurPlan(projectors=np.array(projectors), overlap_bound=overlap_bound)
+    coefficients = np.zeros((6, 4), dtype=complex)
+    coefficients[:4] = projectors.swapaxes(-1, -2).reshape(4, 4)
+    coefficients[4] = (1.0, 0.0, 0.0, 1.0)
+    coefficients.flags.writeable = False
+    return EurPlan(coefficients=coefficients, overlap_bound=overlap_bound)
 
 
 def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
@@ -200,17 +212,19 @@ def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
     block-diagonal state sum_k |k><k| (x) M_k, whose spectrum is the union
     of the 2 x 2 spectra of the memory blocks M_k = Tr_A[(P_k (x) I) rho],
     taken in closed form. With rho's 2 x 2 blocks rho_xy[b, c] =
-    rho[(x, b), (y, c)], M_k = sum_xy P_k[y, x] rho_xy: one matmul traces
-    every block of both observables from rho against the 2 x 2
-    rank-one projectors P_k. S(AB) comes from w, and S(B) from the
-    memory's 2 x 2 reduced states, in closed form as well: no solver call.
+    rho[(x, b), (y, c)], M_k = sum_xy P_k[y, x] rho_xy, and the memory's
+    reduced state is rho_00 + rho_11: one matmul against the plan's
+    coefficients takes every block of both observables, rho_B and a zero
+    block from rho, and one closed-form spectrum call their eigenvalues.
+    The zero block pads rho_B's spectrum to four values of which two
+    are 0, which add exactly nothing to an entropy, so the entropies of
+    both measured states and S(B) are one reduction. S(AB) comes from w:
+    no solver call.
     """
-    h_b = spectrum_entropies(eigvalsh_2x2(partial_trace(rho, (2, 2), (1,))))
-    coeffs = np.swapaxes(plan.projectors, -1, -2).reshape(4, 4)  # [(o, k), (x, y)]
     regrouped = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-    blocks = (coeffs @ regrouped).reshape(-1, 2, 2, 2, 2)  # [n, o, k, b, c]
-    spectra = eigvalsh_2x2(blocks).reshape(-1, 2, 4)  # [n, o, eigenvalue]
-    h_r, h_s = spectrum_entropies(spectra).T
+    blocks = (plan.coefficients @ regrouped).reshape(-1, 6, 2, 2)
+    # [n, (R, S, B), eigenvalue]
+    h_r, h_s, h_b = spectrum_entropies(eigvalsh_2x2(blocks).reshape(-1, 3, 4)).T
     h_rb = h_r - h_b
     h_sb = h_s - h_b
     h_ab = spectrum_entropies(w) - h_b
@@ -240,9 +254,9 @@ def l_tra_operators(a: Observable, b: Observable, o) -> np.ndarray:
     am, bm = a.matrix, b.matrix
     if not om.shape == am.shape == bm.shape:
         raise DimensionError("operator dimensions do not match the state")
-    od = om.conj().T
-    products = np.array([od, od, od, am, bm]) @ np.array([om, am, bm, bm, am])
-    ops = np.concatenate([products, [am, bm, od, np.eye(len(am))]])
+    ops = np.empty((9,) + om.shape, dtype=complex)
+    ops[5], ops[6], ops[7], ops[8] = am, bm, om.conj().T, np.eye(len(am))
+    np.matmul(ops[[7, 7, 7, 5, 6]], np.array([om, am, bm, bm, am]), out=ops[:5])
     ops.flags.writeable = False
     return ops
 
@@ -262,16 +276,18 @@ def l_tra_batch(rho: np.ndarray, ops: np.ndarray, theta: float, checks: Checks) 
         raise DimensionError("operator dimensions do not match the state")
     t_oo, t_oda, t_odb, t_ab, t_ba, t_a, t_b, t_od, t_i = trace_products(rho, ops).T
     denom, ea, eb = t_oo.real, t_a.real, t_b.real
-    checks.require(denom >= OPERATOR_MIN,
-                   lambda i: DegenerateOperator(f"<O†O> = {denom[i]:.3e} is numerically zero"))
     phase = np.exp(1j * theta)
     num = np.abs(t_oda - ea * t_od + phase * (t_odb - eb * t_od)) ** 2
     shift = ea * eb * t_i - eb * t_a - ea * t_b
-    cross = phase * (t_ab + shift) + np.conj(phase) * (t_ba + shift)
-    checks.require(np.abs(cross.imag) <= IMAG_TOL,
-                   lambda i: ValidationError(f"anticommutator cross term has imaginary "
-                                             f"residue {cross.imag[i]:.3e}"))
-    return num / np.where(denom >= OPERATOR_MIN, denom, 1.0) - cross.real
+    cross = phase * (t_ab + shift) + phase.conjugate() * (t_ba + shift)
+    nonzero = denom >= OPERATOR_MIN
+    real = np.abs(cross.imag) <= IMAG_TOL
+    if not (nonzero & real).all():
+        checks.require(nonzero, lambda i: DegenerateOperator(
+            f"<O†O> = {denom[i]:.3e} is numerically zero"))
+        checks.require(real, lambda i: ValidationError(
+            f"anticommutator cross term has imaginary residue {cross.imag[i]:.3e}"))
+    return num / np.where(nonzero, denom, 1.0) - cross.real
 
 
 def l_tra(rho_a: DensityOperator, a: Observable, b: Observable, o, theta: float) -> float:
@@ -325,7 +341,7 @@ def qc_vur_batch(rho: np.ndarray, dims, setup: MeasurementSetup, checks: Checks)
         lhs = lhs + residual.sum(axis=1)
         subtracted = subtracted + explained.sum(axis=1)
     rho_a = partial_trace(rho, dims, (setup.measured_subsystem,))
-    spectrum = eigvalsh_2x2 if rho_a.shape[-1] == 2 else np.linalg.eigvalsh
+    spectrum = eigvalsh_2x2 if rho_a.shape[-1] == 2 else eigvalsh
     check_density(rho_a, spectrum(rho_a), checks)
     bound = l_tra_batch(rho_a, setup._ltra_ops, setup.theta, checks)
     w = bound - subtracted

@@ -101,14 +101,18 @@ def _subsystem_dims(dims, m: np.ndarray) -> tuple[int, ...]:
 def check_density(m: np.ndarray, w: np.ndarray, checks: Checks) -> None:
     """DensityOperator's validation of a stack (N, d, d) whose ascending
     eigenvalues (N, d) are ``w``: Hermitian to 1e-10, unit trace to 1e-10,
-    eigenvalues >= -1e-10."""
-    checks.require(hermitian_residual(m) <= HERMITICITY_TOL,
+    eigenvalues >= -1e-10. The checks are flagged one by one, in that
+    order, only when some point fails one."""
+    hermitian = hermitian_residual(m) <= HERMITICITY_TOL
+    tr = m.trace(axis1=-2, axis2=-1)
+    unit_trace = np.abs(tr - 1.0) <= TRACE_TOL
+    psd = w[:, 0] >= -PSD_TOL
+    if (hermitian & unit_trace & psd).all():
+        return
+    checks.require(hermitian,
                    lambda i: ValidationError("density matrix is not Hermitian to 1e-10"))
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    checks.require(np.abs(tr - 1.0) <= TRACE_TOL,
-                   lambda i: ValidationError(f"trace is {tr[i]}, not 1"))
-    checks.require(w[:, 0] >= -PSD_TOL,
-                   lambda i: ValidationError("density matrix has a negative eigenvalue"))
+    checks.require(unit_trace, lambda i: ValidationError(f"trace is {tr[i]}, not 1"))
+    checks.require(psd, lambda i: ValidationError("density matrix has a negative eigenvalue"))
 
 
 def mixedness_batch(m: np.ndarray) -> np.ndarray:
@@ -128,7 +132,7 @@ def spectrum_entropies(w: np.ndarray) -> np.ndarray:
     so each entropy is continuous in its spectrum."""
     # log2(1) = 0, so a value set to 1 adds exactly nothing
     safe = np.where(w > 0.0, w, 1.0)
-    return -np.sum(safe * np.log2(safe), axis=-1)
+    return -(safe * np.log2(safe)).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -168,7 +172,7 @@ def concurrence_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     and one batched ``svd``. Y W is W's rows in reverse order with the
     outer two negated.
     """
-    scaled = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    scaled = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
     flip_core = np.swapaxes(scaled, -1, -2) @ (scaled[:, ::-1] * _FLIP_SIGNS)
     s = np.linalg.svd(flip_core, compute_uv=False)
     return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qurel.errors import DegenerateOperator, DegeneracyError, DimensionError, SubsystemError, ValidationError
+from qurel.errors import (ConvergenceError, DegenerateOperator, DegeneracyError, DimensionError,
+                          QurelError, SubsystemError, ValidationError)
+from qurel import linalg, measurements
 from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
 from qurel.measurements import (
     Observable,
@@ -117,6 +119,13 @@ class TestMaximalOverlap:
     def test_rejects_subsystem_mismatch(self):
         with pytest.raises(SubsystemError):
             eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 1))
+
+    def test_plan_is_read_only(self):
+        """A plan can be shared, as the sweep shares its sigma_x / sigma_z
+        plan, so its coefficients cannot be written."""
+        plan = eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
+        with pytest.raises(ValueError, match="read-only"):
+            plan.coefficients[0, 0] = 0.0
 
     def test_rejects_dimension_mismatch(self):
         qutrit = Observable(np.diag([1.0, 2.0, 3.0]), 0)
@@ -297,6 +306,19 @@ class TestLTra:
                 assert abs(l_tra(rho_a, a, b, o, theta) - expected) <= 1e-12
                 assert abs(got - expected) <= 1e-12
 
+    def test_imaginary_cross_term_residue_is_rejected(self):
+        """An observable inside the 1e-10 Hermiticity rule can leave the
+        anticommutator term an imaginary residue above IMAG_TOL: l_tra
+        names it. A vanishing O fails the denominator check first."""
+        a = Observable(SIGMA_X + 5e-11j * SIGMA_X, 0)
+        b = Observable(SIGMA_Z, 0)
+        rho = DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]]), (2,))
+        with pytest.raises(ValidationError,
+                           match=r"^anticommutator cross term has imaginary residue -7\.021e-12$"):
+            l_tra(rho, a, b, SIGMA_X + SIGMA_Z, 0.5)
+        with pytest.raises(DegenerateOperator, match="is numerically zero"):
+            l_tra(rho, a, b, np.zeros((2, 2)), 0.5)
+
     def test_setup_builds_its_operator_stack_once(self, monkeypatch):
         """A reused setup keeps its l_tra operator stack: one build, and the
         same array on a second qc_vur call."""
@@ -405,6 +427,39 @@ class TestQcVur:
                 for name, column in batch.items():
                     assert column[i:i + 1].tobytes() == one[name].tobytes(), name
 
+    def test_reduced_state_check_at_the_tolerance_edge(self):
+        """A state inside the -1e-10 eigenvalue rule can reduce to a
+        measured qubit outside it: qc_vur's check of the reduced state
+        rejects it, as a numerical ValidationError, not an argument error."""
+        rho = DensityOperator(np.diag([-0.9e-10, -0.9e-10, 0.5 + 0.9e-10, 0.5 + 0.9e-10]),
+                              (2, 2))
+        assert rho.eigenvalues[0] == pytest.approx(-9e-11, abs=1e-25)
+        # rho_A[0, 0] = rho[00, 00] + rho[01, 01], the lower eigenvalue of rho_A
+        assert (rho.matrix[0, 0] + rho.matrix[1, 1]).real == pytest.approx(-1.8e-10, abs=1e-25)
+        with pytest.raises(ValidationError,
+                           match="^density matrix has a negative eigenvalue$") as info:
+            qc_vur(rho, xz_control_setup())
+        assert type(info.value) is ValidationError
+
+    def test_solver_failure_on_a_larger_measured_state_raises_convergence_error(
+            self, monkeypatch):
+        """A measured subsystem larger than a qubit takes its reduced
+        spectrum from the solver; a rejection raises ConvergenceError, a
+        QurelError (CLI exit code 2), not numpy's LinAlgError."""
+        rng = np.random.default_rng(96)
+        rho = random_density(rng, (3, 2))
+        pairs = tuple((Observable(random_hermitian(rng, 3), 0),
+                       (Observable(random_hermitian(rng, 2), 1),)) for _ in range(2))
+        setup = MeasurementSetup(pairs=pairs, ltra_operator=random_hermitian(rng, 3), theta=0.5)
+
+        def rejects(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", rejects)
+        with pytest.raises(ConvergenceError, match="eigensolver failed") as info:
+            qc_vur(rho, setup)
+        assert isinstance(info.value, QurelError)
+
     def test_tightness_at_least_one(self):
         rng = np.random.default_rng(85)
         setup = xz_control_setup()
@@ -445,6 +500,35 @@ class TestNoSolverForQubits:
         calls = count_solver_calls(monkeypatch)
         qm_eur(rho, Observable(random_hermitian(rng, 2), 0), Observable(random_hermitian(rng, 2), 0))
         assert calls == self.NONE
+
+
+def test_plans_are_built_by_the_first_bound_not_by_construction(monkeypatch):
+    """Building observables and a setup decomposes nothing and plans
+    nothing: the first qc_vur does it, so its cost stays in the bound."""
+    calls = {}
+    for module, name in ((linalg, "spectral_2x2"), (measurements, "spectral_2x2"),
+                         (relations, "spectral_2x2"),
+                         (measurements, "projective_decompositions"),
+                         (relations, "projective_decompositions"),
+                         (measurements, "chain_plan"), (relations, "chain_plan"),
+                         (relations, "l_tra_operators")):
+        calls[name] = 0
+
+        def counting(*args, _name=name, _f=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    rng = np.random.default_rng(97)
+    rho = random_density(rng, (2, 2, 2))
+    pairs = tuple((Observable(random_hermitian(rng, 2), 0),
+                   tuple(Observable(random_hermitian(rng, 2), s) for s in (1, 2)))
+                  for _ in range(2))
+    setup = MeasurementSetup(pairs=pairs, ltra_operator=random_hermitian(rng, 2), theta=0.4)
+    assert calls == dict.fromkeys(calls, 0)
+    qc_vur(rho, setup)
+    assert calls == {"spectral_2x2": 1, "projective_decompositions": 1, "chain_plan": 1,
+                     "l_tra_operators": 1}
 
 
 def _mixed_layout_setup(rng) -> MeasurementSetup:

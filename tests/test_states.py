@@ -10,6 +10,7 @@ from qurel.model import ModelParams, T_MIN, _gibbs_eigensystems, thermal_state
 from qurel.relations import qm_eur, xz_control_setup
 from qurel.states import (
     DensityOperator,
+    check_density,
     concurrence_batch,
     concurrence_two_qubit,
     mixedness,
@@ -150,6 +151,27 @@ class TestDensityOperator:
     def test_reduced_bell_is_maximally_mixed(self):
         rho = bell_state().reduced(0)
         assert np.allclose(rho.matrix, np.eye(2) / 2.0)
+
+
+def test_check_density_flags_each_failed_point_of_a_stack():
+    """On a stack, check_density flags exactly the points that fail a
+    check, each with the error of the first check it fails; a point that
+    fails two checks keeps the first one's message."""
+    m = np.array([np.diag([0.5, 0.5]),                # passes
+                  [[0.5, 0.1], [0.3, 0.5]],           # not Hermitian
+                  np.diag([0.6, 0.6]),                # trace 1.2
+                  np.diag([1.1, -0.1]),               # negative eigenvalue
+                  np.diag([1.3, -0.1])], dtype=complex)  # trace and eigenvalue
+    checks = Checks(len(m))
+    check_density(m, np.linalg.eigvalsh(m), checks)
+    assert checks.failed.tolist() == [False, True, True, True, True]
+    messages = {i: str(error) for i, error in checks.errors.items()}
+    assert sorted(messages) == [1, 2, 3, 4]
+    assert messages[1] == "density matrix is not Hermitian to 1e-10"
+    assert messages[2].startswith("trace is (1.2") and messages[2].endswith(", not 1")
+    assert messages[3] == "density matrix has a negative eigenvalue"
+    assert messages[4].startswith("trace is (1.2") and messages[4].endswith(", not 1")
+    assert all(type(error) is ValidationError for error in checks.errors.values())
 
 
 class TestMixedness:
