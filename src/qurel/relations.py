@@ -19,7 +19,9 @@ Each evaluator on a DensityOperator is a batch of one of a kernel over a
 stack of states (N, d, d) (``qc_vur_batch``, ``l_tra_batch``,
 ``qm_eur_batch``), whose setup-dependent operators are built once
 (``vur_plan``, memoized on the setup and read by ``qc_vur_batch`` itself;
-``l_tra_operators``; ``eur_plan``); the sweeps call the same kernels.
+``l_tra_operators``; ``eur_plan``). The sweeps call the variance kernels;
+their entropic columns, on the model's states only, are closed forms in
+the Gibbs weights (``sweep._entropic_columns``).
 """
 
 from __future__ import annotations
@@ -90,9 +92,7 @@ class MeasurementSetup:
             raise ArgumentError(f"all measured observables must share a subsystem, got {measured}")
         if not (0.0 <= self.theta <= 2.0 * np.pi):
             raise ArgumentError(f"theta must lie in [0, 2*pi], got {self.theta}")
-        op = as_square(self.ltra_operator).copy()
-        if not np.isfinite(op).all():
-            raise ArgumentError("ltra_operator has a non-finite entry")
+        op = _weighting_operator(self.ltra_operator).copy()
         op.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "ltra_operator", op)
@@ -246,11 +246,21 @@ def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
                        u_eur=optional(cols["u_eur"]))
 
 
+def _weighting_operator(o) -> np.ndarray:
+    """The weighted bound's operator O as a square complex matrix, which
+    must be finite."""
+    om = as_square(o)
+    if not np.isfinite(om).all():
+        raise ArgumentError("ltra_operator has a non-finite entry")
+    return om
+
+
 def l_tra_operators(a: Observable, b: Observable, o) -> np.ndarray:
     """The operators whose traces against a state make up every term of
     the weighted bound on A and B with operator O, as one read-only stack
-    (9, d, d): O†O, O†A, O†B, AB, BA, A, B, O† and I."""
-    om = as_square(o)
+    (9, d, d): O†O, O†A, O†B, AB, BA, A, B, O† and I. A non-finite O
+    raises ArgumentError."""
+    om = _weighting_operator(o)
     am, bm = a.matrix, b.matrix
     if not om.shape == am.shape == bm.shape:
         raise DimensionError("operator dimensions do not match the state")

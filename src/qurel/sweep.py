@@ -10,7 +10,8 @@ statement instead of a visual one.
 Points are evaluated in chunks, each as one (N, 4, 4) batch through the
 array kernels of the lower modules; every state comes with its
 eigendecomposition in closed form, so a chunk's only solver call is the
-concurrence's batched ``svd``. ``evaluate_point`` is a batch of one.
+concurrence's batched ``svd``, and the entropic bound is a closed form in
+the Gibbs weights. ``evaluate_point`` is a batch of one.
 Each chunk comes out as columns, one array per CSV column, and the error
 of each point that failed, whose values are NaN. ``sweep_csv`` (behind
 ``qurel sweep``) writes each chunk's rows from those columns as soon as
@@ -27,8 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ArgumentError, RangeError, UsageError
-from .linalg import SIGMA_X, SIGMA_Z, Checks
-from .measurements import Observable
+from .linalg import Checks
 from .model import (
     ModelParams,
     T_MIN,
@@ -39,14 +39,13 @@ from .model import (
 )
 from .relations import (
     MeasurementSetup,
-    eur_plan,
     optional,
     qc_vur_batch,
-    qm_eur_batch,
+    ratios,
     vur_plan,
     xz_control_setup,
 )
-from .states import check_density, concurrence_batch, mixedness_batch
+from .states import check_density, concurrence_batch, mixedness_batch, spectrum_entropies
 
 #: matched-mixedness targets are located on this log-spaced scan
 SCAN_T_MAX = 1e4
@@ -59,10 +58,6 @@ GAMMA_TOL = 1e-10
 #: grid points evaluated together as one batch: a chunk's working arrays
 #: take a few hundred kilobytes, whatever the size of the grid
 CHUNK_POINTS = 512
-
-#: the entropic bound always compares sigma_x and sigma_z on qubit 0, so
-#: its operators are built once, at import
-_EUR_PLAN = eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
 
 
 @dataclass(frozen=True)
@@ -181,19 +176,39 @@ def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
              else f"({d[i]}, {j[i]}, {t[i]}): {messages[k](i)}") for i, k in found]
 
 
+def _entropic_columns(w: np.ndarray) -> dict:
+    """The entropic bound's columns (h_rb, h_sb, h_ab, eur_rhs, u_eur; u_eur
+    NaN where undefined) for sigma_x and sigma_z on qubit 0 of Gibbs
+    states with weights w (N, 4) in ``_levels``' order, in closed form.
+
+    Both marginals are I/2, so S(B) = 1, and the eigenbases of sigma_x and
+    sigma_z overlap by c = 1/2, so log2(1/c) = 1. With w1 = w2, measuring
+    sigma_x leaves the spectrum {p, p, q, q}, p = (w0 + w1)/2 and q = (w1 +
+    w3)/2, and measuring sigma_z leaves {w1, m, m, w1}, m = (w0 + w3)/2:
+    h_rb = -2 (p log2 p + q log2 q) - 1, h_sb = -2 (w1 log2 w1 + m log2 m)
+    - 1 and h_ab = S(w) - 1, each entropy under ``spectrum_entropies``'
+    0 log 0 = 0. No measured eigenvalue that is 0 in truth reads as eps.
+    """
+    pairs = 0.5 * (w[:, [[0, 1], [1, 0]]] + w[:, [[1, 3], [1, 3]]])  # [[p, q], [w1, m]]
+    h_rb, h_sb = (2.0 * spectrum_entropies(pairs) - 1.0).T
+    h_ab = spectrum_entropies(w) - 1.0
+    eur_rhs = 1.0 + h_ab
+    return dict(h_rb=h_rb, h_sb=h_sb, h_ab=h_ab, eur_rhs=eur_rhs,
+                u_eur=ratios(h_rb + h_sb, eur_rhs))
+
+
 def _columns(d, j, t, setup: MeasurementSetup, checks: Checks) -> dict:
     """Value columns (CSV names, NaN for an undefined ratio) of a batch of
     model points, which the caller has checked: their Gibbs states with
     their eigendecompositions, all in closed form, through the setup's
-    operators. A setup that cannot be planned on two qubits raises."""
+    operators, and the entropic bound from the weights alone. A setup that
+    cannot be planned on two qubits raises."""
     rho, w, v = _gibbs_eigensystems(d, j, t, checks)
     check_density(rho, w, checks)
     vur = qc_vur_batch(rho, (2, 2), setup, checks)
-    eur = qm_eur_batch(rho, w, _EUR_PLAN)
     return dict(gamma=mixedness_batch(rho), concurrence=concurrence_batch(w, v),
                 l_tra=vur["l_tra"], lhs=vur["lhs"], w=vur["w"], u=vur["u"],
-                h_rb=eur["h_rb"], h_sb=eur["h_sb"], h_ab=eur["h_ab"],
-                eur_rhs=eur["rhs"], u_eur=eur["u_eur"])
+                **_entropic_columns(w))
 
 
 #: positions in CSV_HEADER of the ratios, which may be undefined
@@ -255,9 +270,11 @@ def sweep_columns(grid: SweepGrid, setup: MeasurementSetup) -> tuple[dict, dict]
 
 #: one CSV field: 17 significant digits, which round-trip a float exactly
 _FIELD = "%.17g"
-#: a row from record columns: the axes, theta and the ratios come as text
-_COLUMN_ROW = ",".join("%s" if k < 4 or k in _RATIOS else _FIELD
-                       for k in range(len(CSV_HEADER)))
+#: a row from record columns: the axes and theta come as text
+_COLUMN_ROW = ",".join(["%s"] * 4 + [_FIELD] * (len(CSV_HEADER) - 4))
+#: the row of a point with an undefined ratio: its ratios come as text too
+_RATIO_ROW = ",".join("%s" if k < 4 or k in _RATIOS else _FIELD
+                      for k in range(len(CSV_HEADER)))
 #: the row of a failed point: its axes and theta, no values
 _ERROR_ROW = ",".join(["%s"] * 4 + [""] * (len(CSV_HEADER) - 4))
 
@@ -270,13 +287,17 @@ def format_value(x) -> str:
 def _column_rows(index, axis_fields, theta_field: str, cols: dict, errors: dict) -> list[str]:
     """CSV rows of a chunk's record columns; ``axis_fields`` holds each
     axis's values as fields. An undefined ratio is an empty field, and so
-    is every value of a row in ``errors``; any other NaN prints as nan."""
+    is every value of a row in ``errors``; any other NaN prints as nan.
+    Every row is first formatted as if both its ratios were defined; the
+    rows with an undefined ratio, and then the failed ones, are rebuilt."""
     fields = [list(map(text.__getitem__, i.tolist())) for text, i in zip(axis_fields, index)]
     fields.append(repeat(theta_field))
-    for k, name in enumerate(CSV_HEADER[4:], 4):
-        values = cols[name].tolist()
-        fields.append(list(map(format_value, values)) if k in _RATIOS else values)
+    fields += [cols[name].tolist() for name in CSV_HEADER[4:]]
     rows = list(map(_COLUMN_ROW.__mod__, zip(*fields)))
+    for i in np.flatnonzero(np.isnan(cols["u"]) | np.isnan(cols["u_eur"])).tolist():
+        row = [f[i] for f in fields[:3]] + [theta_field] + [f[i] for f in fields[4:]]
+        rows[i] = _RATIO_ROW % tuple(format_value(x) if k in _RATIOS else x
+                                     for k, x in enumerate(row))
     for i in errors:
         rows[i] = _ERROR_ROW % (fields[0][i], fields[1][i], fields[2][i], theta_field)
     return rows

@@ -5,7 +5,9 @@ points rounded up; an assertion message also gives the relative error.
 The ratios u = lhs / w and u_eur = (h_rb + h_sb) / eur_rhs are gated as
 the sweep's reference CSVs gate a ratio: the error times |den| / (1 +
 |ratio|), with den the oracle's w or eur_rhs, and each must be undefined
-exactly where the oracle's |den| < RATIO_MIN.
+exactly where the oracle's |den| < RATIO_MIN. The entropic columns are
+gated twice: the sweep's closed forms, and ``qm_eur``'s matrix path on a
+``thermal_state``.
 The points are every row of the reference CSVs under tests/data, the
 coldest fig3b row at d = 0.06 and seeded points with beta |j| up to
 1000, d up to 1e6 and theta at 0 and pi.
@@ -20,28 +22,34 @@ from pathlib import Path
 import numpy as np
 
 import oracle
+from qurel.linalg import SIGMA_X, SIGMA_Z
+from qurel.measurements import Observable
 from qurel.model import (
     ModelParams,
     T_MIN,
     closed_form_concurrence,
     closed_form_mixedness,
+    thermal_state,
 )
-from qurel.relations import RATIO_MIN, xz_control_setup
+from qurel.relations import RATIO_MIN, qm_eur, xz_control_setup
 from qurel.sweep import evaluate_point
 
 DATA = Path(__file__).parent / "data"
 
 #: absolute bound of each column, for the sweep's values through
-#: ``evaluate_point`` and for the scalar closed forms (``_cf``): the worst
-#: errors measured here are 5.3e-16 (gamma), 8.9e-16 (concurrence, which
-#: also carries the rounding of LAPACK's svd), 7.1e-16 (l_tra), 7.9e-16
-#: (lhs), 8.9e-16 (w), 6.2e-16 (u, scaled as the module docstring says;
-#: undefined at 9 seeded points), 3.6e-16 (gamma_cf) and 2.7e-16
-#: (concurrence_cf).
-#: For the entropic columns they are 6.0e-15 (h_rb, an eigenvalue of a
-#: measured state that is 0 in truth and about eps in the package,
-#: weighing in at eps log2(1/eps)), 2.7e-15 (h_sb), 5.2e-16 (h_ab and
-#: eur_rhs) and 1.9e-15 (u_eur, scaled as u).
+#: ``evaluate_point``, for the scalar closed forms (``_cf``) and for
+#: ``qm_eur`` on a ``thermal_state`` (``_qm``): the worst errors measured
+#: here are 5.3e-16 (gamma), 8.9e-16 (concurrence, which also carries the
+#: rounding of LAPACK's svd), 7.1e-16 (l_tra), 7.9e-16 (lhs), 8.9e-16 (w),
+#: 6.2e-16 (u, scaled as the module docstring says; undefined at 9 seeded
+#: points), 3.6e-16 (gamma_cf) and 2.7e-16 (concurrence_cf).
+#: For the sweep's entropic columns, closed forms in the Gibbs weights,
+#: they are 4.3e-16 (h_rb), 4.4e-16 (h_sb), 5.2e-16 (h_ab and eur_rhs) and
+#: 3.9e-16 (u_eur, scaled as u). qm_eur's matrix path reads them from the
+#: spectra of 2 x 2 memory blocks, where an eigenvalue that is 0 in truth
+#: comes out about eps and weighs in at eps log2(1/eps): 6.0e-15
+#: (h_rb_qm), 2.7e-15 (h_sb_qm), 5.2e-16 (h_ab_qm and eur_rhs_qm) and
+#: 1.9e-15 (u_eur_qm).
 BOUNDS = {
     "gamma": 1e-15,
     "concurrence": 2e-15,
@@ -51,12 +59,21 @@ BOUNDS = {
     "u": 1e-15,
     "gamma_cf": 5e-16,
     "concurrence_cf": 5e-16,
-    "h_rb": 1e-14,
-    "h_sb": 5e-15,
+    "h_rb": 5e-16,
+    "h_sb": 5e-16,
     "h_ab": 1e-15,
     "eur_rhs": 1e-15,
-    "u_eur": 2e-15,
+    "u_eur": 5e-16,
+    "h_rb_qm": 1e-14,
+    "h_sb_qm": 5e-15,
+    "h_ab_qm": 1e-15,
+    "eur_rhs_qm": 1e-15,
+    "u_eur_qm": 2e-15,
 }
+
+
+#: the entropic bound's observables, sigma_x and sigma_z on qubit 0
+_EUR_PAIR = (Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
 
 
 @functools.cache
@@ -68,11 +85,13 @@ def package_row(d, j, t, theta) -> dict:
     """The package's values of the oracle's columns at one row."""
     p = ModelParams(d, j, t)
     rec = evaluate_point(p, _setup(theta))
+    eur = qm_eur(thermal_state(p), *_EUR_PAIR)
     return {"gamma": rec.gamma, "concurrence": rec.concurrence, "l_tra": rec.l_tra,
             "lhs": rec.lhs, "w": rec.w, "u": rec.u, "gamma_cf": closed_form_mixedness(p),
             "concurrence_cf": closed_form_concurrence(p), "h_rb": rec.h_rb,
             "h_sb": rec.h_sb, "h_ab": rec.h_ab, "eur_rhs": rec.eur_rhs,
-            "u_eur": rec.u_eur}
+            "u_eur": rec.u_eur, "h_rb_qm": eur.h_rb, "h_sb_qm": eur.h_sb,
+            "h_ab_qm": eur.h_ab, "eur_rhs_qm": eur.rhs, "u_eur_qm": eur.u_eur}
 
 
 #: each ratio column and the column it divides by
@@ -87,15 +106,16 @@ def worst_errors(points) -> dict:
     for point in points:
         truth = oracle.row(*point)
         for name, value in package_row(*point).items():
-            exact = truth[name.removesuffix("_cf")]
-            if name in RATIOS:
-                den = abs(truth[RATIOS[name]])
+            column = name.removesuffix("_cf").removesuffix("_qm")
+            exact = truth[column]
+            if column in RATIOS:
+                den = abs(truth[RATIOS[column]])
                 assert (value is None) == (den < Decimal(RATIO_MIN)), (point, name, value, den)
                 if value is None:
                     continue
             err = abs(Decimal(value) - exact)
             rel = err / abs(exact) if exact else (Decimal(0) if not err else Decimal("Inf"))
-            if name in RATIOS:
+            if column in RATIOS:
                 err *= den / (1 + abs(exact))
             if err > worst[name][0] or worst[name][2] is None:
                 worst[name] = (float(err), float(rel), point)

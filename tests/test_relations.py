@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qurel.errors import (ConvergenceError, DegenerateOperator, DegeneracyError, DimensionError,
-                          QurelError, SubsystemError, ValidationError)
+from qurel.errors import (ArgumentError, ConvergenceError, DegenerateOperator, DegeneracyError,
+                          DimensionError, QurelError, SubsystemError, ValidationError)
 from qurel import linalg, measurements
 from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
 from qurel.measurements import (
@@ -318,6 +318,19 @@ class TestLTra:
             l_tra(rho, a, b, SIGMA_X + SIGMA_Z, 0.5)
         with pytest.raises(DegenerateOperator, match="is numerically zero"):
             l_tra(rho, a, b, np.zeros((2, 2)), 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_operator_is_rejected(self, bad):
+        """A weighting operator with a NaN or infinite entry is rejected as
+        MeasurementSetup rejects it, before any product is formed: NaN
+        would read as a numerically zero <O†O>, and inf would warn in a
+        matmul."""
+        rho = DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]]), (2,))
+        a, b = Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0)
+        for call in (lambda o: l_tra(rho, a, b, o, 0.5), lambda o: l_tra_operators(a, b, o)):
+            with pytest.raises(ArgumentError, match=r"^ltra_operator has a non-finite entry$"):
+                call(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_setup_builds_its_operator_stack_once(self, monkeypatch):
         """A reused setup keeps its l_tra operator stack: one build, and the

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qurel.errors import ConvergenceError, DimensionError, QurelError, ValidationError
-from qurel.linalg import SIGMA_X, SIGMA_Z, Checks
+from qurel.linalg import SIGMA_X, Checks
 from qurel.measurements import Observable, projective_decompositions
 from qurel.model import ModelParams, T_MIN, _gibbs_eigensystems, thermal_state
-from qurel.relations import qm_eur, xz_control_setup
+from qurel.relations import xz_control_setup
 from qurel.states import (
     DensityOperator,
     check_density,
@@ -304,21 +304,18 @@ def test_thermal_concurrence_matches_closed_form_on_grid():
 
 
 def test_single_state_functionals_equal_the_sweeps_on_thermal_grid():
-    """concurrence_two_qubit and qm_eur on a thermal DensityOperator read the
-    same decomposition as the sweep, so they equal evaluate_point's columns
-    bit for bit."""
+    """concurrence_two_qubit on a thermal DensityOperator reads the same
+    decomposition as the sweep, so it equals evaluate_point's column bit
+    for bit. The sweep's entropic columns are closed forms in the Gibbs
+    weights, and qm_eur reads the state's memory blocks: each meets the
+    50-digit oracle on its own (tests/test_oracle.py)."""
     setup = xz_control_setup()
-    r, s = Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0)
     for d in (0.0, 0.5, 1.0, 3.0):
         for j in (0.5, -0.5, 1.0, 2.0, -2.0):
             for t in (T_MIN, 0.05, 0.3, 1.0, 5.0, 100.0):
                 p = ModelParams(d, j, t)
-                rho = thermal_state(p)
-                rec = evaluate_point(p, setup)
-                eur = qm_eur(rho, r, s)
-                assert concurrence_two_qubit(rho) == rec.concurrence, p
-                assert (eur.h_rb, eur.h_sb, eur.h_ab, eur.rhs) == \
-                    (rec.h_rb, rec.h_sb, rec.h_ab, rec.eur_rhs), p
+                assert concurrence_two_qubit(thermal_state(p)) == \
+                    evaluate_point(p, setup).concurrence, p
 
 
 @pytest.mark.parametrize("make", [

@@ -425,6 +425,24 @@ class TestEmitCsv:
         assert row[CSV_HEADER.index("u")] == ""
         assert row[CSV_HEADER.index("u_eur")] == ""
 
+    def test_rows_are_their_records_fields_byte_for_byte(self, tmp_path):
+        """On an 800-point theta = 0 grid whose chunks mix rows with u
+        undefined, u_eur undefined, both and neither, every data row is
+        the format_value join of its evaluate_point record's fields."""
+        grid = SweepGrid(d_range=(0.0, 0.3, 4), j_range=(-1.0, 1.0, 4),
+                         t_range=(0.001, 0.05, 50))
+        setup = xz_control_setup(theta=0.0)
+        path = tmp_path / "ratios.csv"
+        assert sweep_csv(grid, setup, path) == []
+        points = itertools.product(grid.d_values().tolist(), grid.j_values().tolist(),
+                                   grid.t_values().tolist())
+        records = [evaluate_point(ModelParams(*p), setup) for p in points]
+        undefined = [(rec.u is None, rec.u_eur is None) for rec in records]
+        assert [undefined.count(k) for k in ((True, False), (False, True), (True, True))] == \
+            [2, 229, 76]
+        assert path.read_text().splitlines()[1:] == [
+            ",".join(format_value(getattr(rec, name)) for name in CSV_HEADER) for rec in records]
+
     def test_deterministic_bytes(self, tmp_path):
         grid = SweepGrid(d_range=(0.0, 1.0, 3), j_range=(0.5, 2.0, 3), t_range=(0.5, 2.0, 3))
         setup = xz_control_setup()
@@ -918,7 +936,8 @@ class TestExactLaws:
     marginals are I/2, so each measured variance is 1 and l_tra = 1 +
     cos(theta); the bridge identity then gives w = lhs - (1 - cos(theta)).
     At d = 0 three weights tie at some a, so <zz> = 4a - 1 = +-<xx> and
-    gamma = 6a - 12a^2, which make lhs = 8 gamma / 3."""
+    gamma = 6a - 12a^2, which make lhs = 8 gamma / 3; and the sigma_x- and
+    sigma_z-measured spectra hold the same two values, so h_rb = h_sb."""
 
     def test_bound_is_lhs_less_one_minus_cos_theta_on_every_preset(self):
         """On the five distinct preset grids (41,205 points), |w - (lhs -
@@ -945,6 +964,18 @@ class TestExactLaws:
         law = 8.0 * cols["gamma"] / 3.0
         assert np.abs(cols["lhs"] - law).max() <= 1.5e-15
         assert np.abs(cols["w"] - (law - (1.0 - math.cos(theta)))).max() <= 1.7e-15
+
+    @pytest.mark.parametrize("j_range", [(0.05, 3.0, 60), (-3.0, -0.05, 60)])
+    def test_entropic_columns_coincide_at_zero_d(self, j_range):
+        """With weights (far, |00>, |11>, ground), sigma_x leaves the
+        measured pair p = (w0 + w1)/2, q = (w1 + w3)/2 and sigma_z the pair
+        w1, m = (w0 + w3)/2. At d = 0 three weights tie, so the pairs hold
+        the same two floats and h_rb == h_sb bit for bit on the d = 0 lines
+        of 60 couplings of one sign by 200 temperatures."""
+        grid = SweepGrid(d_range=(0.0, 0.0, 1), j_range=j_range, t_range=(T_MIN, 10.0, 200))
+        cols, errors = sweep_columns(grid, xz_control_setup())
+        assert not errors
+        assert np.array_equal(cols["h_rb"], cols["h_sb"])
 
 
 class TestFigurePresets:
