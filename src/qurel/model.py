@@ -140,7 +140,9 @@ def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
     ``_eigenvectors``): no solver call. Returns the (N, 4, 4) stack rho,
     its normalised Boltzmann weights w (N, 4) and the eigenvectors v
     (N, 4, 4) as columns, in the order of ``_levels``, so w ascends per
-    point, ties included, and rho = v diag(w) v^dagger.
+    point, ties included, and rho = v diag(w) v^dagger: exactly Hermitian,
+    with weights in [0, 1] that sum to 1 to within rounding, so a valid
+    state by construction, which no caller re-checks.
 
     Every point is in the ModelParams domain, which its callers check.
     The one check is a finite Hamiltonian: a point fails with "Hamiltonian

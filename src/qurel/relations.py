@@ -15,20 +15,19 @@ side to its bound ("tightness", closer to 1 is tighter) are reported as
 None when the bound's magnitude falls below 1e-9; negative bounds are
 reported unclamped.
 
-Each evaluator on a DensityOperator is a batch of one of a kernel over a
-stack of states (N, d, d) (``qc_vur_batch``, ``l_tra_batch``,
-``qm_eur_batch``), whose setup-dependent operators are built once
+Each variance evaluator on a DensityOperator is a batch of one of a
+kernel over a stack of states (N, d, d) (``qc_vur_batch``,
+``l_tra_batch``), whose setup-dependent operators are built once
 (``vur_plan``, memoized on the setup and read by ``qc_vur_batch`` itself;
-``l_tra_operators``; ``eur_plan``). The sweeps call the variance kernels;
-their entropic columns, on the model's states only, are closed forms in
-the Gibbs weights (``sweep._entropic_columns``).
+``l_tra_operators``). The sweeps call those kernels. ``qm_eur`` works on
+one state; the sweeps' entropic columns, on the model's states only, are
+closed forms in the Gibbs weights (``sweep._entropic_columns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -159,32 +158,26 @@ def schrodinger_bound(rho_a: DensityOperator, a: Observable, b: Observable):
     return lhs, rhs
 
 
-def _overlap_constant(pr: np.ndarray, ps: np.ndarray) -> float:
-    """max Tr(P_r P_s) over two projector stacks (outcome, d, d), which
-    must hold d rank-one projectors each."""
-    dim = pr.shape[-1]
-    if len(pr) != dim or len(ps) != dim:
-        raise DegeneracyError("overlap constant needs nondegenerate spectra")
-    overlaps = (pr[:, None] * ps.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
-    return float(overlaps.max())
+def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
+    """Memory-assisted entropic bound on a two-qubit state, for observables
+    r and s on the measured qubit 0, with qubit 1 as the memory.
 
-
-class EurPlan(NamedTuple):
-    """The entropic bound's operators for a pair of observables on qubit 0
-    of a two-qubit state: the coefficients that take a state's 2 x 2
-    blocks to the memory blocks of each observable's rank-one
-    eigenprojectors on qubit 0, to the memory's reduced state and to a
-    zero block (see ``qm_eur_batch``), and the overlap term log2(1/c)."""
-
-    coefficients: np.ndarray  # (6, 4): [(o, k), rho_B, zero] x [(x, y)]
-    overlap_bound: float
-
-
-def eur_plan(dims, r: Observable, s: Observable) -> EurPlan:
-    """qm_eur's operators for observables r and s on qubit 0 of a state
-    with subsystem dimensions ``dims`` (which must be (2, 2))."""
-    if tuple(dims) != (2, 2):
-        raise DimensionError(f"expected a two-qubit state, got dims {tuple(dims)}")
+    Measuring qubit 0 in an observable's eigenbasis {|k>} leaves the
+    block-diagonal state sum_k |k><k| (x) M_k, whose spectrum is the union
+    of the 2 x 2 spectra of the memory blocks M_k = Tr_A[(P_k (x) I) rho],
+    taken in closed form. With rho's 2 x 2 blocks rho_xy[b, c] =
+    rho[(x, b), (y, c)], M_k = sum_xy P_k[y, x] rho_xy, and the memory's
+    reduced state is rho_00 + rho_11: one matmul against a (6, 4) table of
+    coefficients takes every block of both observables, rho_B and a zero
+    block from rho, and one closed-form spectrum call their eigenvalues.
+    The zero block pads rho_B's spectrum to four values of which two are
+    0, which add exactly nothing to an entropy, so the entropies of both
+    measured states and S(B) are one reduction. S(AB) comes from the
+    state's stored spectrum: no solver call. The overlap term is
+    log2(1/c), c = max Tr(P_r P_s) over the rank-one eigenprojectors.
+    """
+    if rho.dims != (2, 2):
+        raise DimensionError(f"expected a two-qubit state, got dims {rho.dims}")
     if r.subsystem != 0 or s.subsystem != 0:
         raise SubsystemError("both observables must act on the measured qubit 0")
     for o in (r, s):
@@ -195,55 +188,22 @@ def eur_plan(dims, r: Observable, s: Observable) -> EurPlan:
     _, radii, projectors = spectral_2x2(np.array([r.matrix, s.matrix]))
     if (2.0 * radii < DEGENERACY_TOL).any():
         raise DegeneracyError("overlap constant needs nondegenerate spectra")
-    overlap_bound = float(np.log2(1.0 / _overlap_constant(*projectors)))
+    pr, ps = projectors
+    overlap = (pr[:, None] * ps.swapaxes(-1, -2)).sum(axis=(-2, -1)).real.max()
+    overlap_bound = float(np.log2(1.0 / overlap))
+    # [(o, k), rho_B, zero] x [(x, y)]
     coefficients = np.zeros((6, 4), dtype=complex)
     coefficients[:4] = projectors.swapaxes(-1, -2).reshape(4, 4)
     coefficients[4] = (1.0, 0.0, 0.0, 1.0)
-    coefficients.flags.writeable = False
-    return EurPlan(coefficients=coefficients, overlap_bound=overlap_bound)
-
-
-def qm_eur_batch(rho: np.ndarray, w: np.ndarray, plan: EurPlan) -> dict:
-    """The entropic bound's columns (h_rb, h_sb, h_ab, rhs, u_eur; u_eur
-    NaN where undefined) for a stack of two-qubit states (N, 4, 4) with
-    ascending eigenvalues w (N, 4).
-
-    Measuring qubit 0 in the observable's eigenbasis {|k>} leaves the
-    block-diagonal state sum_k |k><k| (x) M_k, whose spectrum is the union
-    of the 2 x 2 spectra of the memory blocks M_k = Tr_A[(P_k (x) I) rho],
-    taken in closed form. With rho's 2 x 2 blocks rho_xy[b, c] =
-    rho[(x, b), (y, c)], M_k = sum_xy P_k[y, x] rho_xy, and the memory's
-    reduced state is rho_00 + rho_11: one matmul against the plan's
-    coefficients takes every block of both observables, rho_B and a zero
-    block from rho, and one closed-form spectrum call their eigenvalues.
-    The zero block pads rho_B's spectrum to four values of which two
-    are 0, which add exactly nothing to an entropy, so the entropies of
-    both measured states and S(B) are one reduction. S(AB) comes from w:
-    no solver call.
-    """
-    regrouped = rho.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-    blocks = (plan.coefficients @ regrouped).reshape(-1, 6, 2, 2)
-    # [n, (R, S, B), eigenvalue]
-    h_r, h_s, h_b = spectrum_entropies(eigvalsh_2x2(blocks).reshape(-1, 3, 4)).T
-    h_rb = h_r - h_b
-    h_sb = h_s - h_b
-    h_ab = spectrum_entropies(w) - h_b
-    rhs = plan.overlap_bound + h_ab
-    return dict(h_rb=h_rb, h_sb=h_sb, h_ab=h_ab, rhs=rhs, u_eur=ratios(h_rb + h_sb, rhs))
-
-
-def qm_eur(rho: DensityOperator, r: Observable, s: Observable) -> QmEurResult:
-    """Memory-assisted entropic bound on a two-qubit state.
-
-    The measured system is qubit 0, the memory qubit 1. S(AB) comes from
-    the state's stored spectrum: ``qm_eur_batch`` as a batch of one.
-    """
-    plan = eur_plan(rho.dims, r, s)
-    cols = {k: float(v[0])
-            for k, v in qm_eur_batch(rho.matrix[None], rho.eigenvalues[None], plan).items()}
-    return QmEurResult(h_rb=cols["h_rb"], h_sb=cols["h_sb"], h_ab=cols["h_ab"],
-                       overlap_bound=plan.overlap_bound, rhs=cols["rhs"],
-                       u_eur=optional(cols["u_eur"]))
+    regrouped = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    blocks = (coefficients @ regrouped).reshape(6, 2, 2)
+    # [(R, S, B), eigenvalue]
+    h_r, h_s, h_b = spectrum_entropies(eigvalsh_2x2(blocks).reshape(3, 4)).tolist()
+    h_rb, h_sb = h_r - h_b, h_s - h_b
+    h_ab = float(spectrum_entropies(rho.eigenvalues)) - h_b
+    rhs = overlap_bound + h_ab
+    return QmEurResult(h_rb=h_rb, h_sb=h_sb, h_ab=h_ab, overlap_bound=overlap_bound, rhs=rhs,
+                       u_eur=optional(float(ratios(h_rb + h_sb, rhs))))
 
 
 def _weighting_operator(o) -> np.ndarray:

@@ -45,7 +45,7 @@ from .relations import (
     vur_plan,
     xz_control_setup,
 )
-from .states import check_density, concurrence_batch, mixedness_batch, spectrum_entropies
+from .states import concurrence_batch, mixedness_batch, spectrum_entropies
 
 #: matched-mixedness targets are located on this log-spaced scan
 SCAN_T_MAX = 1e4
@@ -201,10 +201,10 @@ def _columns(d, j, t, setup: MeasurementSetup, checks: Checks) -> dict:
     """Value columns (CSV names, NaN for an undefined ratio) of a batch of
     model points, which the caller has checked: their Gibbs states with
     their eigendecompositions, all in closed form, through the setup's
-    operators, and the entropic bound from the weights alone. A setup that
-    cannot be planned on two qubits raises."""
+    operators, and the entropic bound from the weights alone. The states are
+    valid by construction; only their reduced measured states are checked.
+    A setup that cannot be planned on two qubits raises."""
     rho, w, v = _gibbs_eigensystems(d, j, t, checks)
-    check_density(rho, w, checks)
     vur = qc_vur_batch(rho, (2, 2), setup, checks)
     return dict(gamma=mixedness_batch(rho), concurrence=concurrence_batch(w, v),
                 l_tra=vur["l_tra"], lhs=vur["lhs"], w=vur["w"], u=vur["u"],

@@ -34,6 +34,8 @@ from .sweep import (_matched_bounds, check_single_valued, evaluate_point, figure
 GRID_D = (0.0, 0.5, 1.0, 2.0)
 GRID_J = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 GRID_T = (0.2, 0.5, 1.0, 2.0, 5.0)
+#: seeds the random cases of every section that draws any
+SEED = 20240817
 
 
 @dataclass
@@ -72,18 +74,11 @@ def _closed_form_matrix(p: ModelParams) -> np.ndarray:
 
 
 def check_kernel(rng) -> list[Check]:
-    # 1,480 normal draws stand in for two retired Kronecker-product checks,
-    # so this case and the later sections keep the random cases they drew
-    rng.standard_normal(1480)
     a, b, c = (_random_hermitian(rng, 2) for _ in range(3))
     m = np.kron(np.kron(a, b), c)
     step = partial_trace(partial_trace(m, (2, 2, 2), (0, 1)), (2, 2), (0,))
     full = partial_trace(m, (2, 2, 2), (0,))
     dev = float(np.max(np.abs(step - full))) + abs(np.trace(step) - np.trace(m))
-
-    # 1,600 normal draws keep the later sections on the random cases that
-    # earlier versions of this suite drew, so their margins stay comparable
-    rng.standard_normal(1600)
     return [Check("partial trace chains and preserves trace", dev <= 1e-12, f"dev {dev:.2e}")]
 
 
@@ -185,8 +180,6 @@ def check_conditional(rng) -> list[Check]:
     checks.append(Check("chained decomposition telescopes to V(Q) (100 cases)", worst <= 1e-9,
                         f"max dev {worst:.2e}"))
     checks.append(Check("decomposition terms nonnegative", neg >= -1e-10, f"min term {neg:.2e}"))
-
-    rng.standard_normal(2400)  # as in check_kernel
     return checks
 
 
@@ -329,13 +322,15 @@ def check_tightness_trend() -> list[Check]:
 def run_all() -> int:
     """Run the whole suite; returns 0 on success, 2 on any failure."""
     t0 = time.time()
-    rng = np.random.default_rng(20240817)
+    # one generator per section that draws random cases, so that an edit to
+    # one section leaves the others' cases as they were
+    rng = [np.random.default_rng((SEED, k)) for k in range(3)]
     # (title, function returning the section's checks and notes), in report order
     sections = [
-        ("matrix kernel", lambda: (check_kernel(rng), ())),
+        ("matrix kernel", lambda: (check_kernel(rng[0]), ())),
         ("thermal model", lambda: (check_model(), ())),
-        ("conditional statistics", lambda: (check_conditional(rng), ())),
-        ("uncertainty bounds", lambda: (check_inequalities(rng), ())),
+        ("conditional statistics", lambda: (check_conditional(rng[1]), ())),
+        ("uncertainty bounds", lambda: (check_inequalities(rng[2]), ())),
         ("reference points", check_reference_points),
         ("mixedness matching", lambda: (check_mixedness_matching(xz_control_setup()), ())),
         ("tightness comparison map", lambda: (check_tightness_trend(), ())),

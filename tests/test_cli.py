@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qurel import cli, sweep, verify
+from qurel import cli, relations, sweep, verify
 from qurel.cli import main
 from qurel.errors import ArgumentError, QurelError, ValidationError
 from qurel.model import T_MIN, ModelParams
@@ -183,9 +183,9 @@ class TestArgumentDomain:
 
     @staticmethod
     def _fail_every_density_check(monkeypatch):
-        """Makes every state of a sweep batch fail the density check, a
-        numerical ValidationError, not an argument error."""
-        monkeypatch.setattr(sweep, "check_density",
+        """Makes every reduced measured state of a sweep batch fail the
+        density check, a numerical ValidationError, not an argument error."""
+        monkeypatch.setattr(relations, "check_density",
                             lambda m, w, checks: check_density(m, w - 1.0, checks))
 
     def test_numerical_validation_error_exits_two(self, monkeypatch, capsys):

@@ -18,7 +18,8 @@ from qurel.model import (
     hamiltonian,
     thermal_state,
 )
-from qurel.states import concurrence_batch, concurrence_two_qubit, mixedness, mixedness_batch
+from qurel.states import (check_density, concurrence_batch, concurrence_two_qubit, mixedness,
+                          mixedness_batch)
 
 from helpers import GRID, gibbs_reference, thermal_elements, thermal_matrix
 
@@ -261,6 +262,28 @@ class TestExtremeInputs:
         rebuilt = (v * w[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
         assert np.abs(rebuilt - rho).max() <= 4.0 * self.EPS
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 4.0 * self.EPS
+
+    def test_states_are_valid_by_construction(self):
+        """The sweep does not re-check its Gibbs states, because every state
+        the kernel does not flag passes DensityOperator's checks as built:
+        exactly Hermitian, unit trace to 4 eps and weights in [0, 1]. The
+        kernel flags exactly the points where (j/2)(2d) overflows."""
+        d_values = (0.0, 1e-8, 0.5, 3.0, 1e6, 1e150, 4e307)
+        j_values = tuple(s * m for m in (1e-9, 1e-3, 1.0, 1e6, 1e300) for s in (1.0, -1.0))
+        t_values = (T_MIN, 0.05, 1.0, 1e6, 1e300)
+        d, j, t = (np.array(axis) for axis in zip(*itertools.product(d_values, j_values,
+                                                                     t_values)))
+        checks = Checks(len(d))
+        rho, w, _ = _gibbs_eigensystems(d, j, t, checks)
+        overflows = [math.isinf((jj / 2.0) * (2.0 * dd)) for dd, jj in zip(d.tolist(), j.tolist())]
+        assert checks.failed.tolist() == overflows
+        ok = ~checks.failed
+        assert (rho[ok] == rho[ok].swapaxes(-1, -2).conj()).all()
+        assert np.abs(rho[ok].trace(axis1=-2, axis2=-1) - 1.0).max() <= 4.0 * self.EPS
+        assert ((w[ok] >= 0.0) & (w[ok] <= 1.0)).all()
+        fresh = Checks(int(ok.sum()))
+        check_density(rho[ok], w[ok], fresh)
+        assert not fresh.failed.any()
 
     def test_scalar_closed_forms_agree_with_the_stack(self):
         """Wherever the stack has a state, the scalar closed forms are

@@ -9,7 +9,6 @@ from qurel import linalg, measurements
 from qurel.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, Checks
 from qurel.measurements import (
     Observable,
-    projective_decompositions,
     sequential_decomposition,
     variance,
 )
@@ -17,7 +16,6 @@ from qurel.model import ModelParams, T_MIN, thermal_state
 from qurel import relations
 from qurel.relations import (
     MeasurementSetup,
-    eur_plan,
     l_tra,
     l_tra_operators,
     qc_vur,
@@ -85,10 +83,9 @@ class TestSchrodingerBound:
 
 
 def maximal_overlap(r, s):
-    """Largest squared overlap of two observables' eigenbases, from their
-    projectors (``relations._overlap_constant``)."""
-    return relations._overlap_constant(
-        *(dec.projectors for dec in projective_decompositions([r, s])))
+    """Largest squared overlap c of two observables' eigenbases, from the
+    overlap term log2(1/c) of ``qm_eur`` on the maximally mixed state."""
+    return 2.0 ** -qm_eur(DensityOperator(np.eye(4) / 4.0, (2, 2)), r, s).overlap_bound
 
 
 class TestMaximalOverlap:
@@ -114,23 +111,16 @@ class TestMaximalOverlap:
         with pytest.raises(DegeneracyError):
             maximal_overlap(Observable(np.eye(2, dtype=complex), 0), Observable(SIGMA_Z, 0))
         with pytest.raises(DegeneracyError):
-            eur_plan((2, 2), Observable(np.eye(2, dtype=complex), 0), Observable(SIGMA_Z, 0))
+            qm_eur(bell_state(), Observable(np.eye(2, dtype=complex), 0), Observable(SIGMA_Z, 0))
 
     def test_rejects_subsystem_mismatch(self):
         with pytest.raises(SubsystemError):
-            eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 1))
-
-    def test_plan_is_read_only(self):
-        """A plan can be shared, as the sweep shares its sigma_x / sigma_z
-        plan, so its coefficients cannot be written."""
-        plan = eur_plan((2, 2), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 0))
-        with pytest.raises(ValueError, match="read-only"):
-            plan.coefficients[0, 0] = 0.0
+            qm_eur(bell_state(), Observable(SIGMA_X, 0), Observable(SIGMA_Z, 1))
 
     def test_rejects_dimension_mismatch(self):
         qutrit = Observable(np.diag([1.0, 2.0, 3.0]), 0)
         with pytest.raises(DimensionError, match="operator dim 3 != subsystem dim 2"):
-            eur_plan((2, 2), Observable(SIGMA_X, 0), qutrit)
+            qm_eur(bell_state(), Observable(SIGMA_X, 0), qutrit)
 
 
 class TestQmEur:
@@ -231,8 +221,6 @@ class TestQmEur:
         pair = [Observable(SIGMA_X, 0), Observable(np.diag([1.0, 2.0, 3.0]), 0)]
         if qutrit_first:
             pair.reverse()
-        with pytest.raises(DimensionError, match="operator dim 3 != subsystem dim 2"):
-            eur_plan((2, 2), *pair)
         with pytest.raises(DimensionError, match="operator dim 3 != subsystem dim 2"):
             qm_eur(bell_state(), *pair)
 
