@@ -81,7 +81,8 @@ class Checks:
         """The stack with every failed point replaced by ``fill``, so that a
         non-finite entry of a failed point cannot break a LAPACK call that
         covers the whole batch."""
-        if not self.failed.any():
+        # a point is in ``errors`` exactly when it failed
+        if not self.errors:
             return stack
         return np.where(self.failed.reshape((-1,) + (1,) * (stack.ndim - 1)), fill, stack)
 

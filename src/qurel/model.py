@@ -95,9 +95,10 @@ def hamiltonian(p: ModelParams) -> np.ndarray:
 
 
 def thermal_state(p: ModelParams) -> DensityOperator:
-    """Gibbs state exp(-H/T) / Z as a validated two-qubit density operator
-    that keeps its closed-form eigendecomposition: ``_gibbs_eigensystems``
-    as a batch of one, with no solver call."""
+    """Gibbs state exp(-H/T) / Z as a two-qubit density operator that
+    keeps its closed-form eigendecomposition: ``_gibbs_eigensystems`` as a
+    batch of one, with no solver call. The kernel builds the state valid,
+    so it is not re-checked (``DensityOperator._decomposed``)."""
     checks = Checks(1)
     rho, w, v = _gibbs_eigensystems(np.array([p.d]), np.array([p.j]), np.array([p.t]), checks)
     checks.raise_first()
@@ -111,8 +112,11 @@ def _levels(d: np.ndarray, j: np.ndarray) -> np.ndarray:
     then twice 1 + r for j > 0 and r - 1 = d (d / (1 + r)) for j < 0, then
     0; so they descend, and the Boltzmann weights ascend."""
     r = np.hypot(1.0, d)
-    pair = np.where(j > 0.0, 1.0 + r, d * (d / (1.0 + r)))
-    return np.stack([2.0 * r, pair, pair, np.zeros_like(r)], axis=1)
+    heights = np.empty((len(d), 4))
+    heights[:, 0] = 2.0 * r
+    heights[:, 1] = heights[:, 2] = np.where(j > 0.0, 1.0 + r, d * (d / (1.0 + r)))
+    heights[:, 3] = 0.0
+    return heights
 
 
 #: 1/sqrt(2), the |01> and |10> amplitude of the two inner eigenvectors

@@ -35,7 +35,8 @@ class DensityOperator:
     a corrupted state would silently poison every quantity computed
     downstream, and a solver failure raises ConvergenceError. A thermal
     state of the model (``model.thermal_state``) brings its closed-form
-    decomposition instead, and the same checks run on that. The ascending
+    decomposition instead (``_decomposed``): the model's Gibbs kernel
+    builds it valid, so only its dims are checked. The ascending
     eigenvalues and the eigenvectors (as columns) are kept, read-only,
     for the functionals that need the spectrum
     (``von_neumann_entropy``, ``concurrence_two_qubit``, ``qm_eur``); they
@@ -53,26 +54,27 @@ class DensityOperator:
         dims = _subsystem_dims(self.dims, m)
         # a non-finite entry fails the Hermiticity check, so the solver only
         # ever sees finite entries
-        self._keep(m, dims, *eigh(np.where(np.isfinite(m), m, 0.0)))
+        w, v = eigh(np.where(np.isfinite(m), m, 0.0))
+        checks = Checks(1)
+        check_density(m[None], w[None], checks)
+        checks.raise_first()
+        self._keep(m, dims, w, v)
 
     @classmethod
     def _decomposed(cls, matrix, dims, w: np.ndarray, v: np.ndarray) -> "DensityOperator":
         """A state whose ascending eigenvalues ``w`` and eigenvectors ``v``
-        (as columns) are known already, such as a Gibbs state of the model:
-        construction's checks run on that decomposition, which is kept,
-        with no solver call."""
+        (as columns) are known already and valid by construction, such as a
+        Gibbs state of the model's kernel: the dims are checked, and the
+        decomposition is kept as given, with no solver call and no
+        ``check_density``."""
         rho = object.__new__(cls)
         m = as_square(matrix).copy()
         rho._keep(m, _subsystem_dims(dims, m), w, v)
         return rho
 
     def _keep(self, m: np.ndarray, dims: tuple, w: np.ndarray, v: np.ndarray) -> None:
-        """Checks the square matrix ``m`` against its decomposition
-        (``check_density``), raising the first error, then stores the
-        arrays read-only."""
-        checks = Checks(1)
-        check_density(m[None], w[None], checks)
-        checks.raise_first()
+        """Stores the square matrix ``m``, its decomposition and the dims,
+        the arrays read-only."""
         for name, value in (("matrix", m), ("eigenvalues", w), ("eigenvectors", v)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)

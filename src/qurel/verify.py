@@ -166,7 +166,8 @@ def check_conditional(rng) -> list[Check]:
                         f"max dev {worst:.2e}"))
 
     worst = 0.0
-    neg = 0.0
+    # from +inf, so the detail shows the smallest term however large it is
+    neg = np.inf
     for i in range(100):
         n_ctrl = 2 if i % 2 == 0 else 3
         dims = (2,) * (n_ctrl + 1)
@@ -185,7 +186,8 @@ def check_conditional(rng) -> list[Check]:
 
 def check_inequalities(rng) -> list[Check]:
     checks = []
-    worst = 0.0
+    # each excess starts at -inf, so its detail shows the true margin
+    worst = -np.inf
     for _ in range(500):
         rho = _random_density(rng, (2,))
         a = Observable(_random_hermitian(rng, 2), 0)
@@ -198,7 +200,7 @@ def check_inequalities(rng) -> list[Check]:
     checks.append(Check("additive bound holds (500 random cases)", worst <= 1e-9,
                         f"max excess {worst:.2e}"))
 
-    worst = 0.0
+    worst = -np.inf
     for _ in range(500):
         rho = _random_density(rng, (2,))
         a = Observable(_random_hermitian(rng, 2), 0)
@@ -209,7 +211,8 @@ def check_inequalities(rng) -> list[Check]:
                         f"max excess {worst:.2e}"))
 
     setup = xz_control_setup()
-    worst_ineq = worst_bridge = worst_eur = 0.0
+    worst_ineq = worst_eur = -np.inf
+    worst_bridge = 0.0
     min_ratio = np.inf
     for d in GRID_D:
         for j in GRID_J:
@@ -232,7 +235,7 @@ def check_inequalities(rng) -> list[Check]:
     checks.append(Check("tightness ratio >= 1 where bound positive", min_ratio >= 1.0 - 1e-9,
                         f"min ratio {min_ratio:.6f}"))
 
-    worst_bridge = worst_ineq = 0.0
+    worst_bridge, worst_ineq = 0.0, -np.inf
     for i in range(200):
         n_ctrl = 1 + i % 3
         dims = (2,) * (n_ctrl + 1)

@@ -579,6 +579,24 @@ class TestVerifyCommand:
         assert "[FAIL] forced failure" in out
         assert "FAILURES detected" in out
 
+    def test_details_show_the_true_margins(self):
+        """On verify's own seed, the nonnegative-terms check reports its
+        smallest term and the bound checks their largest excess, each with
+        its sign, not a 0 that any margin would print."""
+        def values(checks, names):
+            by_name = {chk.name: chk.detail for chk in checks}
+            return [float(by_name[name].split()[-1]) for name in names]
+
+        rng = [np.random.default_rng((verify.SEED, k)) for k in range(3)]
+        min_term, = values(verify.check_conditional(rng[1]), ["decomposition terms nonnegative"])
+        assert min_term > 0.0
+        excesses = values(verify.check_inequalities(rng[2]),
+                          ["additive bound holds (500 random cases)",
+                           "product bound holds (500 random cases)",
+                           "assisted bound holds on the model grid",
+                           "assisted bound holds on random 2-4 qubit cases"])
+        assert all(excess < 0.0 for excess in excesses), excesses
+
 
 def test_unknown_command_exits_one(capsys):
     code = main(["frobnicate"])

@@ -264,19 +264,20 @@ class TestExtremeInputs:
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 4.0 * self.EPS
 
     def test_states_are_valid_by_construction(self):
-        """The sweep does not re-check its Gibbs states, because every state
-        the kernel does not flag passes DensityOperator's checks as built:
-        exactly Hermitian, unit trace to 4 eps and weights in [0, 1]. The
-        kernel flags exactly the points where (j/2)(2d) overflows."""
+        """Neither the sweep nor thermal_state re-checks its Gibbs states,
+        because every state the kernel does not flag passes
+        DensityOperator's checks as built: exactly Hermitian, unit trace to
+        4 eps and weights in [0, 1]. The kernel flags exactly the points
+        where (j/2)(2d) overflows, and there thermal_state raises."""
         d_values = (0.0, 1e-8, 0.5, 3.0, 1e6, 1e150, 4e307)
         j_values = tuple(s * m for m in (1e-9, 1e-3, 1.0, 1e6, 1e300) for s in (1.0, -1.0))
         t_values = (T_MIN, 0.05, 1.0, 1e6, 1e300)
         d, j, t = (np.array(axis) for axis in zip(*itertools.product(d_values, j_values,
                                                                      t_values)))
         checks = Checks(len(d))
-        rho, w, _ = _gibbs_eigensystems(d, j, t, checks)
+        rho, w, v = _gibbs_eigensystems(d, j, t, checks)
         overflows = [math.isinf((jj / 2.0) * (2.0 * dd)) for dd, jj in zip(d.tolist(), j.tolist())]
-        assert checks.failed.tolist() == overflows
+        assert checks.failed.tolist() == overflows and sum(overflows) == 30
         ok = ~checks.failed
         assert (rho[ok] == rho[ok].swapaxes(-1, -2).conj()).all()
         assert np.abs(rho[ok].trace(axis1=-2, axis2=-1) - 1.0).max() <= 4.0 * self.EPS
@@ -284,6 +285,18 @@ class TestExtremeInputs:
         fresh = Checks(int(ok.sum()))
         check_density(rho[ok], w[ok], fresh)
         assert not fresh.failed.any()
+        for i, point in enumerate(zip(d.tolist(), j.tolist(), t.tolist())):
+            if checks.failed[i]:
+                with pytest.raises(RangeError, match="Hamiltonian overflowed"):
+                    thermal_state(ModelParams(*point))
+                continue
+            state = thermal_state(ModelParams(*point))
+            assert np.array_equal(state.matrix, rho[i]), point
+            assert np.array_equal(state.eigenvalues, w[i]), point
+            assert np.array_equal(state.eigenvectors, v[i]), point
+            one = Checks(1)
+            check_density(state.matrix[None], state.eigenvalues[None], one)
+            assert not one.failed.any(), point
 
     def test_scalar_closed_forms_agree_with_the_stack(self):
         """Wherever the stack has a state, the scalar closed forms are

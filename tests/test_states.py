@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
+from qurel import states
 from qurel.errors import ConvergenceError, DimensionError, QurelError, ValidationError
 from qurel.linalg import SIGMA_X, Checks
 from qurel.measurements import Observable, projective_decompositions
@@ -99,7 +100,7 @@ class TestDensityOperator:
     def test_thermal_state_keeps_its_closed_form_decomposition(self, monkeypatch):
         """A thermal state carries the decomposition of the model's kernel,
         read-only like eigh's, and is built with no solver call; the
-        private constructor behind it runs construction's checks."""
+        private constructor behind it checks the dims."""
         calls = count_solver_calls(monkeypatch)
         p = ModelParams(0.5, -2.0, 0.3)
         rho = thermal_state(p)
@@ -111,15 +112,24 @@ class TestDensityOperator:
             with pytest.raises(ValueError):
                 array[0] = 1.0
         eye = np.eye(4, dtype=complex)
-        with pytest.raises(ValidationError, match="trace"):
-            DensityOperator._decomposed(np.eye(4) / 2.0, (2, 2), np.full(4, 0.5), eye)
-        with pytest.raises(ValidationError, match="negative eigenvalue"):
-            DensityOperator._decomposed(np.eye(4) / 4.0, (2, 2), np.array([-1.0, 0, 0, 2]), eye)
-        upper = np.triu(np.ones((4, 4))) / 4.0
-        with pytest.raises(ValidationError, match="not Hermitian"):
-            DensityOperator._decomposed(upper, (2, 2), np.full(4, 0.25), eye)
         with pytest.raises(DimensionError):
             DensityOperator._decomposed(np.eye(4) / 4.0, (2, 3), np.full(4, 0.25), eye)
+
+    def test_only_a_general_state_runs_the_density_checks(self, monkeypatch):
+        """A general state is checked once as it is built; a thermal state,
+        valid by construction (``TestExtremeInputs`` in test_model), is not
+        re-checked."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            check_density(*args)
+
+        monkeypatch.setattr(states, "check_density", counting)
+        thermal_state(ModelParams(0.5, -2.0, 0.3))
+        assert len(calls) == 0
+        DensityOperator(np.eye(4) / 4.0, (2, 2))
+        assert len(calls) == 1
 
     def test_solver_failure_raises_convergence_error(self, monkeypatch):
         """A state the eigensolver rejects raises ConvergenceError, a
