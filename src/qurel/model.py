@@ -105,13 +105,12 @@ def thermal_state(p: ModelParams) -> DensityOperator:
     return DensityOperator._decomposed(rho[0], (2, 2), w[0], v[0])
 
 
-def _levels(d: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _levels(d: np.ndarray, j: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Each level's height above the ground level -j/2 - |j| r of the
-    Hamiltonians at arrays of (d, j), in units of |j|, as an (N, 4) array
-    in the order: far level, |00>, |11>, ground level. The heights are 2r,
-    then twice 1 + r for j > 0 and r - 1 = d (d / (1 + r)) for j < 0, then
-    0; so they descend, and the Boltzmann weights ascend."""
-    r = np.hypot(1.0, d)
+    Hamiltonians at arrays of (d, j), r = hypot(1, d), in units of |j|, as
+    an (N, 4) array in the order: far level, |00>, |11>, ground level. The
+    heights are 2r, then twice 1 + r for j > 0 and r - 1 = d (d / (1 + r))
+    for j < 0, then 0; so they descend, and the Boltzmann weights ascend."""
     heights = np.empty((len(d), 4))
     heights[:, 0] = 2.0 * r
     heights[:, 1] = heights[:, 2] = np.where(j > 0.0, 1.0 + r, d * (d / (1.0 + r)))
@@ -123,15 +122,15 @@ def _levels(d: np.ndarray, j: np.ndarray) -> np.ndarray:
 _ROOT_HALF = math.sqrt(0.5)
 
 
-def _eigenvectors(d: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The Hamiltonians' eigenvectors at arrays of (d, j), as the columns of
-    an (N, 4, 4) stack in the order of ``_levels``: with s = sign(j), the
-    far and ground levels are (|01> +/- s e^(-i phi) |10>) / sqrt(2),
-    e^(-i phi) = (1 - i d) / r."""
+def _eigenvectors(d: np.ndarray, j: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Hamiltonians' eigenvectors at arrays of (d, j), r = hypot(1, d),
+    as the columns of an (N, 4, 4) stack in the order of ``_levels``: with
+    s = sign(j), the far and ground levels are
+    (|01> +/- s e^(-i phi) |10>) / sqrt(2), e^(-i phi) = (1 - i d) / r."""
     v = np.zeros((len(d), 4, 4), dtype=complex)
     v[:, 0, 1] = v[:, 3, 2] = 1.0
     v[:, 1, 0] = v[:, 1, 3] = _ROOT_HALF
-    c = np.copysign(_ROOT_HALF, j) / np.hypot(1.0, d)
+    c = np.copysign(_ROOT_HALF, j) / r
     v[:, 2, 0] = c - 1j * (c * d)
     v[:, 2, 3] = -v[:, 2, 0]
     return v
@@ -163,7 +162,8 @@ def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
         f"Hamiltonian overflowed at {ModelParams(float(d[i]), float(j[i]), float(t[i]))}"))
     d = checks.clean(d, 0.0)
     j = checks.clean(j, 1.0)
-    heights = _levels(d, j)
+    r = np.hypot(1.0, d)
+    heights = _levels(d, j, r)
     aj = np.abs(j)[:, None]
     t = t[:, None]
     # |j| height / t in two orders: each overflows short of the true value
@@ -176,46 +176,44 @@ def _gibbs_eigensystems(d: np.ndarray, j: np.ndarray, t: np.ndarray,
     w = weights / weights.sum(axis=1, keepdims=True)
     # V diag(w) V^dagger for the V of _eigenvectors, entry by entry: the X
     # state, exactly Hermitian
-    coherence = (w[:, 0] - w[:, 3]) * np.copysign(0.5, j) / np.hypot(1.0, d)
+    coherence = (w[:, 0] - w[:, 3]) * np.copysign(0.5, j) / r
     rho = np.zeros((len(d), 4, 4), dtype=complex)
     rho[:, 0, 0] = rho[:, 3, 3] = w[:, 1]
     rho[:, 1, 1] = rho[:, 2, 2] = 0.5 * (w[:, 0] + w[:, 3])
     rho[:, 1, 2] = coherence + 1j * (coherence * d)
     rho[:, 2, 1] = np.conj(rho[:, 1, 2])
     return (checks.clean(rho, np.eye(4) / 4.0), checks.clean(w, 0.25),
-            checks.clean(_eigenvectors(d, j), np.eye(4)))
+            checks.clean(_eigenvectors(d, j, r), np.eye(4)))
 
 
-def _shifted_weights(d: float, j: float):
-    """The Boltzmann factors of |00> (equal to that of |11>) and of the far
-    level relative to the ground level's at one (d, j) of the model's
-    domain that the caller has checked, as ``weights(t) -> (a, f)`` for any
-    t >= T_MIN: ``_gibbs_eigensystems``' weights in scalar math, from the
-    same heights and in the same two orders, each at most 1. r, the heights
-    and their products with |j| are formed once per (d, j). Every closed
-    form below is a ratio of terms of equal degree in a and f.
-    """
+def _heights(d: float, j: float) -> tuple[float, float, float, float, float]:
+    """|j|, the heights of |00> (equal to that of |11>) and of the far level
+    in units of |j|, and the two heights times |j|, at one (d, j) of the
+    model's domain that the caller has checked: ``_levels`` in scalar math.
+    The Boltzmann factors a of |00> and f of the far level relative to the
+    ground level's are then exp(-min(h |j| / t, h (|j| / t))) for each
+    height h, ``_gibbs_eigensystems``' weights in the same two orders, each
+    at most 1; min keeps its first argument, which is never NaN, over a
+    NaN. Every closed form below is a ratio of terms of equal degree in a
+    and f."""
     aj = abs(j)
     r = math.hypot(1.0, d)
     pair = 1.0 + r if j > 0.0 else d * (d / (1.0 + r))
     far = 2.0 * r
-    pair_aj, far_aj = pair * aj, far * aj
-
-    def weights(t: float) -> tuple[float, float]:
-        # min keeps its first argument, which is never NaN, over a NaN
-        q = aj / t
-        return math.exp(-min(pair_aj / t, pair * q)), math.exp(-min(far_aj / t, far * q))
-
-    return weights
+    return aj, pair, far, pair * aj, far * aj
 
 
 def _mixedness_of(d: float, j: float):
     """``closed_form_mixedness`` at one (d, j) of the model's domain, as
-    gamma(t) on ``_shifted_weights``' kernel."""
-    weights = _shifted_weights(d, j)
+    gamma(t) for any t >= T_MIN: ``_heights`` runs once, and each
+    evaluation forms a, f and their ratio inline, with no call but exp and
+    min."""
+    aj, pair, far, pair_aj, far_aj = _heights(d, j)
 
     def gamma(t: float) -> float:
-        a, f = weights(t)
+        q = aj / t
+        a = math.exp(-min(pair_aj / t, pair * q))
+        f = math.exp(-min(far_aj / t, far * q))
         z = 1.0 + 2.0 * a + f
         return (2.0 * a * a + 4.0 * a + 4.0 * a * f + 2.0 * f) / z / z
 
@@ -235,5 +233,8 @@ def closed_form_concurrence(p: ModelParams) -> float:
     relative to the ground level's weight, |rho23| is (1 - f) / 2 and
     rho11 = rho44 is a.
     """
-    a, f = _shifted_weights(p.d, p.j)(p.t)
+    aj, pair, far, pair_aj, far_aj = _heights(p.d, p.j)
+    q = aj / p.t
+    a = math.exp(-min(pair_aj / p.t, pair * q))
+    f = math.exp(-min(far_aj / p.t, far * q))
     return max(1.0 - f - 2.0 * a, 0.0) / (1.0 + 2.0 * a + f)

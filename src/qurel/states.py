@@ -172,9 +172,12 @@ def concurrence_batch(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     of the bracket. The bracket is the complex conjugate of W^T Y W with
     W = V S, which has the same singular values: one product per state
     and one batched ``svd``. Y W is W's rows in reverse order with the
-    outer two negated.
+    outer two negated. The result is clamped to [0, 1]: the singular
+    values of a pure maximally entangled state can differ by an ulp or
+    two above 1 (as at d = 5.99e307, where the thermal state is a Bell
+    state), which no concurrence reaches.
     """
     scaled = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
     flip_core = np.swapaxes(scaled, -1, -2) @ (scaled[:, ::-1] * _FLIP_SIGNS)
     s = np.linalg.svd(flip_core, compute_uv=False)
-    return np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3])
+    return np.minimum(np.maximum(0.0, s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]), 1.0)

@@ -159,7 +159,7 @@ def _violations(values: np.ndarray, errors: dict) -> list[tuple[int, str]]:
     d, j, t, gamma, conc, lhs, w, h_rb, h_sb, rhs = values
     entropic = h_rb + h_sb
     bad = (~((gamma >= -1e-9) & (gamma <= 0.75 + 1e-9)),
-           ~((conc >= -1e-9) & (conc <= 1.0 + 1e-9)),
+           ~((conc >= -1e-9) & (conc <= 1.0)),
            lhs < w - 1e-9,
            entropic < rhs - 1e-9)
     if not (errors or (bad[0] | bad[1] | bad[2] | bad[3]).any()):
@@ -366,15 +366,16 @@ def match_mixedness(d: float, j: float, target_gamma: float) -> float:
     # to 0 for targets below about 1e-162
     gammas = []
     for k, t in enumerate(_SCAN_TS):
-        gammas.append(gamma(t))
-        f_hi = gammas[-1] - target_gamma
+        g = gamma(t)
+        gammas.append(g)
+        f_hi = g - target_gamma
         if f_hi == 0.0 or (k and (f_hi < 0.0) != (f_lo < 0.0)):
             break
         f_lo = f_hi
     else:
         raise RangeError(
             f"gamma = {target_gamma} not achieved for d = {d}, j = {j}; "
-            f"scan reached [{min(gammas):.6g}, {max(gammas):.6g}]")
+            f"scan reached [{min(gammas)!r}, {max(gammas)!r}]")
     if k == 0:
         return _SCAN_TS[0]
     lo, hi = _SCAN_TS[k - 1], _SCAN_TS[k]

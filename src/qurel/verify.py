@@ -89,8 +89,9 @@ def check_hamiltonian() -> Check:
     ``hamiltonian(p)`` to a few eps ||H|| (||H|| = max |E|)."""
     d = np.repeat(GRID_D, len(GRID_J))
     j = np.tile(GRID_J, len(GRID_D))
-    heights, v = _levels(d, j), _eigenvectors(d, j)
-    energies = (-j / 2.0 - np.abs(j) * np.hypot(1.0, d))[:, None] + np.abs(j)[:, None] * heights
+    r = np.hypot(1.0, d)
+    heights, v = _levels(d, j, r), _eigenvectors(d, j, r)
+    energies = (-j / 2.0 - np.abs(j) * r)[:, None] + np.abs(j)[:, None] * heights
     rebuilt = (v * energies[:, None, :]) @ dagger(v)
     worst = max(float(np.max(np.abs(m - hamiltonian(ModelParams(dd, jj, 1.0)))))
                 / (np.finfo(float).eps * float(np.max(np.abs(e))))

@@ -435,7 +435,7 @@ class TestMatchGammaCommand:
         assert code == 2
         assert out == ""
         assert err == ("error: gamma = 0.3 not achieved for d = 1.0, j = 1e+307; "
-                       "scan reached [0, 0]\n")
+                       "scan reached [0.0, 0.0]\n")
 
     def test_tiny_target_is_matched(self, capsys):
         """gamma rises from 0 to 0.75 at (1, 1), so 1e-300 is reached, though

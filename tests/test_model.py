@@ -231,7 +231,8 @@ class TestExtremeInputs:
         checks = Checks(len(d))
         rho = _gibbs_eigensystems(d, j, t, checks)[0]
         ok = ~checks.failed
-        rho, v, heights = rho[ok], _eigenvectors(d[ok], j[ok]), _levels(d[ok], j[ok])
+        d, j, r = d[ok], j[ok], np.hypot(1.0, d[ok])
+        rho, v, heights = rho[ok], _eigenvectors(d, j, r), _levels(d, j, r)
         eye_dev = np.abs(np.swapaxes(v.conj(), -1, -2) @ v - np.eye(4)).max()
         diagonal = np.swapaxes(v.conj(), -1, -2) @ rho @ v
         w = np.diagonal(diagonal, axis1=1, axis2=2).real
@@ -258,7 +259,7 @@ class TestExtremeInputs:
         # pair with the ground level for j < 0
         _, tied, _ = _gibbs_eigensystems(np.zeros(2), np.array([1.0, -1.0]), np.ones(2), Checks(2))
         assert tied[0, 0] == tied[0, 1] == tied[0, 2] and tied[1, 1] == tied[1, 2] == tied[1, 3]
-        assert np.array_equal(v[~bad], _eigenvectors(d[~bad], j[~bad]))
+        assert np.array_equal(v[~bad], _eigenvectors(d[~bad], j[~bad], np.hypot(1.0, d[~bad])))
         rebuilt = (v * w[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
         assert np.abs(rebuilt - rho).max() <= 4.0 * self.EPS
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 4.0 * self.EPS

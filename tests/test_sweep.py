@@ -195,6 +195,22 @@ class TestRunSweep:
         assert sweep._violations(failed, {0: "boom"}) == [
             (0, "point (1.0, 1.0, 1.0) failed: boom")]
 
+    def test_concurrence_never_reads_above_one(self):
+        """Where a thermal state is a Bell state to rounding, its spin-flip
+        singular values can differ by an ulp or two above 1: the concurrence
+        is clamped at 1 as at 0, so a point there and the preset rows that
+        reach 1 read exactly 1.0, and the row invariant allows no slack
+        above 1."""
+        setup = xz_control_setup(theta=0.5)
+        bell = evaluate_point(ModelParams(5.9923104495410527e307, 1.0, 1.0), setup)
+        assert bell.concurrence == 1.0 and bell.invariant_violations() == []
+        for name, at_one in (("fig2", 6), ("fig3a", 105), ("fig3b", 85)):
+            conc = sweep_columns(*figure_preset(name))[0]["concurrence"]
+            assert conc.max() == 1.0 and (conc == 1.0).sum() == at_one, name
+        above = replace(bell, concurrence=math.nextafter(1.0, 2.0))
+        assert above.invariant_violations() == [
+            "(5.992310449541053e+307, 1.0, 1.0): concurrence 1.0000000000000002 outside [0, 1]"]
+
     def test_cold_map_mixedness_structure(self):
         """On the coupling map at t = 0.5 (the fig1a setting, coarsened),
         mixedness peaks at the 0.75 ceiling near zero coupling and falls
@@ -582,7 +598,7 @@ class TestMatchMixedness:
         target off it is out of reach and one on it matches T_MIN."""
         plateau = 2.0 / 3.0 if d == 0.0 else 0.0
         message = (f"gamma = 0.3 not achieved for d = {d}, j = {j}; "
-                   f"scan reached [{plateau:.6g}, {plateau:.6g}]")
+                   f"scan reached [{plateau!r}, {plateau!r}]")
         with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
             match_mixedness(d, j, 0.3)
         assert match_mixedness(d, j, plateau) == T_MIN
@@ -633,7 +649,7 @@ class TestMatchMixedness:
         reach."""
         plateau = 2.0 / 3.0 if d == 0.0 else 0.0
         message = (f"gamma = {target} not achieved for d = {d}, j = {j}; "
-                   f"scan reached [{plateau:.6g}, {plateau:.6g}]")
+                   f"scan reached [{plateau!r}, {plateau!r}]")
         with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
             match_mixedness(np.float64(d), np.float64(j), target)
 
@@ -675,7 +691,8 @@ class TestMatchMixedness:
 
     def test_unreached_target_evaluates_the_whole_scan(self, monkeypatch):
         calls = self._count_scan_evaluations(monkeypatch)
-        message = "gamma = 0.9 not achieved for d = 1.0, j = 1.0; scan reached [0, 0.75]"
+        message = ("gamma = 0.9 not achieved for d = 1.0, j = 1.0; "
+                   "scan reached [0.0, 0.7499999968746252]")
         with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
             match_mixedness(1.0, 1.0, 0.9)
         assert len(calls) == sweep.SCAN_POINTS
@@ -695,11 +712,12 @@ class TestMatchMixedness:
         ((1.0, -2.0, 0.7499), "110.58570881328262"),
         ((1.0, 1.0, 0.5321431614828891), "1.464971398307286"),  # gamma at scan point 90
         ((0.0, -1.0, 0.5), "RangeError: gamma = 0.5 not achieved for d = 0.0, j = -1.0; "
-                           "scan reached [0.666667, 0.75]"),
+                           "scan reached [0.6666666666666666, 0.7499999981251876]"),
         ((1.0, 1.0, 0.7499999965998086), "9587.392538691875"),  # in the last scan interval
         ((0.1, 0.01, 1.1574441119271892e-08), "0.001"),  # gamma(T_MIN), off any plateau
+        # above gamma at 1e4: the scan's top end reads below the target
         ((1.0, 1.0, 0.7499999999), "RangeError: gamma = 0.7499999999 not achieved for d = 1.0, "
-                                   "j = 1.0; scan reached [0, 0.75]"),  # above gamma at 1e4
+                                   "j = 1.0; scan reached [0.0, 0.7499999968746252]"),
         ((0.1, 0.01, 3e-08), "0.0010498283787484682"),  # first interval, gamma(T_MIN) > 0
     ]
 
@@ -901,20 +919,61 @@ def test_matching_builds_one_model_point(monkeypatch):
 
 
 def test_matching_forms_the_heights_once(monkeypatch):
-    """One match builds the weight kernel of its (d, j) once; its scan and
-    bisection steps only call the kernel's weights(t)."""
+    """One match forms the heights of its (d, j) once; its scan and
+    bisection steps only evaluate the kernel's gamma(t)."""
     target = closed_form_mixedness(ModelParams(1.0, -1.0, 0.7))
     built = []
-    shifted_weights = model._shifted_weights
+    heights = model._heights
 
     def counting(d, j):
         built.append((d, j))
-        return shifted_weights(d, j)
+        return heights(d, j)
 
-    monkeypatch.setattr(model, "_shifted_weights", counting)
+    monkeypatch.setattr(model, "_heights", counting)
     t = match_mixedness(1.0, -1.5, target)
     assert built == [(1.0, -1.5)]
     assert abs(t / 1.05 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d, j, target, evaluations", [
+    (1.0, 2.0, 0.3, 145),
+    (0.5, -1.5, 0.42, 108),
+    (1.0, 1.0, 0.7499, 186),  # near the 3/4 ceiling
+    (1.0, -2.0, 0.7499, 195),
+    (1.0, 1.0, 1e-300, 66),  # residues that multiply to 0
+    (2.0, 0.5, 0.0, 1),  # the gamma = 0 plateau from T_MIN
+    (1.0, 1.0, 0.9, 200),  # never reached: the whole scan, no bisection
+])
+def test_matching_work_is_pinned(monkeypatch, d, j, target, evaluations):
+    """The work of one op of mixedness matching: the match evaluates gamma
+    exactly this often, scan and bisection together, and the match, the
+    thermal state at the matched temperature and the assisted bound there
+    make no LAPACK call."""
+    setup = xz_control_setup()
+    qc_vur(thermal_state(ModelParams(1.0, 1.0, 1.0)), setup)
+    count = 0
+    mixedness_of = sweep._mixedness_of
+
+    def counting(d, j):
+        gamma = mixedness_of(d, j)
+
+        def counted(t):
+            nonlocal count
+            count += 1
+            return gamma(t)
+
+        return counted
+
+    monkeypatch.setattr(sweep, "_mixedness_of", counting)
+    calls = count_solver_calls(monkeypatch)
+    try:
+        t = match_mixedness(d, j, target)
+    except RangeError:
+        assert target > 0.75
+    else:
+        qc_vur(thermal_state(ModelParams(d, j, t)), setup)
+    assert count == evaluations
+    assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
 
 @pytest.mark.parametrize("d, j", [(0.0, 1.0), (0.0, -1.0), (1.0, 2.0), (0.5, -1.5),
